@@ -6,7 +6,7 @@
 //! Usage: `cargo run --release -p mtd-bench --bin store_bench [out.json]`
 
 use mtd_bench::{time_median, BenchReport};
-use mtd_dataset::store::{load_binary_with_threads, load_json, save_binary, save_json, verify};
+use mtd_dataset::store::{load_binary, load_json, save_binary, save_json, verify};
 use mtd_dataset::Dataset;
 use mtd_netsim::geo::Topology;
 use mtd_netsim::services::ServiceCatalog;
@@ -35,8 +35,7 @@ fn main() {
     let bin_size = std::fs::metadata(&bin_path).unwrap().len();
     let json_size = std::fs::metadata(&json_path).unwrap().len();
 
-    let load_binary_s = time_median(|| check(load_binary_with_threads(&bin_path, 1), &ds));
-    let load_binary_par_s = time_median(|| check(load_binary_with_threads(&bin_path, 4), &ds));
+    let load_binary_s = time_median(|| check(load_binary(&bin_path), &ds));
     let load_json_s = time_median(|| check(load_json(&json_path), &ds));
     let verify_s = time_median(|| assert!(verify(&bin_path).unwrap().is_clean()));
 
@@ -61,18 +60,12 @@ fn main() {
     );
     report.field_raw(
         "load_seconds",
-        &format!(
-            "{{\"binary\": {load_binary_s:.6}, \"binary_4_threads\": {load_binary_par_s:.6}, \"json\": {load_json_s:.6}}}"
-        ),
+        &format!("{{\"binary\": {load_binary_s:.6}, \"json\": {load_json_s:.6}}}"),
     );
     report.field_seconds("verify_seconds", verify_s);
     report.field_raw(
         "speedup_load_binary_over_json",
         &format!("{:.2}", load_json_s / load_binary_s),
-    );
-    report.field_raw(
-        "speedup_load_binary_4_threads_over_json",
-        &format!("{:.2}", load_json_s / load_binary_par_s),
     );
     report.write(&out_path);
 }

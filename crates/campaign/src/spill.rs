@@ -552,12 +552,15 @@ mod tests {
         acc
     }
 
-    fn write_spill(acc: &ShardAccumulator) -> (std::path::PathBuf, Vec<u8>) {
+    /// Writes `acc`'s spill to a file named after the calling test: tests
+    /// run in parallel, and `corruption_is_detected` rewrites and deletes
+    /// its file, so no two tests may share one.
+    fn write_spill(test: &str, acc: &ShardAccumulator) -> (std::path::PathBuf, Vec<u8>) {
         let (vg, dg) = grids();
         let bytes = encode(acc, vg.bins(), dg.bins());
         let dir = std::env::temp_dir().join("mtd_campaign_spill_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("s{}.mtdspill", crate::fnv64(&bytes)));
+        let path = dir.join(format!("{test}.mtdspill"));
         std::fs::write(&path, &bytes).unwrap();
         (path, bytes)
     }
@@ -565,7 +568,7 @@ mod tests {
     #[test]
     fn roundtrip_is_lossless() {
         let acc = sample_acc();
-        let (path, bytes) = write_spill(&acc);
+        let (path, bytes) = write_spill("roundtrip_is_lossless", &acc);
         // Signaling-free shards must keep emitting v1 images.
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
@@ -614,7 +617,7 @@ mod tests {
             acc.record_signaling(&ev);
         }
 
-        let (path, bytes) = write_spill(&acc);
+        let (path, bytes) = write_spill("signaling_spills_as_v2_and_roundtrips", &acc);
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             SIGNALING_VERSION
@@ -639,7 +642,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let acc = sample_acc();
-        let (path, bytes) = write_spill(&acc);
+        let (path, bytes) = write_spill("corruption_is_detected", &acc);
 
         // Flip one byte mid-file: CRC fails.
         let mut bad = bytes.clone();

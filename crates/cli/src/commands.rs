@@ -5,7 +5,7 @@ use mtd_core::pipeline::{fit_registry, fit_registry_streamed};
 use mtd_core::registry::ModelRegistry;
 use mtd_core::SessionGenerator;
 use mtd_dataset::store::{self, Format};
-use mtd_dataset::{Dataset, SliceFilter, StoreReport};
+use mtd_dataset::{Dataset, SliceFilter};
 use mtd_netsim::engine::{Engine, EngineSink};
 use mtd_netsim::geo::Topology;
 use mtd_netsim::services::ServiceCatalog;
@@ -597,10 +597,8 @@ pub(crate) fn fit_from_file(path: &str) -> Result<ModelRegistry, String> {
             if !report.is_clean() {
                 progress!(
                     "cli",
-                    "WARNING: {} of {} chunks were damaged and skipped; \
-                     the fit covers the surviving data only",
-                    report.corrupt_chunks,
-                    report.total_chunks
+                    "WARNING: damaged dataset ({}); the fit covers the surviving data only",
+                    report.summary()
                 );
             }
             Ok(registry)
@@ -729,7 +727,7 @@ fn print_dataset_summary(dataset: &Dataset) {
 fn dataset_import(argv: &[String]) -> Result<(), String> {
     let flags = parse_flags_with_switches(argv, &["in", "format"], &["tolerant"])?;
     let tdest = telemetry_init(&flags, "dataset import")?;
-    let threads = threads_init(&flags)?;
+    threads_init(&flags)?;
     let _root = mtd_telemetry::prof::scope("cli.dataset_import");
     let input = flags.opt("in").ok_or("dataset import needs --in FILE")?;
     let path = Path::new(input);
@@ -740,17 +738,14 @@ fn dataset_import(argv: &[String]) -> Result<(), String> {
     let tolerant = flags.is_set("tolerant");
     let dataset = match (format, tolerant) {
         (Format::Json, _) => store::load_json(path).map_err(|e| e.to_string())?,
-        (Format::Binary, false) => {
-            store::load_binary_with_threads(path, threads).map_err(|e| e.to_string())?
-        }
+        (Format::Binary, false) => store::load_binary(path).map_err(|e| e.to_string())?,
         (Format::Binary, true) => {
             let (dataset, report) = store::load_binary_tolerant(path).map_err(|e| e.to_string())?;
             if !report.is_clean() {
                 progress!(
                     "cli",
-                    "WARNING: {} of {} chunks damaged and skipped",
-                    report.corrupt_chunks,
-                    report.total_chunks
+                    "WARNING: damaged dataset ({}); the dataset holds the surviving data only",
+                    report.summary()
                 );
             }
             dataset
@@ -760,30 +755,13 @@ fn dataset_import(argv: &[String]) -> Result<(), String> {
     telemetry_finish(tdest)
 }
 
-/// Prints a one-line verdict for a verify report.
-fn print_verify_summary(report: &StoreReport) {
-    println!(
-        "format {}  chunks {}  corrupt {}  footer {}  file-crc {}{}",
-        report.format,
-        report.total_chunks,
-        report.corrupt_chunks,
-        if report.footer_ok { "ok" } else { "BAD" },
-        if report.file_crc_ok { "ok" } else { "BAD" },
-        report
-            .fatal
-            .as_deref()
-            .map(|f| format!("  fatal: {f}"))
-            .unwrap_or_default()
-    );
-}
-
 fn dataset_verify(argv: &[String]) -> Result<(), String> {
     let flags = parse_flags(argv, &["in", "report"])?;
     let tdest = telemetry_init(&flags, "dataset verify")?;
     threads_init(&flags)?;
     let input = flags.opt("in").ok_or("dataset verify needs --in FILE")?;
     let report = store::verify(Path::new(input)).map_err(|e| e.to_string())?;
-    print_verify_summary(&report);
+    println!("format {}: {}", report.format, report.summary());
     if let Some(report_path) = flags.opt("report") {
         std::fs::write(report_path, report.to_json())
             .map_err(|e| format!("cannot write report to {report_path}: {e}"))?;
@@ -794,10 +772,7 @@ fn dataset_verify(argv: &[String]) -> Result<(), String> {
         println!("PASS: {input} is intact");
         Ok(())
     } else {
-        Err(format!(
-            "{input} is damaged: {} of {} chunks corrupt",
-            report.corrupt_chunks, report.total_chunks
-        ))
+        Err(format!("{input} is damaged: {}", report.summary()))
     }
 }
 

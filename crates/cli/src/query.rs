@@ -495,10 +495,8 @@ pub fn query_cmd(argv: &[String]) -> Result<(), String> {
     if !report.is_clean() {
         progress!(
             "cli",
-            "WARNING: {} of {} chunks damaged and skipped; \
-             the statistics cover the surviving data only",
-            report.corrupt_chunks,
-            report.total_chunks
+            "WARNING: damaged dataset ({}); the statistics cover the surviving data only",
+            report.summary()
         );
     }
     let mut out = crate::commands::sink(flags.opt("out"))?;

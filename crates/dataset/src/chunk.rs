@@ -195,6 +195,12 @@ impl<R: Read> FrameReader<R> {
         Ok(true)
     }
 
+    /// Whether the reader is exhausted. Consumes a byte when it is not, so
+    /// call it only once the walk is over (right after the footer).
+    pub(crate) fn at_end(&mut self) -> Result<bool, FrameError> {
+        self.read_exact_or_eof(&mut [0u8; 1]).map(|more| !more)
+    }
+
     /// Reads the next frame; `Ok(None)` at clean end of file.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let file_crc_before = self.crc.finish();

@@ -17,17 +17,20 @@
 //! ```
 //!
 //! Section order is a format invariant: Meta first, Deciles second, then
-//! any number of Cells and Minutes chunks. Chunk payloads are encoded and
-//! decoded in parallel across worker threads with output bit-identical to
-//! the sequential path (same discipline as `Engine::run_parallel`).
+//! any number of Cells and Minutes chunks. Chunk payloads are encoded in
+//! parallel across worker threads with output bit-identical to the
+//! sequential path (same discipline as `Engine::run_parallel`).
 //!
-//! Recovery semantics: a damaged Cells/Minutes chunk is skippable — the
-//! tolerant reader drops it, bumps an `mtd-telemetry` counter and records
-//! the loss in a structured [`StoreReport`]; Meta/Deciles are required.
-//! Transient I/O errors retry with bounded backoff.
+//! One reader walks the frames: [`DatasetStream`]. Strict loads stop at
+//! its first reported damage, tolerant loads skip damaged chunks, and
+//! [`verify`] only walks it. Recovery semantics: a damaged
+//! Cells/Minutes/Signaling chunk is skippable — the stream drops it,
+//! bumps an `mtd-telemetry` counter and records the loss in a structured
+//! [`StoreReport`]; Meta/Deciles are required. Transient I/O errors retry
+//! with bounded backoff.
 
 use crate::chunk::{
-    footer_payload, parse_footer, write_frame, FrameError, FrameReader, SectionKind,
+    footer_payload, parse_footer, write_frame, Frame, FrameError, FrameReader, SectionKind,
 };
 use crate::dataset::{CellKey, Dataset, GroupKey, SignalingPlane};
 use crate::format::{ByteReader, ByteWriter, Crc32, FormatError, FORMAT_VERSION, MAGIC};
@@ -88,8 +91,6 @@ pub enum StoreError {
     },
     /// A required section never appeared.
     MissingSection(&'static str),
-    /// A single-instance section appeared twice.
-    DuplicateSection(&'static str),
     /// The footer is missing, miscounts chunks, or the whole-file CRC
     /// does not match.
     FooterMismatch { detail: String },
@@ -129,7 +130,6 @@ impl std::fmt::Display for StoreError {
                 "corrupt {section} chunk #{index} at offset {offset}: {reason}"
             ),
             StoreError::MissingSection(s) => write!(f, "required section missing: {s}"),
-            StoreError::DuplicateSection(s) => write!(f, "section appears twice: {s}"),
             StoreError::FooterMismatch { detail } => write!(f, "footer mismatch: {detail}"),
             StoreError::Inconsistent(detail) => write!(f, "inconsistent dataset: {detail}"),
         }
@@ -162,8 +162,8 @@ pub struct ChunkStatus {
     pub error: Option<String>,
 }
 
-/// Structured integrity report produced by [`verify`] and by the
-/// tolerant loader. Serializable so the CLI can export it as an artifact.
+/// Structured integrity report kept by [`DatasetStream`], and so by every
+/// binary reader. Serializable so the CLI can export it as an artifact.
 #[derive(Debug, Clone)]
 pub struct StoreReport {
     /// Source path, when read from a file.
@@ -202,6 +202,25 @@ impl StoreReport {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.corrupt_chunks == 0 && self.footer_ok && self.file_crc_ok && self.fatal.is_none()
+    }
+
+    /// One-line damage summary: the chunk tally, the footer and file-CRC
+    /// state, and the fatal condition when there is one. Every reader's
+    /// warning and `dataset verify` print this same line.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let state = |ok: bool| if ok { "ok" } else { "BAD" };
+        let mut out = format!(
+            "{} of {} chunks corrupt, footer {}, file CRC {}",
+            self.corrupt_chunks,
+            self.total_chunks,
+            state(self.footer_ok),
+            state(self.file_crc_ok)
+        );
+        if let Some(fatal) = &self.fatal {
+            out.push_str(&format!(", fatal: {fatal}"));
+        }
+        out
     }
 
     /// The report as pretty JSON (for `dataset verify --report`).
@@ -793,30 +812,6 @@ fn decode_signaling_chunk(payload: &[u8], meta: &MetaSection) -> Result<SignalBl
 }
 
 // ---------------------------------------------------------------------------
-// Parallel decode sizing
-// ---------------------------------------------------------------------------
-
-/// Below this file size, parallel decode loses to sequential: thread
-/// spawn plus result shuffling costs more than the decode itself (the
-/// BENCH_store.json regression where 4 threads were ~13% slower than
-/// sequential on the ~23 MB default campaign).
-const PAR_DECODE_MIN_BYTES: usize = 64 << 20;
-
-/// With fewer chunks than this there is not enough independent work to
-/// amortize fan-out, whatever the byte count.
-const PAR_DECODE_MIN_CHUNKS: usize = 16;
-
-/// Worker count actually used for decoding: the caller's request, demoted
-/// to sequential when the file is too small to profit from fan-out.
-fn effective_decode_threads(requested: usize, bytes: usize, chunks: usize) -> usize {
-    if bytes < PAR_DECODE_MIN_BYTES || chunks < PAR_DECODE_MIN_CHUNKS {
-        1
-    } else {
-        requested.max(1)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Binary encode
 // ---------------------------------------------------------------------------
 
@@ -856,24 +851,14 @@ pub fn encode_binary(ds: &Dataset, threads: usize) -> Vec<u8> {
         jobs.push(EncodeJob::Cells(batch.to_vec()));
     }
     let n_bs = ds.minute_counts.len();
-    let mut first = 0;
-    while first < n_bs {
-        let rows = MINUTE_ROWS_PER_CHUNK.min(n_bs - first);
-        jobs.push(EncodeJob::Minutes {
-            first_bs: first,
-            rows,
-        });
-        first += rows;
+    for first_bs in (0..n_bs).step_by(MINUTE_ROWS_PER_CHUNK) {
+        let rows = MINUTE_ROWS_PER_CHUNK.min(n_bs - first_bs);
+        jobs.push(EncodeJob::Minutes { first_bs, rows });
     }
     if let Some(plane) = ds.signaling() {
-        let mut first = 0;
-        while first < plane.n_bs() {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first);
-            jobs.push(EncodeJob::Signaling {
-                first_bs: first,
-                rows,
-            });
-            first += rows;
+        for first_bs in (0..plane.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
+            let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first_bs);
+            jobs.push(EncodeJob::Signaling { first_bs, rows });
         }
     }
 
@@ -1157,10 +1142,7 @@ fn frame_error(e: FrameError, path_hint: Option<&Path>) -> StoreError {
     }
 }
 
-fn check_header(bytes: &[u8]) -> Result<u32, StoreError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::BadMagic);
-    }
+fn check_header(bytes: &[u8; HEADER_LEN]) -> Result<u32, StoreError> {
     if bytes[..8] != MAGIC {
         return Err(StoreError::BadMagic);
     }
@@ -1174,314 +1156,36 @@ fn check_header(bytes: &[u8]) -> Result<u32, StoreError> {
     Ok(version)
 }
 
-struct FrameScan {
-    meta: Option<MetaSection>,
-    deciles: Option<DecileSection>,
-    cell_payloads: Vec<(u32, u64, Vec<u8>)>,
-    minute_payloads: Vec<(u32, u64, Vec<u8>)>,
-    signaling_payloads: Vec<(u32, u64, Vec<u8>)>,
-    report: StoreReport,
-}
-
-/// Walks every frame of a binary image, decoding Meta/Deciles inline and
-/// collecting Cells/Minutes payloads for (possibly parallel) decoding.
+/// Decodes a complete binary image strictly: the first damaged chunk,
+/// frame error or bad footer is an error.
 ///
-/// In strict mode the first problem is an error; in tolerant mode
-/// skippable problems are recorded in the report and reading continues.
-fn scan_frames(bytes: &[u8], strict: bool) -> Result<FrameScan, StoreError> {
-    let version = check_header(bytes)?;
-    let mut crc = Crc32::new();
-    crc.update(&bytes[..HEADER_LEN]);
-    let mut frames = FrameReader::new(&bytes[HEADER_LEN..], HEADER_LEN as u64, crc);
-
-    let mut scan = FrameScan {
-        meta: None,
-        deciles: None,
-        cell_payloads: Vec::new(),
-        minute_payloads: Vec::new(),
-        signaling_payloads: Vec::new(),
-        report: StoreReport::new(&format!("binary-v{version}")),
-    };
-    let mut footer_seen = false;
-    let mut data_chunks = 0usize;
-
-    loop {
-        let frame = match frames.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(e) => {
-                let err = frame_error(e, None);
-                if strict {
-                    return Err(err);
-                }
-                mtd_telemetry::count("store.chunk.corrupt", 1);
-                scan.report.fatal = Some(err.to_string());
-                break;
-            }
-        };
-        if footer_seen {
-            let err = StoreError::FooterMismatch {
-                detail: "data after footer".into(),
-            };
-            if strict {
-                return Err(err);
-            }
-            scan.report.fatal = Some(err.to_string());
-            break;
-        }
-        let section_name = frame.kind().map_or_else(
-            || format!("unknown({})", frame.kind_tag),
-            |k| k.name().into(),
-        );
-        let mut status = ChunkStatus {
-            section: section_name.clone(),
-            index: frame.index,
-            offset: frame.offset,
-            payload_len: frame.payload.len() as u32,
-            ok: frame.crc_ok,
-            error: if frame.crc_ok {
-                None
-            } else {
-                Some("payload CRC mismatch".into())
-            },
-        };
-
-        let kind = frame.kind();
-        if kind == Some(SectionKind::Footer) {
-            footer_seen = true;
-            if frame.crc_ok {
-                match parse_footer(&frame.payload) {
-                    Ok((count, stored_crc)) => {
-                        // The footer's frame index duplicates the chunk
-                        // count: it is the only frame-header field not
-                        // covered by the whole-file CRC, so it must be
-                        // cross-checked or flips there go unnoticed.
-                        scan.report.footer_ok =
-                            count as usize == data_chunks && frame.index == count;
-                        scan.report.file_crc_ok = stored_crc == frame.file_crc_before;
-                        if !scan.report.footer_ok {
-                            status.ok = false;
-                            status.error = Some(format!(
-                                "footer counts {count} chunks (frame index {}), file has {data_chunks}",
-                                frame.index
-                            ));
-                        } else if !scan.report.file_crc_ok {
-                            status.ok = false;
-                            status.error = Some("whole-file CRC mismatch".into());
-                        }
-                    }
-                    Err(e) => {
-                        status.ok = false;
-                        status.error = Some(e.to_string());
-                    }
-                }
-            }
-            if !status.ok && strict {
-                return Err(StoreError::FooterMismatch {
-                    detail: status.error.unwrap_or_default(),
-                });
-            }
-            scan.report.chunks.push(status);
-            continue;
-        }
-
-        data_chunks += 1;
-        scan.report.total_chunks = data_chunks;
-
-        // Handle a chunk whose payload failed CRC or whose tag is unknown.
-        let corrupt = |status: &mut ChunkStatus, reason: &str| {
-            status.ok = false;
-            status.error = Some(reason.to_string());
-        };
-        let mut failed: Option<String> = None;
-        if !frame.crc_ok {
-            failed = Some("payload CRC mismatch".into());
-        } else {
-            match kind {
-                Some(SectionKind::Meta) => {
-                    if scan.meta.is_some() {
-                        if strict {
-                            return Err(StoreError::DuplicateSection("meta"));
-                        }
-                        failed = Some("duplicate meta section".into());
-                    } else {
-                        match decode_meta(&frame.payload) {
-                            Ok(m) => scan.meta = Some(m),
-                            Err(e) => failed = Some(e.to_string()),
-                        }
-                    }
-                }
-                Some(SectionKind::Deciles) => {
-                    if scan.deciles.is_some() {
-                        if strict {
-                            return Err(StoreError::DuplicateSection("deciles"));
-                        }
-                        failed = Some("duplicate deciles section".into());
-                    } else {
-                        match decode_deciles(&frame.payload) {
-                            Ok(d) => scan.deciles = Some(d),
-                            Err(e) => failed = Some(e.to_string()),
-                        }
-                    }
-                }
-                Some(SectionKind::Cells) => {
-                    scan.cell_payloads
-                        .push((frame.index, frame.offset, frame.payload));
-                }
-                Some(SectionKind::Minutes) => {
-                    scan.minute_payloads
-                        .push((frame.index, frame.offset, frame.payload));
-                }
-                Some(SectionKind::Signaling) => {
-                    // The tag exists only in v2+; in a v1 file it is as
-                    // corrupt as any unknown byte.
-                    if version >= 2 {
-                        scan.signaling_payloads
-                            .push((frame.index, frame.offset, frame.payload));
-                    } else {
-                        failed = Some("signaling section in a v1 file".into());
-                    }
-                }
-                Some(SectionKind::Footer) => unreachable!("handled above"),
-                None => failed = Some(format!("unknown section tag {}", frame.kind_tag)),
-            }
-        }
-        if let Some(reason) = failed {
-            mtd_telemetry::count("store.chunk.corrupt", 1);
-            corrupt(&mut status, &reason);
-            scan.report.corrupt_chunks += 1;
-            if strict {
-                return Err(StoreError::ChunkCorrupt {
-                    section: section_name,
-                    index: frame.index,
-                    offset: frame.offset,
-                    reason,
-                });
-            }
-            mtd_telemetry::count("store.chunk.skipped", 1);
-        }
-        scan.report.chunks.push(status);
-    }
-
-    if !footer_seen {
-        let err = StoreError::FooterMismatch {
-            detail: "footer missing".into(),
-        };
-        if strict {
-            return Err(err);
-        }
-        if scan.report.fatal.is_none() {
-            scan.report.fatal = Some(err.to_string());
-        }
-    } else if strict && !(scan.report.footer_ok && scan.report.file_crc_ok) {
-        return Err(StoreError::FooterMismatch {
-            detail: if scan.report.file_crc_ok {
-                "chunk count mismatch".into()
-            } else {
-                "whole-file CRC mismatch".into()
-            },
-        });
-    }
-    Ok(scan)
-}
-
-/// Decodes a complete binary image strictly: any corruption is an error.
-pub fn decode_binary(bytes: &[u8], threads: usize) -> Result<Dataset, StoreError> {
-    let (ds, _report) = decode_inner(bytes, true, threads)?;
-    Ok(ds)
-}
-
-/// Decodes tolerantly: damaged Cells/Minutes chunks are skipped (their
-/// data is simply absent from the result) and tallied in the report;
-/// damaged Meta/Deciles are unrecoverable and error out.
-pub fn decode_binary_tolerant(bytes: &[u8]) -> Result<(Dataset, StoreReport), StoreError> {
-    decode_inner(bytes, false, 1)
-}
-
-fn decode_inner(
-    bytes: &[u8],
-    strict: bool,
-    threads: usize,
-) -> Result<(Dataset, StoreReport), StoreError> {
+/// `_threads` no longer changes anything: chunks decode one by one as
+/// [`DatasetStream`] walks them. The parameter stays for existing callers.
+pub fn decode_binary(bytes: &[u8], _threads: usize) -> Result<Dataset, StoreError> {
     let _span = mtd_telemetry::span!("store.decode_binary");
-    let mut scan = scan_frames(bytes, strict)?;
-    let meta = scan.meta.take().ok_or(StoreError::MissingSection("meta"))?;
-    let deciles = scan
-        .deciles
-        .take()
-        .ok_or(StoreError::MissingSection("deciles"))?;
-
-    // Decode the fat sections in parallel; each job is independent. Small
-    // files demote to sequential — fan-out costs more than it saves there.
-    let chunks =
-        scan.cell_payloads.len() + scan.minute_payloads.len() + scan.signaling_payloads.len();
-    let pool = mtd_par::Pool::new(effective_decode_threads(threads, bytes.len(), chunks));
-    let cell_results = pool.par_map_indexed(scan.cell_payloads.len(), |i| {
-        decode_cells_chunk(&scan.cell_payloads[i].2, &meta)
-    });
-    let minute_results = pool.par_map_indexed(scan.minute_payloads.len(), |i| {
-        decode_minutes_chunk(&scan.minute_payloads[i].2, &meta)
-    });
-    let signaling_results = pool.par_map_indexed(scan.signaling_payloads.len(), |i| {
-        decode_signaling_chunk(&scan.signaling_payloads[i].2, &meta)
-    });
-
-    let mut asm = DatasetAssembler::new(meta, strict);
-    asm.set_deciles(deciles).map_err(StoreError::Inconsistent)?;
-
-    // Fold decoded batches in; in strict mode any decode or assembly
-    // failure is fatal with full chunk context, in tolerant mode the
-    // chunk is dropped and tallied.
-    let fold = |result: Result<Result<(), String>, FormatError>,
-                section: &str,
-                index: u32,
-                offset: u64,
-                report: &mut StoreReport|
-     -> Result<(), StoreError> {
-        let reason = match result {
-            Ok(Ok(())) => return Ok(()),
-            Ok(Err(reason)) => reason,
-            Err(e) => e.to_string(),
-        };
-        mtd_telemetry::count("store.chunk.corrupt", 1);
-        if strict {
-            return Err(StoreError::ChunkCorrupt {
-                section: section.into(),
-                index,
-                offset,
-                reason,
-            });
+    let mut stream = DatasetStream::from_reader(bytes)?;
+    let mut asm = DatasetAssembler::new(stream.meta().clone(), true);
+    while let Some(step) = stream.step() {
+        match step? {
+            Step::Chunk(chunk) => asm.apply(chunk)?,
+            Step::Damage(err) => return Err(err),
         }
-        mtd_telemetry::count("store.chunk.skipped", 1);
-        report.corrupt_chunks += 1;
-        mark_chunk_bad(report, offset, &reason);
-        Ok(())
-    };
-
-    for (result, (index, offset, _)) in cell_results.into_iter().zip(&scan.cell_payloads) {
-        let applied = result.map(|batch| asm.add_cells(batch));
-        fold(applied, "cells", *index, *offset, &mut scan.report)?;
     }
-    for (result, (index, offset, _)) in minute_results.into_iter().zip(&scan.minute_payloads) {
-        let applied = result.map(|block| asm.add_minutes(block));
-        fold(applied, "minutes", *index, *offset, &mut scan.report)?;
-    }
-    for (result, (index, offset, _)) in signaling_results.into_iter().zip(&scan.signaling_payloads)
-    {
-        let applied = result.map(|block| asm.add_signaling(block));
-        fold(applied, "signaling", *index, *offset, &mut scan.report)?;
-    }
-
-    Ok((asm.finish()?, scan.report))
+    asm.finish()
 }
 
-/// Flips a previously-ok chunk status to failed (payload decode errors
-/// are discovered after the scan pass recorded the CRC result).
-fn mark_chunk_bad(report: &mut StoreReport, offset: u64, reason: &str) {
-    if let Some(status) = report.chunks.iter_mut().find(|c| c.offset == offset) {
-        status.ok = false;
-        status.error = Some(reason.to_string());
+/// Decodes tolerantly: damaged Cells/Minutes/Signaling chunks are skipped
+/// (their data is simply absent from the result), and a file cut
+/// mid-frame keeps every chunk before the cut with the report's `fatal`
+/// naming the cut. A damaged Meta or Deciles section is unrecoverable.
+pub fn decode_binary_tolerant(bytes: &[u8]) -> Result<(Dataset, StoreReport), StoreError> {
+    let _span = mtd_telemetry::span!("store.decode_binary");
+    let mut stream = DatasetStream::from_reader(bytes)?;
+    let mut asm = DatasetAssembler::new(stream.meta().clone(), false);
+    while let Some(Ok(chunk)) = stream.next_chunk() {
+        asm.apply(chunk)?;
     }
+    Ok((asm.finish()?, stream.report))
 }
 
 fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
@@ -1493,15 +1197,10 @@ fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     Ok(bytes)
 }
 
-/// Loads a binary dataset strictly, decoding chunks on all cores.
+/// Loads a binary dataset strictly (see [`decode_binary`]).
 pub fn load_binary(path: &Path) -> Result<Dataset, StoreError> {
-    load_binary_with_threads(path, mtd_par::threads())
-}
-
-/// [`load_binary`] with an explicit worker count.
-pub fn load_binary_with_threads(path: &Path, threads: usize) -> Result<Dataset, StoreError> {
     let _span = mtd_telemetry::span!("store.load_binary");
-    decode_binary(&read_file(path)?, threads)
+    decode_binary(&read_file(path)?, 1)
 }
 
 /// Loads a binary dataset, skipping damaged skippable chunks. Returns the
@@ -1590,38 +1289,13 @@ pub fn verify(path: &Path) -> Result<StoreReport, StoreError> {
 /// without touching the filesystem.
 #[must_use]
 pub fn verify_bytes(bytes: &[u8]) -> StoreReport {
-    match scan_frames(bytes, false) {
-        Ok(mut scan) => {
-            // Payload CRCs passed; also check the payloads decode.
-            if let Some(meta) = scan.meta.as_ref() {
-                for (_, offset, payload) in &scan.cell_payloads {
-                    if let Err(e) = decode_cells_chunk(payload, meta) {
-                        scan.report.corrupt_chunks += 1;
-                        mark_chunk_bad(&mut scan.report, *offset, &e.to_string());
-                    }
-                }
-                for (_, offset, payload) in &scan.minute_payloads {
-                    if let Err(e) = decode_minutes_chunk(payload, meta) {
-                        scan.report.corrupt_chunks += 1;
-                        mark_chunk_bad(&mut scan.report, *offset, &e.to_string());
-                    }
-                }
-                for (_, offset, payload) in &scan.signaling_payloads {
-                    if let Err(e) = decode_signaling_chunk(payload, meta) {
-                        scan.report.corrupt_chunks += 1;
-                        mark_chunk_bad(&mut scan.report, *offset, &e.to_string());
-                    }
-                }
-            } else if scan.report.fatal.is_none() {
-                scan.report.fatal = Some("required section missing: meta".into());
-            }
-            if scan.deciles.is_none() && scan.report.fatal.is_none() {
-                scan.report.fatal = Some("required section missing: deciles".into());
-            }
-            scan.report
+    match DatasetStream::from_reader(bytes) {
+        Ok(mut stream) => {
+            while stream.next_chunk().is_some() {}
+            stream.report
         }
+        // Nothing to walk: a bad header or an unreadable Meta section.
         Err(e) => {
-            // Header-level failure (bad magic / version).
             let mut report = StoreReport::new("binary");
             report.fatal = Some(e.to_string());
             report
@@ -1646,18 +1320,47 @@ pub enum StreamedChunk {
     Signaling(SignalBlock),
 }
 
-/// Streams a binary dataset file chunk by chunk without materializing the
-/// whole dataset — the reader consumers like `mtd-core`'s streamed fit
-/// use to keep memory bounded on campaign-scale files.
+/// What one step of the frame walk found.
+enum Step {
+    /// An intact chunk.
+    Chunk(StreamedChunk),
+    /// Damage the report has already recorded: a chunk that failed its
+    /// CRC or did not decode, a bad or missing footer, bytes after the
+    /// footer, or no Deciles section. Strict reads stop here; every other
+    /// reader walks on.
+    Damage(StoreError),
+}
+
+impl ChunkStatus {
+    fn of(frame: &Frame, section: String, error: Option<String>) -> ChunkStatus {
+        ChunkStatus {
+            section,
+            index: frame.index,
+            offset: frame.offset,
+            payload_len: frame.payload.len() as u32,
+            ok: error.is_none(),
+            error,
+        }
+    }
+}
+
+/// Streams a binary dataset chunk by chunk without materializing the
+/// whole dataset. It is the only walker of MTDSTORE frames: strict and
+/// tolerant loads and [`verify`] are thin policies over it, and consumers
+/// like `mtd-core`'s streamed fit use it to keep memory bounded on
+/// campaign-scale files.
 ///
-/// Damaged skippable chunks are skipped (telemetry-counted, recorded in
-/// the running report); damaged required sections are fatal.
+/// Meta must be the first chunk; if it is missing or damaged the stream
+/// does not open. After that, damaged chunks are skipped
+/// (telemetry-counted, recorded in the running report). The report also
+/// records the footer's own status, a duplicate or missing Deciles
+/// section, and any byte after the footer.
 pub struct DatasetStream<R: Read> {
     frames: FrameReader<R>,
     version: u32,
     meta: MetaSection,
     report: StoreReport,
-    data_chunks: usize,
+    deciles_seen: bool,
     done: bool,
 }
 
@@ -1681,11 +1384,10 @@ impl<R: Read> DatasetStream<R> {
     }
 
     fn from_reader_inner(mut reader: R, path: Option<&Path>) -> Result<Self, StoreError> {
-        let err_path = path.unwrap_or_else(|| Path::new("<stream>"));
         let mut header = [0u8; HEADER_LEN];
         reader.read_exact(&mut header).map_err(|e| match e.kind() {
             io::ErrorKind::UnexpectedEof => StoreError::BadMagic,
-            _ => io_err(err_path, e),
+            _ => io_err(path.unwrap_or_else(|| Path::new("<stream>")), e),
         })?;
         let version = check_header(&header)?;
         let mut crc = Crc32::new();
@@ -1699,42 +1401,31 @@ impl<R: Read> DatasetStream<R> {
         if first.kind() != Some(SectionKind::Meta) {
             return Err(StoreError::MissingSection("meta (must be the first chunk)"));
         }
-        if !first.crc_ok {
-            return Err(StoreError::ChunkCorrupt {
-                section: "meta".into(),
-                index: first.index,
-                offset: first.offset,
-                reason: "payload CRC mismatch".into(),
-            });
-        }
-        let meta = decode_meta(&first.payload).map_err(|e| StoreError::ChunkCorrupt {
+        let corrupt = |reason: String| StoreError::ChunkCorrupt {
             section: "meta".into(),
             index: first.index,
             offset: first.offset,
-            reason: e.to_string(),
-        })?;
+            reason,
+        };
+        if !first.crc_ok {
+            return Err(corrupt("payload CRC mismatch".into()));
+        }
+        let meta = decode_meta(&first.payload).map_err(|e| corrupt(e.to_string()))?;
         let mut report = StoreReport::new(&format!("binary-v{version}"));
         report.total_chunks = 1;
-        report.chunks.push(ChunkStatus {
-            section: "meta".into(),
-            index: first.index,
-            offset: first.offset,
-            payload_len: first.payload.len() as u32,
-            ok: true,
-            error: None,
-        });
+        report
+            .chunks
+            .push(ChunkStatus::of(&first, "meta".into(), None));
         Ok(DatasetStream {
             frames,
             version,
             meta,
             report,
-            data_chunks: 1,
+            deciles_seen: false,
             done: false,
         })
     }
-}
 
-impl<R: Read> DatasetStream<R> {
     /// The file's Meta section (grids, names, groups, sizes).
     #[must_use]
     pub fn meta(&self) -> &MetaSection {
@@ -1754,95 +1445,161 @@ impl<R: Read> DatasetStream<R> {
         &self.report
     }
 
-    /// Yields the next intact chunk, skipping damaged skippable ones.
-    /// Returns `None` at end of file (after footer validation).
-    /// Frame-level damage (truncation, corrupt framing) ends the stream
-    /// with the error recorded in the report.
+    /// Yields the next intact chunk, skipping damaged ones. Returns `None`
+    /// once the walk is over (footer checked or missing). Frame-level
+    /// damage (truncation, corrupt framing) ends the stream with the
+    /// error, which the report records as `fatal`.
     pub fn next_chunk(&mut self) -> Option<Result<StreamedChunk, StoreError>> {
-        while !self.done {
-            let frame = match self.frames.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => {
-                    self.done = true;
-                    if self.report.fatal.is_none() {
-                        self.report.fatal = Some("footer missing".into());
-                    }
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    let err = frame_error(e, None);
-                    self.report.fatal = Some(err.to_string());
-                    mtd_telemetry::count("store.chunk.corrupt", 1);
-                    return Some(Err(err));
-                }
-            };
-            if frame.kind() == Some(SectionKind::Footer) {
-                self.done = true;
-                if frame.crc_ok {
-                    if let Ok((count, stored_crc)) = parse_footer(&frame.payload) {
-                        self.report.footer_ok =
-                            count as usize == self.data_chunks && frame.index == count;
-                        self.report.file_crc_ok = stored_crc == frame.file_crc_before;
-                    }
-                }
-                return None;
-            }
-            self.data_chunks += 1;
-            self.report.total_chunks = self.data_chunks;
-            let section = frame.kind().map_or_else(
-                || format!("unknown({})", frame.kind_tag),
-                |k| k.name().into(),
-            );
-            let mut status = ChunkStatus {
-                section: section.clone(),
-                index: frame.index,
-                offset: frame.offset,
-                payload_len: frame.payload.len() as u32,
-                ok: true,
-                error: None,
-            };
-            let decoded: Result<StreamedChunk, String> = if !frame.crc_ok {
-                Err("payload CRC mismatch".into())
-            } else {
-                match frame.kind() {
-                    Some(SectionKind::Deciles) => decode_deciles(&frame.payload)
-                        .map(StreamedChunk::Deciles)
-                        .map_err(|e| e.to_string()),
-                    Some(SectionKind::Cells) => decode_cells_chunk(&frame.payload, &self.meta)
-                        .map(StreamedChunk::Cells)
-                        .map_err(|e| e.to_string()),
-                    Some(SectionKind::Minutes) => decode_minutes_chunk(&frame.payload, &self.meta)
-                        .map(StreamedChunk::Minutes)
-                        .map_err(|e| e.to_string()),
-                    Some(SectionKind::Signaling) if self.version >= 2 => {
-                        decode_signaling_chunk(&frame.payload, &self.meta)
-                            .map(StreamedChunk::Signaling)
-                            .map_err(|e| e.to_string())
-                    }
-                    Some(SectionKind::Signaling) => Err("signaling section in a v1 file".into()),
-                    Some(SectionKind::Meta) => Err("duplicate meta section".into()),
-                    Some(SectionKind::Footer) => unreachable!("handled above"),
-                    None => Err(format!("unknown section tag {}", frame.kind_tag)),
-                }
-            };
-            match decoded {
-                Ok(chunk) => {
-                    self.report.chunks.push(status);
-                    return Some(Ok(chunk));
-                }
-                Err(reason) => {
-                    // Skip-with-report: keep streaming past the damage.
-                    mtd_telemetry::count("store.chunk.corrupt", 1);
+        loop {
+            match self.step()? {
+                Ok(Step::Chunk(chunk)) => return Some(Ok(chunk)),
+                Ok(Step::Damage(StoreError::ChunkCorrupt { .. })) => {
                     mtd_telemetry::count("store.chunk.skipped", 1);
-                    status.ok = false;
-                    status.error = Some(reason);
-                    self.report.corrupt_chunks += 1;
-                    self.report.chunks.push(status);
                 }
+                Ok(Step::Damage(_)) => {}
+                Err(e) => return Some(Err(e)),
             }
         }
-        None
+    }
+
+    /// Reads and classifies one frame.
+    fn step(&mut self) -> Option<Result<Step, StoreError>> {
+        if self.done {
+            return None;
+        }
+        let frame = match self.frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return self.close(None).map(|e| Ok(Step::Damage(e))),
+            Err(e) => {
+                self.done = true;
+                let err = frame_error(e, None);
+                self.report.fatal = Some(err.to_string());
+                mtd_telemetry::count("store.chunk.corrupt", 1);
+                return Some(Err(err));
+            }
+        };
+        if frame.kind() == Some(SectionKind::Footer) {
+            return self.close(Some(&frame)).map(|e| Ok(Step::Damage(e)));
+        }
+        self.report.total_chunks += 1;
+        let section = frame.kind().map_or_else(
+            || format!("unknown({})", frame.kind_tag),
+            |k| k.name().into(),
+        );
+        let meta = &self.meta;
+        let decoded = match frame.kind() {
+            _ if !frame.crc_ok => Err(FormatError("payload CRC mismatch")),
+            Some(SectionKind::Deciles) if self.deciles_seen => {
+                Err(FormatError("duplicate deciles section"))
+            }
+            Some(SectionKind::Deciles) => {
+                decode_deciles(&frame.payload).map(StreamedChunk::Deciles)
+            }
+            Some(SectionKind::Cells) => {
+                decode_cells_chunk(&frame.payload, meta).map(StreamedChunk::Cells)
+            }
+            Some(SectionKind::Minutes) => {
+                decode_minutes_chunk(&frame.payload, meta).map(StreamedChunk::Minutes)
+            }
+            // The tag exists only in v2+; in a v1 file it is as corrupt
+            // as any unknown byte.
+            Some(SectionKind::Signaling) if self.version >= 2 => {
+                decode_signaling_chunk(&frame.payload, meta).map(StreamedChunk::Signaling)
+            }
+            Some(SectionKind::Signaling) => Err(FormatError("signaling section in a v1 file")),
+            Some(SectionKind::Meta) => Err(FormatError("duplicate meta section")),
+            Some(SectionKind::Footer) => unreachable!("handled above"),
+            None => Err(FormatError("unknown section tag")),
+        };
+        let step = match decoded {
+            Ok(chunk) => {
+                self.deciles_seen |= matches!(chunk, StreamedChunk::Deciles(_));
+                self.report
+                    .chunks
+                    .push(ChunkStatus::of(&frame, section, None));
+                Step::Chunk(chunk)
+            }
+            Err(e) => {
+                mtd_telemetry::count("store.chunk.corrupt", 1);
+                self.report.corrupt_chunks += 1;
+                let reason = e.to_string();
+                self.report.chunks.push(ChunkStatus::of(
+                    &frame,
+                    section.clone(),
+                    Some(reason.clone()),
+                ));
+                Step::Damage(StoreError::ChunkCorrupt {
+                    section,
+                    index: frame.index,
+                    offset: frame.offset,
+                    reason,
+                })
+            }
+        };
+        Some(Ok(step))
+    }
+
+    /// Ends the walk at the footer, or at a clean end of file without one.
+    /// Checks the footer against the chunks seen, rejects any byte after
+    /// it and requires a Deciles section. Everything lands in the report;
+    /// the first problem is returned for strict reads.
+    fn close(&mut self, footer: Option<&Frame>) -> Option<StoreError> {
+        self.done = true;
+        let footer_error = footer.and_then(|frame| self.check_footer(frame));
+        let fatal = if footer.is_none() {
+            Some(StoreError::FooterMismatch {
+                detail: "footer missing".into(),
+            })
+        } else if !matches!(self.frames.at_end(), Ok(true)) {
+            Some(StoreError::FooterMismatch {
+                detail: "data after footer".into(),
+            })
+        } else if !self.deciles_seen {
+            Some(StoreError::MissingSection("deciles"))
+        } else {
+            None
+        };
+        if let Some(err) = &fatal {
+            self.report.fatal = Some(err.to_string());
+        }
+        footer_error
+            .map(|detail| StoreError::FooterMismatch { detail })
+            .or(fatal)
+    }
+
+    /// Checks the footer frame against the walk, records its status and
+    /// returns what is wrong with it, if anything.
+    fn check_footer(&mut self, frame: &Frame) -> Option<String> {
+        let error = if !frame.crc_ok {
+            Some("payload CRC mismatch".to_string())
+        } else {
+            match parse_footer(&frame.payload) {
+                Err(e) => Some(e.to_string()),
+                Ok((count, stored_crc)) => {
+                    // The footer's frame index duplicates the chunk
+                    // count: it is the only frame-header field not
+                    // covered by the whole-file CRC, so it must be
+                    // cross-checked or flips there go unnoticed.
+                    let chunks = self.report.total_chunks;
+                    self.report.footer_ok = count as usize == chunks && frame.index == count;
+                    self.report.file_crc_ok = stored_crc == frame.file_crc_before;
+                    if !self.report.footer_ok {
+                        Some(format!(
+                            "footer counts {count} chunks (frame index {}), file has {chunks}",
+                            frame.index
+                        ))
+                    } else if !self.report.file_crc_ok {
+                        Some("whole-file CRC mismatch".into())
+                    } else {
+                        None
+                    }
+                }
+            }
+        };
+        self.report
+            .chunks
+            .push(ChunkStatus::of(frame, "footer".into(), error.clone()));
+        error
     }
 }
 
@@ -1853,8 +1610,8 @@ impl<R: Read> DatasetStream<R> {
 /// Incrementally assembles a [`Dataset`] from streamed chunks — the
 /// consumer-side counterpart of [`DatasetStream`]. `mtd-core`'s streamed
 /// fit feeds chunks in as they arrive so peak extra memory is one chunk,
-/// not the whole file image; the strict loader reuses the same assembly
-/// rules so both paths produce identical datasets.
+/// not the whole file image; the strict and tolerant loaders feed it the
+/// same way, so every read path produces identical datasets.
 ///
 /// In strict mode, duplicate cell keys and doubly-covered minute rows are
 /// errors; in tolerant mode later data wins and gaps are zero-filled.
@@ -2090,43 +1847,50 @@ mod tests {
         assert_eq!(encode_binary(&back, 1), bytes);
     }
 
-    #[test]
-    fn store_writer_matches_encode_binary_bytes() {
-        let ds = build_small();
-        let expected = encode_binary(ds, 1);
-
-        let path = temp_path("writer.mtdstore");
-        let mut writer = StoreWriter::create(&path).unwrap();
-        writer.append(SectionKind::Meta, &encode_meta(ds)).unwrap();
-        writer
-            .append(SectionKind::Deciles, &encode_deciles(ds))
-            .unwrap();
-        let vbins = ds.volume_grid.bins();
-        let dbins = ds.duration_grid.bins();
+    /// Every data frame [`encode_binary`] writes for `ds`, in file order.
+    fn sections(ds: &Dataset) -> Vec<(SectionKind, Vec<u8>)> {
+        let mut out = vec![
+            (SectionKind::Meta, encode_meta(ds)),
+            (SectionKind::Deciles, encode_deciles(ds)),
+        ];
+        let (vbins, dbins) = (ds.volume_grid.bins(), ds.duration_grid.bins());
         let cell_refs: Vec<(&CellKey, &CellStats)> = ds.cells.iter().collect();
         for batch in cell_refs.chunks(CELLS_PER_CHUNK) {
-            writer
-                .append(SectionKind::Cells, &encode_cells_chunk(batch, vbins, dbins))
-                .unwrap();
+            out.push((SectionKind::Cells, encode_cells_chunk(batch, vbins, dbins)));
         }
-        let n_bs = ds.minute_counts.len();
-        let mut first = 0;
-        while first < n_bs {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(n_bs - first);
-            writer
-                .append(SectionKind::Minutes, &encode_minutes_chunk(ds, first, rows))
-                .unwrap();
-            first += rows;
+        for first in (0..ds.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
+            let rows = MINUTE_ROWS_PER_CHUNK.min(ds.n_bs() - first);
+            out.push((SectionKind::Minutes, encode_minutes_chunk(ds, first, rows)));
         }
-        let written = writer.finish().unwrap();
+        if let Some(plane) = ds.signaling() {
+            for first in (0..plane.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
+                let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first);
+                let payload = encode_signaling_chunk(plane, first, rows);
+                out.push((SectionKind::Signaling, payload));
+            }
+        }
+        out
+    }
 
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(written, bytes.len() as u64);
-        assert_eq!(bytes, expected);
-        // And it decodes like any other store.
-        let back = decode_binary(&bytes, 1).unwrap();
-        assert_eq!(&back, ds);
+    #[test]
+    fn store_writer_matches_encode_binary_bytes() {
+        // v1 and v2 (signaling) datasets alike.
+        for ds in [build_small(), build_small_v2()] {
+            let path = temp_path("writer.mtdstore");
+            let version = dataset_format_version(ds.signaling().is_some());
+            let mut writer = StoreWriter::create_versioned(&path, version).unwrap();
+            for (kind, payload) in sections(ds) {
+                writer.append(kind, &payload).unwrap();
+            }
+            let written = writer.finish().unwrap();
+
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(written, bytes.len() as u64);
+            assert_eq!(bytes, encode_binary(ds, 1));
+            // And it decodes like any other store.
+            assert_eq!(&decode_binary(&bytes, 1).unwrap(), ds);
+        }
     }
 
     #[test]
@@ -2164,19 +1928,6 @@ mod tests {
             assert_eq!(encode_binary(ds, threads), seq, "threads={threads}");
             assert_eq!(&decode_binary(&seq, threads).unwrap(), ds);
         }
-    }
-
-    #[test]
-    fn small_files_decode_sequentially() {
-        // Below either threshold the requested fan-out is demoted to one
-        // worker; only big many-chunk files keep the parallel path.
-        assert_eq!(effective_decode_threads(8, 23 << 20, 40), 1);
-        assert_eq!(effective_decode_threads(8, PAR_DECODE_MIN_BYTES, 4), 1);
-        assert_eq!(
-            effective_decode_threads(8, PAR_DECODE_MIN_BYTES, PAR_DECODE_MIN_CHUNKS),
-            8
-        );
-        assert_eq!(effective_decode_threads(0, PAR_DECODE_MIN_BYTES, 99), 1);
     }
 
     #[test]
@@ -2243,15 +1994,53 @@ mod tests {
 
     /// Byte offset of the first frame of `kind` in a binary image.
     fn find_section_offset(bytes: &[u8], kind: SectionKind) -> usize {
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..HEADER_LEN]);
-        let mut frames = FrameReader::new(&bytes[HEADER_LEN..], HEADER_LEN as u64, crc);
-        while let Ok(Some(f)) = frames.next_frame() {
-            if f.kind() == Some(kind) {
-                return f.offset as usize;
-            }
-        }
-        panic!("section not found");
+        let report = verify_bytes(bytes);
+        let chunk = report.chunks.iter().find(|c| c.section == kind.name());
+        chunk.expect("section not found").offset as usize
+    }
+
+    #[test]
+    fn tolerant_decode_keeps_the_prefix_of_a_file_cut_mid_frame() {
+        // Cut inside the Minutes frame: Meta, Deciles and every Cells
+        // chunk come before the cut and survive; the cut rows stay zero.
+        let ds = build_small();
+        let bytes = encode_binary(ds, 1);
+        let minutes = find_section_offset(&bytes, SectionKind::Minutes);
+        let cut = &bytes[..minutes + crate::chunk::FRAME_HEADER_LEN + 20];
+        assert!(decode_binary(cut, 1).is_err());
+        let (recovered, report) = decode_binary_tolerant(cut).unwrap();
+        assert!(
+            report
+                .fatal
+                .as_deref()
+                .is_some_and(|f| f.contains("truncated")),
+            "{}",
+            report.to_json()
+        );
+        assert_eq!(report.corrupt_chunks, 0);
+        assert_eq!(recovered.cells, ds.cells);
+        assert_eq!(recovered.decile_of_bs, ds.decile_of_bs);
+        assert!(ds.minute_counts.iter().flatten().any(|&c| c > 0));
+        assert!(recovered.minute_counts.iter().flatten().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn summary_names_the_fatal_condition_and_footer_state() {
+        // A store cut just before its footer: no chunk is corrupt, yet the
+        // file is damaged, and the summary must say why.
+        let mut report = StoreReport::new("binary-v1");
+        report.total_chunks = 4;
+        report.fatal = Some("footer mismatch: footer missing".into());
+        assert_eq!(
+            report.summary(),
+            "0 of 4 chunks corrupt, footer BAD, file CRC BAD, \
+             fatal: footer mismatch: footer missing"
+        );
+        (report.footer_ok, report.file_crc_ok, report.fatal) = (true, true, None);
+        assert_eq!(
+            report.summary(),
+            "0 of 4 chunks corrupt, footer ok, file CRC ok"
+        );
     }
 
     #[test]
@@ -2312,14 +2101,8 @@ mod tests {
         let back = decode_binary(&bytes, 1).unwrap();
         assert_eq!(&back, ds);
         assert_eq!(encode_binary(&back, 1), bytes);
-        // Streamed assembly reproduces the plane too.
-        let mut stream = DatasetStream::from_reader(io::Cursor::new(bytes.clone())).unwrap();
+        let stream = DatasetStream::from_reader(bytes.as_slice()).unwrap();
         assert_eq!(stream.version(), MAX_FORMAT_VERSION);
-        let mut asm = DatasetAssembler::new(stream.meta().clone(), true);
-        while let Some(chunk) = stream.next_chunk() {
-            asm.apply(chunk.unwrap()).unwrap();
-        }
-        assert_eq!(&asm.finish().unwrap(), ds);
         // The report labels the file with its own version.
         assert_eq!(verify_bytes(&bytes).format, "binary-v2");
         // Parallel encode stays byte-identical with the extra section.
@@ -2374,52 +2157,6 @@ mod tests {
         // would keep the surviving blocks, zero-filling the gap).
         assert_eq!(recovered.minute_counts, ds.minute_counts);
         assert!(recovered.signaling().is_none());
-    }
-
-    #[test]
-    fn versioned_writer_matches_encode_binary_for_v2() {
-        let ds = build_small_v2();
-        let expected = encode_binary(ds, 1);
-        let path = temp_path("writer_v2.mtdstore");
-        let mut writer = StoreWriter::create_versioned(&path, MAX_FORMAT_VERSION).unwrap();
-        writer.append(SectionKind::Meta, &encode_meta(ds)).unwrap();
-        writer
-            .append(SectionKind::Deciles, &encode_deciles(ds))
-            .unwrap();
-        let cell_refs: Vec<(&CellKey, &CellStats)> = ds.cells.iter().collect();
-        for batch in cell_refs.chunks(CELLS_PER_CHUNK) {
-            writer
-                .append(
-                    SectionKind::Cells,
-                    &encode_cells_chunk(batch, ds.volume_grid.bins(), ds.duration_grid.bins()),
-                )
-                .unwrap();
-        }
-        let n_bs = ds.minute_counts.len();
-        let mut first = 0;
-        while first < n_bs {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(n_bs - first);
-            writer
-                .append(SectionKind::Minutes, &encode_minutes_chunk(ds, first, rows))
-                .unwrap();
-            first += rows;
-        }
-        let plane = ds.signaling().unwrap();
-        let mut first = 0;
-        while first < plane.n_bs() {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first);
-            writer
-                .append(
-                    SectionKind::Signaling,
-                    &encode_signaling_chunk(plane, first, rows),
-                )
-                .unwrap();
-            first += rows;
-        }
-        writer.finish().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(bytes, expected);
     }
 
     #[test]

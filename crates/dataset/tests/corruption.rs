@@ -4,7 +4,9 @@
 //! corruptions") is enforced directly: every flipped byte in the header,
 //! every frame header, the entire footer frame, and a dense stride across
 //! all payloads must (a) make `verify_bytes` report unclean, (b) make the
-//! strict decoder error, and (c) never panic the tolerant decoder.
+//! strict decoder error, (c) never panic the tolerant decoder, and (d)
+//! leave a `DatasetStream` walk (what `fit --from` and `query` read
+//! through) with a non-clean report.
 //!
 //! Why this is airtight rather than sampled luck: payload flips break the
 //! per-chunk CRC32 (which detects any burst ≤ 32 bits); header and
@@ -13,7 +15,7 @@
 //! its cross-checked index, or its length field.
 
 use mtd_dataset::store::{
-    decode_binary, decode_binary_tolerant, encode_binary, verify, verify_bytes,
+    decode_binary, decode_binary_tolerant, encode_binary, verify, verify_bytes, DatasetStream,
 };
 use mtd_dataset::Dataset;
 use mtd_netsim::geo::Topology;
@@ -58,6 +60,19 @@ fn frame_header_offsets(bytes: &[u8]) -> (Vec<usize>, std::ops::Range<usize>) {
     (offsets, last_frame)
 }
 
+/// Walks `bytes` the way every stream consumer does: the stream must
+/// either refuse to open or end with a non-clean report.
+fn assert_stream_flags(bytes: &[u8], what: &str) {
+    if let Ok(mut stream) = DatasetStream::from_reader(bytes) {
+        while stream.next_chunk().is_some() {}
+        assert!(
+            !stream.report().is_clean(),
+            "stream walk called {what} clean: {:?}",
+            stream.report()
+        );
+    }
+}
+
 /// Every corruption the battery checks at one byte position.
 fn assert_flip_detected(bytes: &[u8], pos: usize, mask: u8) {
     let mut bad = bytes.to_vec();
@@ -80,6 +95,7 @@ fn assert_flip_detected(bytes: &[u8], pos: usize, mask: u8) {
             "tolerant decode called flip of byte {pos} clean"
         );
     }
+    assert_stream_flags(&bad, &format!("flip of byte {pos} (mask {mask:#04x})"));
 }
 
 #[test]
@@ -228,6 +244,7 @@ fn junk_appended_after_footer_is_detected() {
     bad.extend_from_slice(&[0u8; 32]);
     assert!(!verify_bytes(&bad).is_clean());
     assert!(decode_binary(&bad, 1).is_err());
+    assert_stream_flags(&bad, "junk after the footer");
 }
 
 #[test]

@@ -109,7 +109,7 @@ fn write_bitflip_is_always_caught_by_the_reader() {
         let saved = store::save_binary(ds, &path);
         mtd_fault::clear();
         saved.unwrap_or_else(|e| panic!("seed {seed}: flip write itself succeeds: {e}"));
-        let strict = store::load_binary_with_threads(&path, 1);
+        let strict = store::load_binary(&path);
         match strict {
             Err(_) => {}
             Ok(loaded) => {
@@ -138,7 +138,7 @@ fn skip_atomic_mutation_site_really_tears_the_destination() {
     // the destination exists and holds a torn prefix.
     assert!(path.exists(), "mutation must leave a torn destination");
     let torn = std::fs::read(&path).unwrap();
-    let full = store::load_binary_with_threads(&path, 1);
+    let full = store::load_binary(&path);
     assert!(
         full.is_err(),
         "torn file ({} bytes) must not load strictly",
@@ -159,7 +159,7 @@ fn read_corruption_surfaces_structured_errors_not_panics() {
     ] {
         for seed in seeds {
             mtd_fault::install(FaultPlan::parse(spec, seed).unwrap());
-            let strict = store::load_binary_with_threads(&path, 2);
+            let strict = store::load_binary(&path);
             mtd_fault::clear();
             if let Ok(loaded) = strict {
                 // A fault that truncated nothing (offset landed at EOF is
@@ -169,7 +169,7 @@ fn read_corruption_surfaces_structured_errors_not_panics() {
         }
     }
     // The file on disk is untouched by read-side faults.
-    assert_eq!(store::load_binary_with_threads(&path, 1).unwrap(), *ds);
+    assert_eq!(store::load_binary(&path).unwrap(), *ds);
     std::fs::remove_file(&path).ok();
 }
 

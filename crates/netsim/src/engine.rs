@@ -136,14 +136,7 @@ impl<'a> Engine<'a> {
     pub fn run<S: EngineSink>(&self, sink: &mut S) -> RunStats {
         let _span = mtd_telemetry::span!("sim.run");
         self.announce_total_units();
-        let mut stats = RunStats::default();
-        for station in self.topology.stations() {
-            // Per-station accumulation merged in station order keeps the
-            // float totals bit-identical with [`Engine::run_parallel`].
-            let mut st = RunStats::default();
-            self.run_station(station, sink, &mut st);
-            stats.merge(&st);
-        }
+        let stats = self.run_stations(self.topology.stations(), sink, 1);
         record_run_stats(&stats);
         stats
     }
@@ -154,8 +147,12 @@ impl<'a> Engine<'a> {
     /// Produces output **identical** to [`Engine::run`]: every station has
     /// its own derived RNG streams and deterministic session ids, workers
     /// buffer each station's events, and the pool's ordered streaming map
-    /// replays buffers to `sink` in station order. Peak memory is bounded
-    /// by the few out-of-order station buffers in flight.
+    /// replays buffers to `sink` in station order. Nothing bounds those
+    /// buffers: every station that finishes ahead of the one being
+    /// replayed stays buffered, so peak memory can grow far past the
+    /// sequential run's. On a 2-core host, `Dataset::build` of
+    /// `ScenarioConfig::evaluation()` peaked at 1.30–1.85 GB of live heap
+    /// at 2 threads against 112 MB at 1 thread.
     pub fn run_parallel<S: EngineSink>(&self, sink: &mut S, threads: usize) -> RunStats {
         let threads = threads.max(1).min(self.topology.len().max(1));
         if threads == 1 {
@@ -164,24 +161,7 @@ impl<'a> Engine<'a> {
         let _span = mtd_telemetry::span!("sim.run_parallel");
         mtd_telemetry::gauge_set("sim.threads", threads as f64);
         self.announce_total_units();
-        let stations = self.topology.stations();
-        let mut stats = RunStats::default();
-        mtd_par::Pool::new(threads).par_for_each_ordered(
-            stations.len(),
-            |i| {
-                let mut buffer = BufferSink::default();
-                let mut st = RunStats::default();
-                self.run_station(&stations[i], &mut buffer, &mut st);
-                let worker = format!("w{}", mtd_par::current_worker().unwrap_or(0));
-                mtd_telemetry::count_labeled("sim.worker.stations", &worker, 1);
-                mtd_telemetry::count_labeled("sim.worker.sessions", &worker, st.sessions);
-                (buffer, st)
-            },
-            |_, (buffer, st)| {
-                buffer.replay(sink);
-                stats.merge(&st);
-            },
-        );
+        let stats = self.run_stations(self.topology.stations(), sink, threads);
         record_run_stats(&stats);
         stats
     }
@@ -212,30 +192,45 @@ impl<'a> Engine<'a> {
             stations.len()
         );
         let _span = mtd_telemetry::span!("sim.run_shard");
-        let shard = &stations[first..first + len];
+        self.run_stations(&stations[first..first + len], sink, threads)
+    }
+
+    /// The one station loop behind every runner: simulates `stations` into
+    /// `sink` in station order on up to `threads` workers. Per-station
+    /// stats merge in station order, so the float totals are bit-identical
+    /// for every thread count.
+    fn run_stations<S: EngineSink>(
+        &self,
+        stations: &[crate::geo::BaseStation],
+        sink: &mut S,
+        threads: usize,
+    ) -> RunStats {
         let mut stats = RunStats::default();
-        let threads = threads.max(1).min(shard.len().max(1));
+        let threads = threads.max(1).min(stations.len().max(1));
         if threads == 1 {
-            for station in shard {
+            for station in stations {
                 let mut st = RunStats::default();
                 self.run_station(station, sink, &mut st);
                 stats.merge(&st);
             }
-        } else {
-            mtd_par::Pool::new(threads).par_for_each_ordered(
-                shard.len(),
-                |i| {
-                    let mut buffer = BufferSink::default();
-                    let mut st = RunStats::default();
-                    self.run_station(&shard[i], &mut buffer, &mut st);
-                    (buffer, st)
-                },
-                |_, (buffer, st)| {
-                    buffer.replay(sink);
-                    stats.merge(&st);
-                },
-            );
+            return stats;
         }
+        mtd_par::Pool::new(threads).par_for_each_ordered(
+            stations.len(),
+            |i| {
+                let mut buffer = BufferSink::default();
+                let mut st = RunStats::default();
+                self.run_station(&stations[i], &mut buffer, &mut st);
+                let worker = format!("w{}", mtd_par::current_worker().unwrap_or(0));
+                mtd_telemetry::count_labeled("sim.worker.stations", &worker, 1);
+                mtd_telemetry::count_labeled("sim.worker.sessions", &worker, st.sessions);
+                (buffer, st)
+            },
+            |_, (buffer, st)| {
+                buffer.replay(sink);
+                stats.merge(&st);
+            },
+        );
         stats
     }
 

@@ -216,7 +216,7 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
         };
     }
 
-    let imported = match store::load_binary_with_threads(&bin_path, threads) {
+    let imported = match store::load_binary(&bin_path) {
         Ok(ds) => ds,
         Err(e) => {
             return RunOutcome::Detected {
@@ -267,7 +267,7 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
             error: e.to_string(),
         };
     }
-    let stress_back = match store::load_binary_with_threads(&stress_path, threads) {
+    let stress_back = match store::load_binary(&stress_path) {
         Ok(ds) => ds,
         Err(e) => {
             return RunOutcome::Detected {
