@@ -21,16 +21,11 @@ use crate::manifest::Manifest;
 use crate::spill::{self, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
 use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ, VolumeTotalsQ};
-use mtd_dataset::chunk::SectionKind;
 use mtd_dataset::dataset::{group_table, CellKey};
 use mtd_dataset::decile::assign_deciles;
-use mtd_dataset::record::CellStats;
 use mtd_dataset::record::{duration_grid, volume_grid};
-use mtd_dataset::store::{
-    dataset_format_version, encode_cells_chunk, encode_deciles_fields, encode_meta_fields,
-    encode_minutes_rows, encode_signaling_rows, StoreWriter, CELLS_PER_CHUNK,
-    MINUTE_ROWS_PER_CHUNK,
-};
+use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
+use mtd_dataset::StoreError;
 use mtd_netsim::engine::Engine;
 use mtd_netsim::geo::Topology;
 use mtd_netsim::services::ServiceCatalog;
@@ -196,15 +191,21 @@ pub fn resume(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> 
             manifest.spill_digests.truncate(s as usize);
             break;
         }
-        let digest = spill::verify(&path, s)?;
-        if digest != manifest.spill_digests[s as usize] {
-            return Err(CampaignError::SpillCorrupt {
-                shard: s,
-                reason: "digest differs from manifest".to_string(),
-            });
-        }
+        verify_spill(&manifest, &path, s)?;
     }
     advance(config, manifest)
+}
+
+/// Checks shard `s`'s spill at `path` against the digest the manifest
+/// recorded for it.
+fn verify_spill(manifest: &Manifest, path: &Path, s: u32) -> Result<(), CampaignError> {
+    if spill::verify(path, s)? != manifest.spill_digests[s as usize] {
+        return Err(CampaignError::SpillCorrupt {
+            shard: s,
+            reason: "digest differs from manifest".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Reads campaign progress from the manifest in `dir`.
@@ -312,19 +313,23 @@ fn advance(
 
     // Assembly: merge spills out of core into the final store.
     if !manifest.assembled {
-        assemble(
-            config,
-            &manifest,
-            &decile_of_bs,
-            &totals_mb,
-            &groups,
-            &group_of_bs,
-            catalog
+        let meta = MetaSection {
+            volume_grid: vg,
+            duration_grid: dg,
+            service_names: catalog
                 .services()
                 .iter()
                 .map(|svc| svc.name.clone())
                 .collect(),
-        )?;
+            groups,
+            group_of_bs,
+            n_days: scenario.days,
+        };
+        let deciles = DecileSection {
+            decile_of_bs,
+            bs_total_volume_mb: totals_mb,
+        };
+        assemble(config, &manifest, &meta, &deciles)?;
         manifest.assembled = true;
         manifest.save(&config.manifest_path())?;
     }
@@ -342,199 +347,107 @@ fn advance(
 
 /// Streams the K verified spills into the final MTDSTORE file.
 ///
-/// Memory contract: the merged cell map is bounded by realized groups
-/// (not stations); minute rows flow through one 64-row block plus one
-/// buffered row per open spill cursor.
-#[allow(clippy::too_many_arguments)]
+/// Memory contract: the integer cell map, bounded by realized groups
+/// (not stations), drains into the writer's one open chunk as each cell
+/// is finalized; rows flow through one buffered row per spill cursor.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
-    decile_of_bs: &[u8],
-    totals_mb: &[f64],
-    groups: &[mtd_dataset::GroupKey],
-    group_of_bs: &[u16],
-    service_names: Vec<String>,
+    meta: &MetaSection,
+    deciles: &DecileSection,
 ) -> Result<(), CampaignError> {
     let _span = mtd_telemetry::span!("campaign.assemble");
     let k = manifest.shards;
-    let scenario = &manifest.scenario;
-    let n_bs = scenario.n_bs;
-    let (vg, dg) = (volume_grid(), duration_grid());
-    let row_len = (scenario.days * mtd_netsim::time::MINUTES_PER_DAY) as usize;
+    let (vbins, dbins) = (meta.volume_grid.bins(), meta.duration_grid.bins());
 
     // Verify every spill against the manifest, then open cursors.
-    // Cells merge eagerly (group-bounded); minute rows stay on disk.
-    let mut merged_cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
+    // Cells merge eagerly (group-bounded); rows stay on disk.
+    let mut cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
     let mut cursors: Vec<SpillCursor> = Vec::with_capacity(k as usize);
     for s in 0..k {
         let path = config.spill_path(s);
-        let digest = spill::verify(&path, s)?;
-        if digest != manifest.spill_digests[s as usize] {
-            return Err(CampaignError::SpillCorrupt {
-                shard: s,
-                reason: "digest differs from manifest".to_string(),
-            });
-        }
-        let (cursor, cells) = SpillCursor::open(&path, s)?;
-        for (key, cell) in cells {
-            merged_cells
+        verify_spill(manifest, &path, s)?;
+        let (cursor, shard_cells) = SpillCursor::open(&path, s)?;
+        for (key, cell) in shard_cells {
+            cells
                 .entry(key)
-                .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins()))
+                .or_insert_with(|| ExactCell::new(vbins, dbins))
                 .merge(&cell);
         }
         cursors.push(cursor);
     }
-    mtd_telemetry::gauge_set("campaign.cells", merged_cells.len() as f64);
+    mtd_telemetry::gauge_set("campaign.cells", cells.len() as f64);
 
-    // Finalize cells once; identical to Dataset::build's finalize. The
-    // map is consumed so integer cells free as their float twins are
-    // built — holding both full maps would double the assembly peak.
-    let final_cells: BTreeMap<CellKey, CellStats> = merged_cells
-        .into_iter()
-        .map(|(key, cell)| (key, cell.to_cell_stats(&vg)))
-        .collect();
-
-    // Control-plane campaigns assemble a v2 store (extra Signaling
-    // section); everything else keeps writing v1 bytes — same contract
-    // as the monolithic `encode_binary`.
-    let has_signaling = scenario.stress.control_plane;
-    let mut writer =
-        StoreWriter::create_versioned(&config.out, dataset_format_version(has_signaling))?;
-    writer.append(
-        SectionKind::Meta,
-        &encode_meta_fields(&vg, &dg, scenario.days, &service_names, groups, group_of_bs),
+    // Control-plane campaigns add the signaling rows (a v2 store).
+    let signaling = manifest.scenario.stress.control_plane;
+    let mut writer = StoreWriter::new(&config.out, meta, deciles, signaling)?;
+    for (key, cell) in cells {
+        writer.cell(&key, &cell.to_cell_stats(&meta.volume_grid))?;
+    }
+    let (n_bs, row_len) = (meta.n_bs(), meta.minutes_per_row());
+    merge_rows(
+        &mut cursors,
+        n_bs,
+        |cursor| Ok(cursor.peek_bs()),
+        SpillCursor::next_row,
+        MinuteRowQ::merge,
+        |row| {
+            let (counts, volumes) = row.unwrap_or_else(|| MinuteRowQ::new(row_len)).to_row();
+            writer.minute_row(&counts, &volumes)
+        },
     )?;
-    writer.append(
-        SectionKind::Deciles,
-        &encode_deciles_fields(decile_of_bs, totals_mb),
-    )?;
-    let records: Vec<(&CellKey, &CellStats)> = final_cells.iter().collect();
-    for batch in records.chunks(CELLS_PER_CHUNK) {
-        writer.append(
-            SectionKind::Cells,
-            &encode_cells_chunk(batch, vg.bins(), dg.bins()),
+    if signaling {
+        merge_rows(
+            &mut cursors,
+            n_bs,
+            SpillCursor::peek_signaling_bs,
+            SpillCursor::next_signaling_row,
+            SignalRowQ::merge,
+            |row| {
+                let row = row.unwrap_or_else(|| SignalRowQ::new(row_len));
+                writer.signaling_row(&row.attach, &row.handover, &row.paging)
+            },
         )?;
     }
+    writer.finish()?;
+    Ok(())
+}
 
-    // Minute blocks: merge-join the sorted cursors over each 64-BS
-    // block, summing cross-shard contributions (handover fragments land
-    // on neighbor BSs outside their own shard).
-    let mut first = 0usize;
-    while first < n_bs {
-        let rows_in_block = MINUTE_ROWS_PER_CHUNK.min(n_bs - first);
-        let mut block: Vec<Option<MinuteRowQ>> = vec![None; rows_in_block];
-        for cursor in &mut cursors {
-            while let Some(bs) = cursor.peek_bs() {
-                let bs = bs as usize;
-                if bs >= first + rows_in_block {
-                    break;
-                }
-                if bs < first {
-                    return Err(CampaignError::SpillCorrupt {
-                        shard: 0,
-                        reason: format!("row for BS {bs} seen after block {first}"),
-                    });
-                }
-                let (_, row) = cursor.next_row()?.expect("peeked row present");
-                match &mut block[bs - first] {
-                    Some(acc) => acc.merge(&row),
-                    slot => *slot = Some(row),
+/// Sums each BS's rows of one plane across the spill cursors and hands
+/// the sums to `write` in BS order, `None` for a BS no shard touched.
+/// Several cursors can hold parts of one row: handover fragments land on
+/// neighbor BSs outside their own shard. `peek` names the BS of a
+/// cursor's next row and `next` takes it; a row left after the last BS
+/// is a stray, and its error names that cursor's shard.
+fn merge_rows<R>(
+    cursors: &mut [SpillCursor],
+    n_bs: usize,
+    peek: impl Fn(&mut SpillCursor) -> Result<Option<u32>, CampaignError>,
+    next: impl Fn(&mut SpillCursor) -> Result<Option<(u32, R)>, CampaignError>,
+    merge: impl Fn(&mut R, &R),
+    mut write: impl FnMut(Option<R>) -> Result<(), StoreError>,
+) -> Result<(), CampaignError> {
+    for bs in 0..n_bs as u32 {
+        let mut sum: Option<R> = None;
+        for cursor in cursors.iter_mut() {
+            if peek(cursor)? == Some(bs) {
+                let (_, row) = next(cursor)?.expect("peeked row present");
+                match &mut sum {
+                    Some(acc) => merge(acc, &row),
+                    None => sum = Some(row),
                 }
             }
         }
-        let dense: Vec<(Vec<u32>, Vec<f32>)> = block
-            .into_iter()
-            .map(|slot| match slot {
-                Some(row) => row.to_row(),
-                None => (vec![0u32; row_len], vec![0.0f32; row_len]),
-            })
-            .collect();
-        let refs: Vec<(&[u32], &[f32])> = dense
-            .iter()
-            .map(|(c, v)| (c.as_slice(), v.as_slice()))
-            .collect();
-        writer.append(
-            SectionKind::Minutes,
-            &encode_minutes_rows(first as u32, row_len, &refs),
-        )?;
-        first += rows_in_block;
+        write(sum)?;
     }
-
-    for cursor in &cursors {
-        if cursor.peek_bs().is_some() {
+    for cursor in cursors {
+        if let Some(bs) = peek(cursor)? {
             return Err(CampaignError::SpillCorrupt {
-                shard: 0,
-                reason: "spill rows beyond the scenario's BS range".to_string(),
+                shard: cursor.shard(),
+                reason: format!("row for BS {bs} beyond the scenario's {n_bs} BSs"),
             });
         }
     }
-
-    // Signaling blocks: the same merge-join over the v2 spill tail.
-    // Runs only for control-plane campaigns; quiescent spills are v1
-    // and report zero signaling rows.
-    if has_signaling {
-        let mut first = 0usize;
-        while first < n_bs {
-            let rows_in_block = MINUTE_ROWS_PER_CHUNK.min(n_bs - first);
-            let mut block: Vec<Option<SignalRowQ>> = vec![None; rows_in_block];
-            for cursor in &mut cursors {
-                while let Some(bs) = cursor.peek_signaling_bs()? {
-                    let bs = bs as usize;
-                    if bs >= first + rows_in_block {
-                        break;
-                    }
-                    if bs < first {
-                        return Err(CampaignError::SpillCorrupt {
-                            shard: 0,
-                            reason: format!("signaling row for BS {bs} seen after block {first}"),
-                        });
-                    }
-                    let (_, row) = cursor.next_signaling_row()?.expect("peeked row present");
-                    match &mut block[bs - first] {
-                        Some(acc) => acc.merge(&row),
-                        slot => *slot = Some(row),
-                    }
-                }
-            }
-            let zero = vec![0u32; row_len];
-            let dense: Vec<SignalRowQ> = block
-                .into_iter()
-                .map(|slot| {
-                    slot.unwrap_or_else(|| SignalRowQ {
-                        attach: zero.clone(),
-                        handover: zero.clone(),
-                        paging: zero.clone(),
-                    })
-                })
-                .collect();
-            let refs: Vec<(&[u32], &[u32], &[u32])> = dense
-                .iter()
-                .map(|r| {
-                    (
-                        r.attach.as_slice(),
-                        r.handover.as_slice(),
-                        r.paging.as_slice(),
-                    )
-                })
-                .collect();
-            writer.append(
-                SectionKind::Signaling,
-                &encode_signaling_rows(first as u32, row_len, &refs),
-            )?;
-            first += rows_in_block;
-        }
-        for cursor in &mut cursors {
-            if cursor.peek_signaling_bs()?.is_some() {
-                return Err(CampaignError::SpillCorrupt {
-                    shard: 0,
-                    reason: "signaling rows beyond the scenario's BS range".to_string(),
-                });
-            }
-        }
-    }
-
-    let bytes = writer.finish()?;
-    mtd_telemetry::gauge_set("store.encode.bytes", bytes as f64);
     Ok(())
 }
 
@@ -592,5 +505,39 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn shard_range_rejects_overflow_index() {
         let _ = shard_range(10, 3, 3);
+    }
+
+    #[test]
+    fn stray_row_error_names_its_shard() {
+        let dir = std::env::temp_dir().join("mtd_campaign_runner_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (vg, dg) = (volume_grid(), duration_grid());
+        let mut cursors = Vec::new();
+        for (shard, bs) in [(0u32, 1u32), (1, 9)] {
+            let mut acc = ShardAccumulator::new(vg, dg, vec![0; 10], 1);
+            acc.minutes.insert(bs, MinuteRowQ::new(acc.row_len()));
+            let path = dir.join(format!("stray-{shard}.mtdspill"));
+            std::fs::write(&path, spill::encode(&acc, vg.bins(), dg.bins())).unwrap();
+            cursors.push(SpillCursor::open(&path, shard).unwrap().0);
+        }
+        // In a 5-BS scenario, shard 1's row for BS 9 is a stray.
+        let mut written = 0;
+        let result = merge_rows(
+            &mut cursors,
+            5,
+            |cursor| Ok(cursor.peek_bs()),
+            SpillCursor::next_row,
+            MinuteRowQ::merge,
+            |_| {
+                written += 1;
+                Ok(())
+            },
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(
+            result,
+            Err(CampaignError::SpillCorrupt { shard: 1, .. })
+        ));
+        assert_eq!(written, 5);
     }
 }

@@ -297,8 +297,7 @@ pub struct SpillHeader {
 /// relies on. Run [`verify`] first; the cursor itself does not
 /// re-checksum.
 pub struct SpillCursor {
-    reader: std::io::BufReader<std::fs::File>,
-    shard: u32,
+    reader: SpillReader,
     header: SpillHeader,
     rows_read: usize,
     last_bs: Option<u32>,
@@ -319,16 +318,21 @@ impl SpillCursor {
         shard: u32,
     ) -> Result<(SpillCursor, BTreeMap<CellKey, ExactCell>), CampaignError> {
         let corrupt = |reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let file = std::fs::File::open(path).map_err(|e| {
+        let io_err = |e| {
             CampaignError::Store(mtd_dataset::StoreError::Io {
                 path: path.to_path_buf(),
                 source: e,
             })
-        })?;
-        let mut reader = std::io::BufReader::new(file);
+        };
+        let file = std::fs::File::open(path).map_err(io_err)?;
+        let mut reader = SpillReader {
+            left: file.metadata().map_err(io_err)?.len(),
+            reader: std::io::BufReader::new(file),
+            shard,
+        };
 
         let mut magic = [0u8; 12];
-        read_exact(&mut reader, &mut magic, shard)?;
+        reader.read_exact(&mut magic)?;
         if magic[..8] != MAGIC {
             return Err(corrupt("bad magic".to_string()));
         }
@@ -337,7 +341,7 @@ impl SpillCursor {
             return Err(corrupt(format!("unsupported version {version}")));
         }
 
-        let header_block = read_block(&mut reader, shard)?;
+        let header_block = reader.read_block()?;
         let mut r = ByteReader::new(&header_block);
         let header = (|| -> FormatResult<SpillHeader> {
             let header = SpillHeader {
@@ -359,7 +363,7 @@ impl SpillCursor {
         })()
         .map_err(|e| corrupt(e.to_string()))?;
 
-        let cells_block = read_block(&mut reader, shard)?;
+        let cells_block = reader.read_block()?;
         let mut r = ByteReader::new(&cells_block);
         let mut cells = BTreeMap::new();
         for _ in 0..header.n_cells {
@@ -373,7 +377,6 @@ impl SpillCursor {
 
         let mut cursor = SpillCursor {
             reader,
-            shard,
             header,
             rows_read: 0,
             last_bs: None,
@@ -390,6 +393,12 @@ impl SpillCursor {
     #[must_use]
     pub fn header(&self) -> SpillHeader {
         self.header
+    }
+
+    /// The shard this spill holds.
+    #[must_use]
+    pub fn shard(&self) -> u32 {
+        self.reader.shard
     }
 
     /// BS id of the next row, if any.
@@ -412,7 +421,7 @@ impl SpillCursor {
             return Ok(());
         }
         let corrupt = |shard: u32, reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let block = read_block(&mut self.reader, self.shard)?;
+        let block = self.reader.read_block()?;
         let mut r = ByteReader::new(&block);
         let row = (|| -> FormatResult<(u32, MinuteRowQ)> {
             let bs = r.get_u32()?;
@@ -424,10 +433,10 @@ impl SpillCursor {
             get_sparse_i64(&mut r, &mut row.vol_q)?;
             Ok((bs, row))
         })()
-        .map_err(|e| corrupt(self.shard, e.to_string()))?;
+        .map_err(|e| corrupt(self.shard(), e.to_string()))?;
         if let Some(prev) = self.last_bs {
             if row.0 <= prev {
-                return Err(corrupt(self.shard, "rows out of order".to_string()));
+                return Err(corrupt(self.shard(), "rows out of order".to_string()));
             }
         }
         self.last_bs = Some(row.0);
@@ -458,7 +467,7 @@ impl SpillCursor {
             "signaling rows requested before the minute rows were drained"
         );
         let corrupt = |shard: u32, reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let block = read_block(&mut self.reader, self.shard)?;
+        let block = self.reader.read_block()?;
         let mut r = ByteReader::new(&block);
         let row = (|| -> FormatResult<(u32, SignalRowQ)> {
             let bs = r.get_u32()?;
@@ -472,11 +481,11 @@ impl SpillCursor {
             get_sparse_u32(&mut r, &mut row.paging)?;
             Ok((bs, row))
         })()
-        .map_err(|e| corrupt(self.shard, e.to_string()))?;
+        .map_err(|e| corrupt(self.shard(), e.to_string()))?;
         if let Some(prev) = self.last_sig_bs {
             if row.0 <= prev {
                 return Err(corrupt(
-                    self.shard,
+                    self.shard(),
                     "signaling rows out of order".to_string(),
                 ));
             }
@@ -488,28 +497,44 @@ impl SpillCursor {
     }
 }
 
-fn read_exact(reader: &mut impl Read, buf: &mut [u8], shard: u32) -> Result<(), CampaignError> {
-    reader
-        .read_exact(buf)
-        .map_err(|e| CampaignError::SpillCorrupt {
-            shard,
-            reason: format!("truncated: {e}"),
-        })
+/// The unread part of a spill file, with the count of its bytes.
+struct SpillReader {
+    reader: std::io::BufReader<std::fs::File>,
+    left: u64,
+    shard: u32,
 }
 
-fn read_block(reader: &mut impl Read, shard: u32) -> Result<Vec<u8>, CampaignError> {
-    let mut len = [0u8; 4];
-    read_exact(reader, &mut len, shard)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > 256 << 20 {
-        return Err(CampaignError::SpillCorrupt {
-            shard,
-            reason: format!("implausible block length {len}"),
-        });
+impl SpillReader {
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), CampaignError> {
+        self.reader
+            .read_exact(buf)
+            .map_err(|e| CampaignError::SpillCorrupt {
+                shard: self.shard,
+                reason: format!("truncated: {e}"),
+            })?;
+        self.left = self.left.saturating_sub(buf.len() as u64);
+        Ok(())
     }
-    let mut block = vec![0u8; len];
-    read_exact(reader, &mut block, shard)?;
-    Ok(block)
+
+    /// Reads one length-prefixed block. [`verify`] checks a spill's CRC
+    /// before any cursor opens it, so a declared length is bounded only
+    /// by the bytes left before the CRC trailer: a shard's cells block
+    /// grows with its load and may be as large as the file allows.
+    fn read_block(&mut self) -> Result<Vec<u8>, CampaignError> {
+        let mut len = [0u8; 4];
+        self.read_exact(&mut len)?;
+        let len = u64::from(u32::from_le_bytes(len));
+        let room = self.left.saturating_sub(4);
+        if len > room {
+            return Err(CampaignError::SpillCorrupt {
+                shard: self.shard,
+                reason: format!("block length {len} overruns the {room} bytes left"),
+            });
+        }
+        let mut block = vec![0u8; len as usize];
+        self.read_exact(&mut block)?;
+        Ok(block)
+    }
 }
 
 #[cfg(test)]
@@ -636,6 +661,29 @@ mod tests {
             sig.insert(bs, row);
         }
         assert_eq!(Some(sig), acc.signaling);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn block_longer_than_the_file_is_refused() {
+        let acc = sample_acc();
+        let (path, bytes) = write_spill("block_longer_than_the_file_is_refused", &acc);
+        // The cells block's length prefix follows the magic, the version
+        // and the length-prefixed header block.
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let at = 16 + header_len;
+        for claimed in [(bytes.len() - at) as u32, u32::MAX] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(
+                    SpillCursor::open(&path, 5),
+                    Err(CampaignError::SpillCorrupt { shard: 5, .. })
+                ),
+                "claimed {claimed}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

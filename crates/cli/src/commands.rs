@@ -669,7 +669,7 @@ fn dataset_cmd(argv: &[String]) -> Result<(), String> {
 fn dataset_export(argv: &[String]) -> Result<(), String> {
     let flags = parse_flags(argv, &["n-bs", "days", "seed", "scale", "format", "out"])?;
     let tdest = telemetry_init(&flags, "dataset export")?;
-    let threads = threads_init(&flags)?;
+    threads_init(&flags)?;
     let _root = mtd_telemetry::prof::scope("cli.dataset_export");
     let out = flags.opt("out").ok_or("dataset export needs --out FILE")?;
     let format = match flags.opt("format") {
@@ -696,7 +696,7 @@ fn dataset_export(argv: &[String]) -> Result<(), String> {
     let catalog = ServiceCatalog::paper();
     let dataset = Dataset::build(&config, &topology, &catalog);
     match format {
-        Format::Binary => store::save_binary_with_threads(&dataset, Path::new(out), threads),
+        Format::Binary => store::save_binary(&dataset, Path::new(out)),
         Format::Json => store::save_json(&dataset, Path::new(out)),
     }
     .map_err(|e| e.to_string())?;

@@ -209,7 +209,9 @@ pub struct MinuteRowQ {
 }
 
 impl MinuteRowQ {
-    fn new(row_len: usize) -> MinuteRowQ {
+    /// An all-zero row of `row_len` minutes.
+    #[must_use]
+    pub fn new(row_len: usize) -> MinuteRowQ {
         MinuteRowQ {
             counts: vec![0; row_len],
             vol_q: vec![0; row_len],
@@ -256,7 +258,9 @@ pub struct SignalRowQ {
 }
 
 impl SignalRowQ {
-    fn new(row_len: usize) -> SignalRowQ {
+    /// An all-zero row of `row_len` minutes.
+    #[must_use]
+    pub fn new(row_len: usize) -> SignalRowQ {
         SignalRowQ {
             attach: vec![0; row_len],
             handover: vec![0; row_len],

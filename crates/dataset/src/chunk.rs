@@ -80,8 +80,17 @@ impl SectionKind {
 }
 
 /// Appends one framed chunk to `out`.
+///
+/// # Panics
+///
+/// If `payload` is over [`MAX_CHUNK_PAYLOAD`]: [`FrameReader`] refuses
+/// such a frame, so writing it would make the whole file unreadable.
 pub fn write_frame(out: &mut Vec<u8>, kind: SectionKind, index: u32, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_CHUNK_PAYLOAD as usize, "chunk too big");
+    assert!(
+        payload.len() <= MAX_CHUNK_PAYLOAD as usize,
+        "chunk payload of {} bytes over the {MAX_CHUNK_PAYLOAD}-byte cap",
+        payload.len()
+    );
     out.push(kind.tag());
     out.extend_from_slice(&index.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());

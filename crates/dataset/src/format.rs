@@ -9,8 +9,8 @@
 //!
 //! The CRC-32 here is the standard IEEE/zlib polynomial (reflected
 //! `0xEDB88320`), implemented with a compile-time table — the workspace
-//! stays zero-dependency beyond serde. CRC-32 detects *every* single-byte
-//! error, which is what the corruption battery relies on.
+//! stays zero-dependency. CRC-32 detects *every* single-byte error, which
+//! is what the corruption battery relies on.
 
 use std::fmt;
 
@@ -173,6 +173,22 @@ impl ByteWriter {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops every byte from offset `len` on, keeping the allocation.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
+    /// Overwrites the u32 at byte offset `at`: a count filled in once known.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_u8(&mut self, v: u8) {

@@ -1,7 +1,7 @@
 //! Dataset persistence — JSON (compatibility) and `mtd-store` v2 binary.
 //!
 //! The paper's campaign spans 282k base stations over 45 days; a dataset
-//! that size cannot live in a single monolithic `serde_json` blob. The
+//! that size cannot live in a single monolithic JSON document. The
 //! binary format here is chunked (so readers stream), checksummed per
 //! chunk plus a whole-file CRC (so corruption is *detected*, never
 //! silently fitted — a few damaged extreme records would skew every
@@ -12,14 +12,14 @@
 //!
 //! ```text
 //! [magic "MTDSTORE"][version u32][flags u32]
-//! chunk*                      — Meta, Deciles, Cells…, Minutes…
+//! chunk*                      — Meta, Deciles, Cells…, Minutes…, Signaling…
 //! footer chunk (kind 0xFF)    — chunk count + whole-file CRC-32
 //! ```
 //!
 //! Section order is a format invariant: Meta first, Deciles second, then
-//! any number of Cells and Minutes chunks. Chunk payloads are encoded in
-//! parallel across worker threads with output bit-identical to the
-//! sequential path (same discipline as `Engine::run_parallel`).
+//! Cells, Minutes and (version 2 only) Signaling chunks. One writer lays
+//! it out: [`StoreWriter`], which [`encode_binary`] runs into memory and
+//! the campaign assembler into a file.
 //!
 //! One reader walks the frames: [`DatasetStream`]. Strict loads stop at
 //! its first reported damage, tolerant loads skip damaged chunks, and
@@ -33,7 +33,9 @@ use crate::chunk::{
     footer_payload, parse_footer, write_frame, Frame, FrameError, FrameReader, SectionKind,
 };
 use crate::dataset::{CellKey, Dataset, GroupKey, SignalingPlane};
-use crate::format::{ByteReader, ByteWriter, Crc32, FormatError, FORMAT_VERSION, MAGIC};
+use crate::format::{
+    ByteReader, ByteWriter, Crc32, FormatError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
+};
 use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_netsim::geo::Region;
@@ -46,12 +48,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Cell records per Cells chunk (~0.3–3 MB depending on sparsity).
-/// Public because the campaign assembler batches cells identically to
-/// reproduce [`encode_binary`]'s exact chunking.
-pub const CELLS_PER_CHUNK: usize = 256;
-/// Per-BS minute rows per Minutes chunk (same contract as
-/// [`CELLS_PER_CHUNK`]). Signaling chunks use the same batch size.
-pub const MINUTE_ROWS_PER_CHUNK: usize = 64;
+const CHUNK_CELLS: usize = 256;
+/// Per-BS rows per Minutes or Signaling chunk.
+const CHUNK_ROWS: usize = 64;
 /// Fixed file header length: 8-byte magic + version + flags.
 pub const HEADER_LEN: usize = 16;
 /// Newest format version this build reads and writes. Version 1 is the
@@ -96,6 +95,9 @@ pub enum StoreError {
     FooterMismatch { detail: String },
     /// Sections disagree with each other (e.g. BS counts differ).
     Inconsistent(String),
+    /// A chunk holding a single record would exceed the payload cap that
+    /// every reader enforces, so the writer refused it.
+    RecordTooLarge { section: &'static str, len: usize },
 }
 
 impl std::fmt::Display for StoreError {
@@ -132,6 +134,11 @@ impl std::fmt::Display for StoreError {
             StoreError::MissingSection(s) => write!(f, "required section missing: {s}"),
             StoreError::FooterMismatch { detail } => write!(f, "footer mismatch: {detail}"),
             StoreError::Inconsistent(detail) => write!(f, "inconsistent dataset: {detail}"),
+            StoreError::RecordTooLarge { section, len } => write!(
+                f,
+                "one {section} record needs a {len}-byte chunk, over the \
+                 {MAX_CHUNK_PAYLOAD}-byte cap"
+            ),
         }
     }
 }
@@ -406,44 +413,21 @@ fn rat_from_tag(t: u8) -> Result<Rat, FormatError> {
     }
 }
 
-fn encode_meta(ds: &Dataset) -> Vec<u8> {
-    encode_meta_fields(
-        &ds.volume_grid,
-        &ds.duration_grid,
-        ds.n_days,
-        &ds.service_names,
-        &ds.groups,
-        &ds.group_of_bs,
-    )
-}
-
-/// Encodes a Meta payload from its components — the field-level twin of
-/// the `&Dataset` encoder, for writers (the campaign assembler) that
-/// never materialize a whole [`Dataset`]. Byte-identical to the path
-/// [`encode_binary`] takes.
-#[must_use]
-pub fn encode_meta_fields(
-    volume_grid: &LogGrid,
-    duration_grid: &LogGrid,
-    n_days: u32,
-    service_names: &[String],
-    groups: &[GroupKey],
-    group_of_bs: &[u16],
-) -> Vec<u8> {
+fn encode_meta(meta: &MetaSection) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    for grid in [volume_grid, duration_grid] {
+    for grid in [&meta.volume_grid, &meta.duration_grid] {
         w.put_f64(grid.lo_log10());
         w.put_f64(grid.hi_log10());
         w.put_u32(grid.bins() as u32);
     }
-    w.put_u32(n_days);
-    w.put_u32(group_of_bs.len() as u32);
-    w.put_u16(service_names.len() as u16);
-    for name in service_names {
+    w.put_u32(meta.n_days);
+    w.put_u32(meta.group_of_bs.len() as u32);
+    w.put_u16(meta.service_names.len() as u16);
+    for name in &meta.service_names {
         w.put_str(name);
     }
-    w.put_u32(groups.len() as u32);
-    for g in groups {
+    w.put_u32(meta.groups.len() as u32);
+    for g in &meta.groups {
         w.put_u8(g.decile);
         w.put_u8(region_tag(g.region));
         match g.city {
@@ -458,7 +442,7 @@ pub fn encode_meta_fields(
         }
         w.put_u8(rat_tag(g.rat));
     }
-    for idx in group_of_bs {
+    for idx in &meta.group_of_bs {
         w.put_u16(*idx);
     }
     w.into_bytes()
@@ -531,20 +515,13 @@ fn decode_meta(payload: &[u8]) -> Result<MetaSection, FormatError> {
     })
 }
 
-fn encode_deciles(ds: &Dataset) -> Vec<u8> {
-    encode_deciles_fields(&ds.decile_of_bs, &ds.bs_total_volume_mb)
-}
-
-/// Encodes a Deciles payload from its components (see
-/// [`encode_meta_fields`]).
-#[must_use]
-pub fn encode_deciles_fields(decile_of_bs: &[u8], bs_total_volume_mb: &[f64]) -> Vec<u8> {
+fn encode_deciles(deciles: &DecileSection) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(decile_of_bs.len() as u32);
-    for d in decile_of_bs {
+    w.put_u32(deciles.decile_of_bs.len() as u32);
+    for d in &deciles.decile_of_bs {
         w.put_u8(*d);
     }
-    w.put_f64_dense(bs_total_volume_mb);
+    w.put_f64_dense(&deciles.bs_total_volume_mb);
     w.into_bytes()
 }
 
@@ -575,33 +552,19 @@ fn decode_deciles(payload: &[u8]) -> Result<DecileSection, FormatError> {
     })
 }
 
-/// Encodes one Cells chunk of up to [`CELLS_PER_CHUNK`] records. Public
-/// for the campaign assembler, which feeds batches of exactly this size
-/// in key order to reproduce [`encode_binary`]'s bytes.
-#[must_use]
-pub fn encode_cells_chunk(
-    records: &[(&CellKey, &CellStats)],
-    vbins: usize,
-    dbins: usize,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(records.len() as u32);
-    w.put_u32(vbins as u32);
-    w.put_u32(dbins as u32);
-    for ((service, group, day), cell) in records {
-        w.put_u16(*service);
-        w.put_u16(*group);
-        w.put_u32(*day);
-        w.put_f64(cell.sessions);
-        w.put_f64(cell.traffic_mb);
-        w.put_f64(cell.volume_hist.total());
-        w.put_f64_vec(cell.volume_hist.counts());
-        w.put_f64_vec(&cell.pair_sums);
-        w.put_f64_vec(&cell.pair_counts);
-        w.put_f64_vec(&cell.pair_log_sums);
-        w.put_f64_vec(&cell.pair_log_sum_sqs);
-    }
-    w.into_bytes()
+/// Appends one cell record to an open Cells chunk.
+fn encode_cell(w: &mut ByteWriter, (service, group, day): &CellKey, cell: &CellStats) {
+    w.put_u16(*service);
+    w.put_u16(*group);
+    w.put_u32(*day);
+    w.put_f64(cell.sessions);
+    w.put_f64(cell.traffic_mb);
+    w.put_f64(cell.volume_hist.total());
+    w.put_f64_vec(cell.volume_hist.counts());
+    w.put_f64_vec(&cell.pair_sums);
+    w.put_f64_vec(&cell.pair_counts);
+    w.put_f64_vec(&cell.pair_log_sums);
+    w.put_f64_vec(&cell.pair_log_sum_sqs);
 }
 
 fn decode_cells_chunk(
@@ -667,37 +630,6 @@ fn decode_cells_chunk(
     Ok(out)
 }
 
-fn encode_minutes_chunk(ds: &Dataset, first_bs: usize, rows: usize) -> Vec<u8> {
-    let row_len = ds
-        .minute_counts
-        .first()
-        .map_or((ds.n_days * MINUTES_PER_DAY) as usize, Vec::len);
-    let refs: Vec<(&[u32], &[f32])> = (first_bs..first_bs + rows)
-        .map(|bs| {
-            (
-                ds.minute_counts[bs].as_slice(),
-                ds.minute_volume_mb[bs].as_slice(),
-            )
-        })
-        .collect();
-    encode_minutes_rows(first_bs as u32, row_len, &refs)
-}
-
-/// Encodes one Minutes chunk from explicit rows (see
-/// [`encode_meta_fields`]); rows cover BSs `first_bs ..`.
-#[must_use]
-pub fn encode_minutes_rows(first_bs: u32, row_len: usize, rows: &[(&[u32], &[f32])]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(first_bs);
-    w.put_u32(rows.len() as u32);
-    w.put_u32(row_len as u32);
-    for (counts, volumes) in rows {
-        w.put_u32_vec(counts);
-        w.put_f32_vec(volumes);
-    }
-    w.into_bytes()
-}
-
 fn decode_minutes_chunk(payload: &[u8], meta: &MetaSection) -> Result<MinuteBlock, FormatError> {
     let mut r = ByteReader::new(payload);
     let first_bs = r.get_u32()?;
@@ -740,41 +672,6 @@ pub struct SignalBlock {
     pub paging: Vec<Vec<u32>>,
 }
 
-fn encode_signaling_chunk(plane: &SignalingPlane, first_bs: usize, rows: usize) -> Vec<u8> {
-    let row_len = plane.attach.first().map_or(0, Vec::len);
-    let refs: Vec<(&[u32], &[u32], &[u32])> = (first_bs..first_bs + rows)
-        .map(|bs| {
-            (
-                plane.attach[bs].as_slice(),
-                plane.handover[bs].as_slice(),
-                plane.paging[bs].as_slice(),
-            )
-        })
-        .collect();
-    encode_signaling_rows(first_bs as u32, row_len, &refs)
-}
-
-/// Encodes one Signaling chunk from explicit rows (see
-/// [`encode_meta_fields`]); each row is that BS's
-/// `(attach, handover, paging)` minute counts.
-#[must_use]
-pub fn encode_signaling_rows(
-    first_bs: u32,
-    row_len: usize,
-    rows: &[(&[u32], &[u32], &[u32])],
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(first_bs);
-    w.put_u32(rows.len() as u32);
-    w.put_u32(row_len as u32);
-    for (attach, handover, paging) in rows {
-        w.put_u32_vec(attach);
-        w.put_u32_vec(handover);
-        w.put_u32_vec(paging);
-    }
-    w.into_bytes()
-}
-
 fn decode_signaling_chunk(payload: &[u8], meta: &MetaSection) -> Result<SignalBlock, FormatError> {
     let mut r = ByteReader::new(payload);
     let first_bs = r.get_u32()?;
@@ -815,88 +712,102 @@ fn decode_signaling_chunk(payload: &[u8], meta: &MetaSection) -> Result<SignalBl
 // Binary encode
 // ---------------------------------------------------------------------------
 
-enum EncodeJob<'a> {
-    Meta,
-    Deciles,
-    Cells(Vec<(&'a CellKey, &'a CellStats)>),
-    Minutes { first_bs: usize, rows: usize },
-    Signaling { first_bs: usize, rows: usize },
-}
-
-/// The header version a dataset encodes under: v1 unless it carries the
-/// (v2-only) signaling plane. Public so out-of-core writers (the
-/// campaign assembler) pick the same version as [`encode_binary`].
-#[must_use]
-pub fn dataset_format_version(has_signaling: bool) -> u32 {
-    if has_signaling {
-        MAX_FORMAT_VERSION
-    } else {
-        FORMAT_VERSION
-    }
-}
-
-/// Encodes a dataset into the complete binary file image.
+/// Encodes a dataset into the complete binary file image, through the
+/// same [`StoreWriter`] that writes campaign stores to disk.
 ///
-/// `threads` parallelizes chunk payload encoding; the output bytes are
-/// identical for any thread count.
+/// `_threads` no longer changes anything: each record is encoded once,
+/// straight into the writer's open chunk. The parameter stays for
+/// existing callers.
+///
+/// # Panics
+///
+/// If a single record needs a chunk over the cap
+/// ([`StoreError::RecordTooLarge`]); no reader could load such a file.
 #[must_use]
-pub fn encode_binary(ds: &Dataset, threads: usize) -> Vec<u8> {
+pub fn encode_binary(ds: &Dataset, _threads: usize) -> Vec<u8> {
     let _span = mtd_telemetry::span!("store.encode_binary");
-    let vbins = ds.volume_grid.bins();
-    let dbins = ds.duration_grid.bins();
+    let image = write_dataset(ds, None).and_then(|mut writer| {
+        writer.close()?;
+        Ok(writer.out)
+    });
+    image.unwrap_or_else(|e| panic!("dataset cannot be stored: {e}"))
+}
 
-    let mut jobs: Vec<EncodeJob> = vec![EncodeJob::Meta, EncodeJob::Deciles];
-    let cell_refs: Vec<(&CellKey, &CellStats)> = ds.cells.iter().collect();
-    for batch in cell_refs.chunks(CELLS_PER_CHUNK) {
-        jobs.push(EncodeJob::Cells(batch.to_vec()));
+/// Opens a writer over `file` (`None`: in memory) with the sections of
+/// `ds` and feeds it every cell and row.
+fn write_dataset(ds: &Dataset, file: Option<AtomicFile>) -> Result<StoreWriter, StoreError> {
+    let meta = MetaSection {
+        volume_grid: ds.volume_grid,
+        duration_grid: ds.duration_grid,
+        service_names: ds.service_names.clone(),
+        groups: ds.groups.clone(),
+        group_of_bs: ds.group_of_bs.clone(),
+        n_days: ds.n_days,
+    };
+    let deciles = DecileSection {
+        decile_of_bs: ds.decile_of_bs.clone(),
+        bs_total_volume_mb: ds.bs_total_volume_mb.clone(),
+    };
+    let mut writer = StoreWriter::start(file, &meta, &deciles, ds.signaling().is_some())?;
+    for (key, cell) in &ds.cells {
+        writer.cell(key, cell)?;
     }
-    let n_bs = ds.minute_counts.len();
-    for first_bs in (0..n_bs).step_by(MINUTE_ROWS_PER_CHUNK) {
-        let rows = MINUTE_ROWS_PER_CHUNK.min(n_bs - first_bs);
-        jobs.push(EncodeJob::Minutes { first_bs, rows });
+    for (counts, volumes) in ds.minute_counts.iter().zip(&ds.minute_volume_mb) {
+        writer.minute_row(counts, volumes)?;
     }
     if let Some(plane) = ds.signaling() {
-        for first_bs in (0..plane.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first_bs);
-            jobs.push(EncodeJob::Signaling { first_bs, rows });
+        let rows = plane.attach.iter().zip(&plane.handover).zip(&plane.paging);
+        for ((attach, handover), paging) in rows {
+            writer.signaling_row(attach, handover, paging)?;
         }
     }
+    Ok(writer)
+}
 
-    let payloads = mtd_par::Pool::new(threads).par_map_indexed(jobs.len(), |i| match &jobs[i] {
-        EncodeJob::Meta => encode_meta(ds),
-        EncodeJob::Deciles => encode_deciles(ds),
-        EncodeJob::Cells(batch) => encode_cells_chunk(batch, vbins, dbins),
-        EncodeJob::Minutes { first_bs, rows } => encode_minutes_chunk(ds, *first_bs, *rows),
-        EncodeJob::Signaling { first_bs, rows } => encode_signaling_chunk(
-            ds.signaling().expect("job only queued when present"),
-            *first_bs,
-            *rows,
-        ),
-    });
+/// A file written under a temp name and renamed over its destination by
+/// [`AtomicFile::commit`]. Dropped uncommitted — an error or an early
+/// return — it removes the temp file, so a failed write never leaves a
+/// half-file behind and never touches the destination.
+struct AtomicFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: io::BufWriter<std::fs::File>,
+    committed: bool,
+}
 
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&dataset_format_version(ds.signaling().is_some()).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-    for (i, (job, payload)) in jobs.iter().zip(&payloads).enumerate() {
-        let kind = match job {
-            EncodeJob::Meta => SectionKind::Meta,
-            EncodeJob::Deciles => SectionKind::Deciles,
-            EncodeJob::Cells(_) => SectionKind::Cells,
-            EncodeJob::Minutes { .. } => SectionKind::Minutes,
-            EncodeJob::Signaling { .. } => SectionKind::Signaling,
-        };
-        write_frame(&mut out, kind, i as u32, payload);
+impl AtomicFile {
+    fn create(path: &Path) -> Result<AtomicFile, StoreError> {
+        let tmp = path.with_extension("tmp-partial");
+        let file = with_retry(|| std::fs::File::create(&tmp)).map_err(|e| io_err(path, e))?;
+        Ok(AtomicFile {
+            path: path.to_path_buf(),
+            tmp,
+            file: io::BufWriter::new(file),
+            committed: false,
+        })
     }
-    let file_crc = crate::format::crc32(&out);
-    write_frame(
-        &mut out,
-        SectionKind::Footer,
-        jobs.len() as u32,
-        &footer_payload(jobs.len() as u32, file_crc),
-    );
-    mtd_telemetry::gauge_set("store.encode.bytes", out.len() as f64);
-    out
+
+    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        with_retry(|| self.file.write_all(bytes)).map_err(|e| io_err(&self.path, e))
+    }
+
+    /// Flushes, syncs and renames the temp file over the destination.
+    fn commit(mut self) -> Result<(), StoreError> {
+        with_retry(|| self.file.flush())
+            .and_then(|()| with_retry(|| self.file.get_ref().sync_all()))
+            .and_then(|()| with_retry(|| std::fs::rename(&self.tmp, &self.path)))
+            .map_err(|e| io_err(&self.path, e))?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            std::fs::remove_file(&self.tmp).ok();
+        }
+    }
 }
 
 /// Writes bytes to `path` atomically: temp file in the same directory,
@@ -908,19 +819,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     if faults.any() {
         return write_atomic_faulted(path, bytes, &faults);
     }
-    let tmp = path.with_extension("tmp-partial");
-    let result = (|| -> io::Result<()> {
-        let mut file = with_retry(|| std::fs::File::create(&tmp))?;
-        with_retry(|| file.write_all(bytes))?;
-        with_retry(|| file.sync_all())?;
-        drop(file);
-        with_retry(|| std::fs::rename(&tmp, path))
-    })();
-    if let Err(e) = result {
-        std::fs::remove_file(&tmp).ok();
-        return Err(io_err(path, e));
-    }
-    Ok(())
+    let mut file = AtomicFile::create(path)?;
+    file.write_all(bytes)?;
+    file.commit()
 }
 
 /// The faulted twin of [`write_atomic`], taken only when an injected
@@ -981,149 +882,263 @@ fn write_atomic_faulted(
     Ok(())
 }
 
-/// Saves a dataset in the binary format, using all available cores for
-/// chunk encoding. Atomic: a crash mid-write never corrupts `path`.
+/// Saves a dataset in the binary format: [`encode_binary`], then
+/// [`write_atomic`], so a crash mid-write never corrupts `path`.
 pub fn save_binary(ds: &Dataset, path: &Path) -> Result<(), StoreError> {
-    save_binary_with_threads(ds, path, mtd_par::threads())
-}
-
-/// [`save_binary`] with an explicit worker count (output is identical for
-/// any count).
-pub fn save_binary_with_threads(
-    ds: &Dataset,
-    path: &Path,
-    threads: usize,
-) -> Result<(), StoreError> {
     let _span = mtd_telemetry::span!("store.save_binary");
-    let bytes = encode_binary(ds, threads);
-    write_atomic(path, &bytes)
+    write_atomic(path, &encode_binary(ds, 1))
 }
 
 // ---------------------------------------------------------------------------
-// Streaming writer
+// The writer
 // ---------------------------------------------------------------------------
 
-/// Streaming binary store writer: appends one frame at a time to a temp
-/// file and atomically renames it into place on [`StoreWriter::finish`].
+/// The one MTDSTORE writer: [`encode_binary`] runs it into memory and the
+/// campaign assembler into a file, so both lay out the same bytes.
 ///
-/// Fed the same payloads in the same order, the output is byte-identical
-/// to [`encode_binary`] — but peak memory is one frame, not the whole
-/// file image, which is what lets the campaign assembler emit
-/// paper-scale stores out of core. Frame indices and the whole-file CRC
-/// footer are maintained internally.
+/// The writer owns the layout. Opening it writes the header (version 2
+/// only when a signaling plane follows), Meta and Deciles. Then come the
+/// cells in ascending key order, one minute row per BS from BS 0 on, and,
+/// with a signaling plane, one signaling row per BS; [`Self::finish`]
+/// writes the footer with the chunk count and the whole-file CRC. Each
+/// record is encoded once, straight into the one open chunk, which closes
+/// at 256 cells or 64 rows, or before the next record would take its
+/// payload past [`MAX_CHUNK_PAYLOAD`], the cap every reader enforces.
+///
+/// # Panics
+///
+/// On a row out of that order — a minute row past the Meta section's BSs,
+/// a signaling row before the last minute row or without a signaling
+/// plane — and on closing with a row section short.
 pub struct StoreWriter {
-    path: PathBuf,
-    tmp: PathBuf,
-    file: Option<io::BufWriter<std::fs::File>>,
+    /// The file being written; `None` keeps the whole image in `out`.
+    file: Option<AtomicFile>,
+    /// Framed bytes not yet handed to `file`.
+    out: Vec<u8>,
+    /// Bytes already handed to `file`.
+    flushed: u64,
+    /// CRC-32 of every byte so far: the footer's whole-file CRC.
     crc: Crc32,
-    next_index: u32,
-    frame_buf: Vec<u8>,
-    bytes_written: u64,
+    /// Frames written, which is also the next frame's index.
+    frames: u32,
+    /// The open chunk's payload, section and record count (0: none open).
+    chunk: ByteWriter,
+    kind: SectionKind,
+    records: usize,
+    /// Chunk-header fields and row counts from the Meta section.
+    vbins: u32,
+    dbins: u32,
+    row_len: u32,
+    n_bs: usize,
+    signaling: bool,
+    /// Rows written: every minute row, then every signaling row.
+    rows: usize,
 }
 
 impl StoreWriter {
-    /// Opens the temp file and writes the fixed header (format v1 — the
-    /// version without a signaling plane).
-    pub fn create(path: &Path) -> Result<StoreWriter, StoreError> {
-        Self::create_versioned(path, FORMAT_VERSION)
+    /// Starts a store at `path`, written under a temp name until
+    /// [`Self::finish`] renames it into place, with its header, Meta and
+    /// Deciles. `signaling` announces the signaling rows (format v2).
+    pub fn new(
+        path: &Path,
+        meta: &MetaSection,
+        deciles: &DecileSection,
+        signaling: bool,
+    ) -> Result<StoreWriter, StoreError> {
+        Self::start(Some(AtomicFile::create(path)?), meta, deciles, signaling)
     }
 
-    /// [`StoreWriter::create`] with an explicit header version; writers
-    /// that append Signaling frames must pass [`MAX_FORMAT_VERSION`].
-    pub fn create_versioned(path: &Path, version: u32) -> Result<StoreWriter, StoreError> {
-        assert!(
-            (1..=MAX_FORMAT_VERSION).contains(&version),
-            "unwritable format version {version}"
-        );
-        let tmp = path.with_extension("tmp-partial");
-        let file = with_retry(|| std::fs::File::create(&tmp)).map_err(|e| io_err(path, e))?;
-        let mut writer = StoreWriter {
-            path: path.to_path_buf(),
-            tmp,
-            file: Some(io::BufWriter::new(file)),
-            crc: Crc32::new(),
-            next_index: 0,
-            frame_buf: Vec::new(),
-            bytes_written: 0,
+    fn start(
+        file: Option<AtomicFile>,
+        meta: &MetaSection,
+        deciles: &DecileSection,
+        signaling: bool,
+    ) -> Result<StoreWriter, StoreError> {
+        let version = if signaling {
+            MAX_FORMAT_VERSION
+        } else {
+            FORMAT_VERSION
         };
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-        writer.write_checksummed(&header)?;
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
+        let mut crc = Crc32::new();
+        crc.update(&out);
+        let mut writer = StoreWriter {
+            file,
+            out,
+            flushed: 0,
+            crc,
+            frames: 0,
+            chunk: ByteWriter::new(),
+            kind: SectionKind::Cells,
+            records: 0,
+            vbins: meta.volume_grid.bins() as u32,
+            dbins: meta.duration_grid.bins() as u32,
+            row_len: meta.minutes_per_row() as u32,
+            n_bs: meta.n_bs(),
+            signaling,
+            rows: 0,
+        };
+        writer.emit(SectionKind::Meta, &encode_meta(meta))?;
+        writer.emit(SectionKind::Deciles, &encode_deciles(deciles))?;
         Ok(writer)
     }
 
-    fn write_raw(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let file = self.file.as_mut().expect("StoreWriter already finished");
-        with_retry(|| file.write_all(bytes)).map_err(|e| io_err(&self.path, e))?;
-        self.bytes_written += bytes.len() as u64;
+    /// Appends the next cell; keys come in ascending order.
+    pub fn cell(&mut self, key: &CellKey, cell: &CellStats) -> Result<(), StoreError> {
+        self.push(SectionKind::Cells, 0, |w| encode_cell(w, key, cell))
+    }
+
+    /// Appends the next BS's minute row: arrival counts and volumes.
+    pub fn minute_row(&mut self, counts: &[u32], volumes: &[f32]) -> Result<(), StoreError> {
+        assert!(
+            self.rows < self.n_bs,
+            "more minute rows than the store's {} BSs",
+            self.n_bs
+        );
+        self.push(SectionKind::Minutes, self.rows, |w| {
+            w.put_u32_vec(counts);
+            w.put_f32_vec(volumes);
+        })?;
+        self.rows += 1;
         Ok(())
     }
 
-    fn write_checksummed(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.crc.update(bytes);
-        self.write_raw(bytes)
+    /// Appends the next BS's control-plane row, once every minute row is
+    /// in.
+    pub fn signaling_row(
+        &mut self,
+        attach: &[u32],
+        handover: &[u32],
+        paging: &[u32],
+    ) -> Result<(), StoreError> {
+        assert!(
+            self.signaling && (self.n_bs..2 * self.n_bs).contains(&self.rows),
+            "signaling row out of layout order"
+        );
+        self.push(SectionKind::Signaling, self.rows - self.n_bs, |w| {
+            w.put_u32_vec(attach);
+            w.put_u32_vec(handover);
+            w.put_u32_vec(paging);
+        })?;
+        self.rows += 1;
+        Ok(())
     }
 
-    /// Appends one data frame; indices are assigned sequentially in
-    /// append order (the format's chunk-index invariant).
-    pub fn append(&mut self, kind: SectionKind, payload: &[u8]) -> Result<(), StoreError> {
-        self.frame_buf.clear();
-        write_frame(&mut self.frame_buf, kind, self.next_index, payload);
-        self.next_index += 1;
-        let frame = std::mem::take(&mut self.frame_buf);
-        let result = self.write_checksummed(&frame);
-        self.frame_buf = frame;
+    /// Writes the last chunk and the footer, then renames the file over
+    /// its destination.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        self.close()?;
+        self.file.take().expect("a file writer").commit()
+    }
+
+    /// Writes the last chunk and the footer.
+    fn close(&mut self) -> Result<(), StoreError> {
+        let rows = self.n_bs * (1 + usize::from(self.signaling));
+        assert!(
+            self.rows == rows,
+            "store closed after {} of its {rows} rows",
+            self.rows
+        );
+        self.close_chunk()?;
+        // The footer frame is not part of the whole-file CRC it carries.
+        let footer = footer_payload(self.frames, self.crc.finish());
+        write_frame(&mut self.out, SectionKind::Footer, self.frames, &footer);
+        let bytes = self.flushed + self.out.len() as u64;
+        mtd_telemetry::gauge_set("store.encode.bytes", bytes as f64);
+        self.drain()
+    }
+
+    /// Encodes one record straight into the open chunk. A chunk of
+    /// another section, or a full one, closes first; a record that takes
+    /// the payload past the cap moves to a fresh chunk. `first_bs` is the
+    /// record's BS in a row section.
+    fn push(
+        &mut self,
+        kind: SectionKind,
+        first_bs: usize,
+        encode: impl Fn(&mut ByteWriter),
+    ) -> Result<(), StoreError> {
+        let per_chunk = if kind == SectionKind::Cells {
+            CHUNK_CELLS
+        } else {
+            CHUNK_ROWS
+        };
+        if self.records > 0 && (self.kind != kind || self.records == per_chunk) {
+            self.close_chunk()?;
+        }
+        if self.records == 0 {
+            self.open_chunk(kind, first_bs);
+        }
+        let mark = self.chunk.len();
+        encode(&mut self.chunk);
+        if self.chunk.len() > MAX_CHUNK_PAYLOAD as usize && self.records > 0 {
+            self.chunk.truncate(mark);
+            self.close_chunk()?;
+            self.open_chunk(kind, first_bs);
+            encode(&mut self.chunk);
+        }
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Starts a chunk with its three-word header. The record count — the
+    /// first word of a Cells chunk, the second of a row chunk — is filled
+    /// in when the chunk closes.
+    fn open_chunk(&mut self, kind: SectionKind, first_bs: usize) {
+        self.kind = kind;
+        self.chunk.truncate(0);
+        let header = if kind == SectionKind::Cells {
+            [0, self.vbins, self.dbins]
+        } else {
+            [first_bs as u32, 0, self.row_len]
+        };
+        for word in header {
+            self.chunk.put_u32(word);
+        }
+    }
+
+    fn close_chunk(&mut self) -> Result<(), StoreError> {
+        if self.records == 0 {
+            return Ok(());
+        }
+        let count_at = if self.kind == SectionKind::Cells {
+            0
+        } else {
+            4
+        };
+        self.chunk.set_u32(count_at, self.records as u32);
+        self.records = 0;
+        let chunk = std::mem::take(&mut self.chunk);
+        let result = self.emit(self.kind, chunk.as_bytes());
+        self.chunk = chunk;
         result
     }
 
-    /// Data frames appended so far.
-    #[must_use]
-    pub fn frames(&self) -> u32 {
-        self.next_index
+    /// Frames one chunk payload under the next index and hands it on.
+    fn emit(&mut self, kind: SectionKind, payload: &[u8]) -> Result<(), StoreError> {
+        if payload.len() > MAX_CHUNK_PAYLOAD as usize {
+            return Err(StoreError::RecordTooLarge {
+                section: kind.name(),
+                len: payload.len(),
+            });
+        }
+        let start = self.out.len();
+        write_frame(&mut self.out, kind, self.frames, payload);
+        self.crc.update(&self.out[start..]);
+        self.frames += 1;
+        self.drain()
     }
 
-    /// Writes the footer, syncs, and atomically renames the temp file
-    /// over the destination. Returns the total bytes written.
-    pub fn finish(mut self) -> Result<u64, StoreError> {
-        let count = self.next_index;
-        let file_crc = self.crc.finish();
-        self.frame_buf.clear();
-        let mut footer = std::mem::take(&mut self.frame_buf);
-        write_frame(
-            &mut footer,
-            SectionKind::Footer,
-            count,
-            &footer_payload(count, file_crc),
-        );
-        // The footer frame is not part of the whole-file CRC it carries.
-        self.write_raw(&footer)?;
-        let file = self.file.take().expect("StoreWriter already finished");
-        let result = (|| -> io::Result<u64> {
-            let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
-            with_retry(|| file.sync_all())?;
-            drop(file);
-            with_retry(|| std::fs::rename(&self.tmp, &self.path))?;
-            Ok(self.bytes_written)
-        })();
-        match result {
-            Ok(n) => Ok(n),
-            Err(e) => {
-                std::fs::remove_file(&self.tmp).ok();
-                Err(io_err(&self.path, e))
-            }
+    /// Hands the framed bytes to the file, when there is one.
+    fn drain(&mut self) -> Result<(), StoreError> {
+        if let Some(file) = &mut self.file {
+            file.write_all(&self.out)?;
+            self.flushed += self.out.len() as u64;
+            self.out.clear();
         }
-    }
-}
-
-impl Drop for StoreWriter {
-    fn drop(&mut self) {
-        // An abandoned writer (error or early return) must not leak its
-        // temp file; a finished one already renamed it away.
-        if self.file.take().is_some() {
-            std::fs::remove_file(&self.tmp).ok();
-        }
+        Ok(())
     }
 }
 
@@ -1220,7 +1235,7 @@ pub fn load_binary_tolerant(path: &Path) -> Result<(Dataset, StoreReport), Store
 /// On-disk dataset encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// serde_json blob (compatibility).
+    /// JSON document (compatibility).
     Json,
     /// Chunked, checksummed binary (`mtd-store` v2).
     Binary,
@@ -1847,46 +1862,17 @@ mod tests {
         assert_eq!(encode_binary(&back, 1), bytes);
     }
 
-    /// Every data frame [`encode_binary`] writes for `ds`, in file order.
-    fn sections(ds: &Dataset) -> Vec<(SectionKind, Vec<u8>)> {
-        let mut out = vec![
-            (SectionKind::Meta, encode_meta(ds)),
-            (SectionKind::Deciles, encode_deciles(ds)),
-        ];
-        let (vbins, dbins) = (ds.volume_grid.bins(), ds.duration_grid.bins());
-        let cell_refs: Vec<(&CellKey, &CellStats)> = ds.cells.iter().collect();
-        for batch in cell_refs.chunks(CELLS_PER_CHUNK) {
-            out.push((SectionKind::Cells, encode_cells_chunk(batch, vbins, dbins)));
-        }
-        for first in (0..ds.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
-            let rows = MINUTE_ROWS_PER_CHUNK.min(ds.n_bs() - first);
-            out.push((SectionKind::Minutes, encode_minutes_chunk(ds, first, rows)));
-        }
-        if let Some(plane) = ds.signaling() {
-            for first in (0..plane.n_bs()).step_by(MINUTE_ROWS_PER_CHUNK) {
-                let rows = MINUTE_ROWS_PER_CHUNK.min(plane.n_bs() - first);
-                let payload = encode_signaling_chunk(plane, first, rows);
-                out.push((SectionKind::Signaling, payload));
-            }
-        }
-        out
-    }
-
     #[test]
-    fn store_writer_matches_encode_binary_bytes() {
+    fn file_writer_matches_encode_binary_bytes() {
         // v1 and v2 (signaling) datasets alike.
         for ds in [build_small(), build_small_v2()] {
             let path = temp_path("writer.mtdstore");
-            let version = dataset_format_version(ds.signaling().is_some());
-            let mut writer = StoreWriter::create_versioned(&path, version).unwrap();
-            for (kind, payload) in sections(ds) {
-                writer.append(kind, &payload).unwrap();
-            }
-            let written = writer.finish().unwrap();
+            let file = AtomicFile::create(&path).unwrap();
+            write_dataset(ds, Some(file)).unwrap().finish().unwrap();
 
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
-            assert_eq!(written, bytes.len() as u64);
+            assert!(!path.with_extension("tmp-partial").exists());
             assert_eq!(bytes, encode_binary(ds, 1));
             // And it decodes like any other store.
             assert_eq!(&decode_binary(&bytes, 1).unwrap(), ds);
@@ -1909,11 +1895,11 @@ mod tests {
 
     #[test]
     fn store_writer_drop_cleans_up_temp_file() {
+        let ds = build_small();
         let path = temp_path("abandoned.mtdstore");
         let tmp = path.with_extension("tmp-partial");
         {
-            let mut writer = StoreWriter::create(&path).unwrap();
-            writer.append(SectionKind::Meta, b"partial").unwrap();
+            let _writer = write_dataset(ds, Some(AtomicFile::create(&path).unwrap())).unwrap();
             assert!(tmp.exists());
         }
         assert!(!tmp.exists(), "dropped writer must remove its temp file");
@@ -1921,13 +1907,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_and_decode_match_sequential() {
-        let ds = build_small();
-        let seq = encode_binary(ds, 1);
-        for threads in [2, 4, 7] {
-            assert_eq!(encode_binary(ds, threads), seq, "threads={threads}");
-            assert_eq!(&decode_binary(&seq, threads).unwrap(), ds);
-        }
+    fn chunks_close_before_the_payload_cap() {
+        // 64 dense rows of 92 days pass the 64 MiB cap: the writer must
+        // move the last row to a chunk of its own, or no reader could
+        // load the file.
+        let mut ds = build_small().clone();
+        let n_bs = 64;
+        let row_len = (92 * MINUTES_PER_DAY) as usize;
+        ds.n_days = 92;
+        ds.group_of_bs = vec![ds.group_of_bs[0]; n_bs];
+        ds.decile_of_bs = vec![ds.decile_of_bs[0]; n_bs];
+        ds.bs_total_volume_mb = vec![1.0; n_bs];
+        ds.minute_counts = vec![vec![1; row_len]; n_bs];
+        ds.minute_volume_mb = vec![vec![1.0; row_len]; n_bs];
+        let bytes = encode_binary(&ds, 1);
+        let report = verify_bytes(&bytes);
+        assert!(report.is_clean(), "{}", report.summary());
+        let minutes: Vec<u32> = report
+            .chunks
+            .iter()
+            .filter(|c| c.section == "minutes")
+            .map(|c| c.payload_len)
+            .collect();
+        assert_eq!(minutes.len(), 2, "{minutes:?}");
+        assert!(minutes.iter().all(|len| *len <= MAX_CHUNK_PAYLOAD));
+        assert!(decode_binary(&bytes, 1).unwrap() == ds);
     }
 
     #[test]
@@ -2105,10 +2109,6 @@ mod tests {
         assert_eq!(stream.version(), MAX_FORMAT_VERSION);
         // The report labels the file with its own version.
         assert_eq!(verify_bytes(&bytes).format, "binary-v2");
-        // Parallel encode stays byte-identical with the extra section.
-        for threads in [2, 7] {
-            assert_eq!(encode_binary(ds, threads), bytes, "threads={threads}");
-        }
     }
 
     #[test]

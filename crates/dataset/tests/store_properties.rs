@@ -1,10 +1,9 @@
 //! Property tests for the mtd-store v2 binary format (DESIGN.md §9).
 //!
-//! The invariants that make the store trustworthy for heavy-tailed
+//! The invariant that makes the store trustworthy for heavy-tailed
 //! traffic data: *any* dataset — seeded with arbitrary extra session
 //! observations, extreme volumes included — survives encode → decode
-//! with every f64 bit pattern intact, and the parallel encoder produces
-//! bytes identical to the sequential one.
+//! with every f64 bit pattern intact, and re-encodes to the same bytes.
 
 use mtd_dataset::store::{decode_binary, encode_binary};
 use mtd_dataset::{Dataset, SliceFilter};
@@ -110,38 +109,4 @@ fn binary_roundtrip_is_lossless() {
         // strongest whole-file bit-exactness statement available.
         assert_eq!(encode_binary(&back, 1), bytes);
     });
-}
-
-#[test]
-fn parallel_encode_is_byte_identical() {
-    check_cases(
-        "dataset/store/parallel_encode_is_byte_identical",
-        16,
-        |rng| {
-            let obs = obs_strategy(rng);
-            let threads = rng.gen_range(2usize..9);
-            let ds = with_observations(&obs);
-            let sequential = encode_binary(&ds, 1);
-            let parallel = encode_binary(&ds, threads);
-            assert_eq!(parallel, sequential);
-        },
-    );
-}
-
-#[test]
-fn parallel_decode_matches_sequential() {
-    check_cases(
-        "dataset/store/parallel_decode_matches_sequential",
-        16,
-        |rng| {
-            let obs = obs_strategy(rng);
-            let threads = rng.gen_range(2usize..9);
-            let ds = with_observations(&obs);
-            let bytes = encode_binary(&ds, 1);
-            let seq = decode_binary(&bytes, 1).unwrap();
-            let par = decode_binary(&bytes, threads).unwrap();
-            assert_eq!(&par, &seq);
-            assert_eq!(&par, &ds);
-        },
-    );
 }

@@ -3,8 +3,8 @@
 //! A scoped thread pool with per-worker work-stealing deques and a
 //! deterministic, input-ordered parallel map. Every parallel entry point
 //! in the workspace (per-service fitting, the EMD similarity matrix, the
-//! netsim station fan-out, the dataset chunk codec) runs on this one
-//! abstraction, so a single knob sizes them all.
+//! netsim station fan-out) runs on this one abstraction, so a single knob
+//! sizes them all.
 //!
 //! # Determinism
 //!
@@ -14,7 +14,7 @@
 //! placed (or replayed) by index. Because every job executes the same
 //! code path as the sequential loop would, parallel output is
 //! bit-identical to sequential — the discipline established by
-//! `Engine::run_parallel` and the store codec, now centralized here.
+//! `Engine::run_parallel`, now centralized here.
 //!
 //! # Pool sizing
 //!

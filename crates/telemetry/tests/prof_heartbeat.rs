@@ -144,28 +144,6 @@ fn scopes_are_inert_without_a_profiler() {
     // later profiled run would report (checked by the other tests).
 }
 
-#[test]
-fn counting_allocator_tracks_live_and_peak() {
-    // Installed via #[global_allocator] above: the very first heap use
-    // flips `installed`.
-    let stats = mtd_telemetry::alloc::stats();
-    assert!(stats.installed, "counting allocator not installed");
-    let before = mtd_telemetry::alloc::stats().live_bytes;
-    let buf = vec![0u8; 1 << 20];
-    let during = mtd_telemetry::alloc::stats();
-    assert!(
-        during.live_bytes >= before + (1 << 20),
-        "live {} before {}",
-        during.live_bytes,
-        before
-    );
-    assert!(during.peak_live_bytes >= during.live_bytes - before);
-    drop(buf);
-    let after = mtd_telemetry::alloc::stats();
-    assert!(after.live_bytes < during.live_bytes);
-    assert!(after.allocs > 0 && after.deallocs > 0);
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn peak_rss_within_ten_percent_of_vmhwm() {

@@ -50,7 +50,7 @@ const SAMPLE_DECILE: u8 = 9;
 
 /// The fixed chaos scenario: small enough that a full pipeline pass
 /// takes well under a second, large enough that every subsystem
-/// (mobility, multi-peak volume fits, parallel encode) does real work.
+/// (mobility, multi-peak volume fits, the store writer) does real work.
 #[must_use]
 pub fn scenario() -> ScenarioConfig {
     ScenarioConfig {
@@ -209,7 +209,7 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
 
     let bin_path = binary_path(dir);
     let d_export = digest_bytes(&store::encode_binary(&dataset, threads));
-    if let Err(e) = store::save_binary_with_threads(&dataset, &bin_path, threads) {
+    if let Err(e) = store::save_binary(&dataset, &bin_path) {
         return RunOutcome::Detected {
             stage: "export",
             error: e.to_string(),
@@ -261,7 +261,7 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
     let stress_config = stress_scenario();
     let stressed = Dataset::build(&stress_config, &topology, &catalog);
     let stress_path = stress_path(dir);
-    if let Err(e) = store::save_binary_with_threads(&stressed, &stress_path, threads) {
+    if let Err(e) = store::save_binary(&stressed, &stress_path) {
         return RunOutcome::Detected {
             stage: "stress-export",
             error: e.to_string(),
