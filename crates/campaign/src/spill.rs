@@ -59,11 +59,12 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
 
+    let in_key_order = acc.cells();
     let mut header = ByteWriter::new();
     header.put_u32(vbins as u32);
     header.put_u32(dbins as u32);
     header.put_u32(acc.row_len() as u32);
-    header.put_u32(acc.cells.len() as u32);
+    header.put_u32(in_key_order.len() as u32);
     header.put_u32(acc.minutes.len() as u32);
     if let Some(sig) = &acc.signaling {
         header.put_u32(sig.len() as u32);
@@ -71,7 +72,7 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     put_block(&mut out, header.into_bytes());
 
     let mut cells = ByteWriter::new();
-    for (key, cell) in &acc.cells {
+    for (key, cell) in in_key_order {
         put_cell(&mut cells, key, cell);
     }
     put_block(&mut out, cells.into_bytes());
@@ -604,7 +605,7 @@ mod tests {
         assert_eq!(digest, crate::fnv64(&bytes));
 
         let (mut cursor, cells) = SpillCursor::open(&path, 0).unwrap();
-        assert_eq!(cells, acc.cells);
+        assert!(cells.iter().eq(acc.cells()));
         let mut minutes = BTreeMap::new();
         while let Some((bs, row)) = cursor.next_row().unwrap() {
             minutes.insert(bs, row);
@@ -650,7 +651,7 @@ mod tests {
         verify(&path, 0).unwrap();
 
         let (mut cursor, cells) = SpillCursor::open(&path, 0).unwrap();
-        assert_eq!(cells, acc.cells);
+        assert!(cells.iter().eq(acc.cells()));
         let mut minutes = BTreeMap::new();
         while let Some((bs, row)) = cursor.next_row().unwrap() {
             minutes.insert(bs, row);

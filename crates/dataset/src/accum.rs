@@ -37,11 +37,29 @@ pub const Q_VOL: f64 = 1_048_576.0;
 /// Fixed-point scale for `log₁₀(volume)` statistics: 2³² units.
 pub const Q_LOG: f64 = 4_294_967_296.0;
 
+/// `x.round() as i128` for every `f64`, NaN (0) and ±∞ (saturated)
+/// included, without the libm `round` call and the software `f64 → i128`
+/// conversion on the common path. Below 2⁶³ in magnitude the truncating
+/// `as i64` is exact, and so is `x − trunc(x)` (Sterbenz), so stepping
+/// away from zero when that fraction is at least ½ is `round`'s
+/// ties-away-from-zero rule.
+#[inline]
+fn round_to_i128(x: f64) -> i128 {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if x.abs() < TWO_63 {
+        let t = x as i64;
+        let frac = x - t as f64;
+        i128::from(t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5))
+    } else {
+        x.round() as i128
+    }
+}
+
 /// Quantizes a volume (MB) to fixed-point units.
 #[inline]
 #[must_use]
 pub fn q_vol(v: f64) -> i128 {
-    (v * Q_VOL).round() as i128
+    round_to_i128(v * Q_VOL)
 }
 
 /// Dequantizes a fixed-point volume sum back to MB.
@@ -55,7 +73,7 @@ pub fn dq_vol(q: i128) -> f64 {
 #[inline]
 #[must_use]
 pub fn q_log(v: f64) -> i128 {
-    (v * Q_LOG).round() as i128
+    round_to_i128(v * Q_LOG)
 }
 
 /// Dequantizes a fixed-point `log₁₀` sum.
@@ -111,16 +129,38 @@ impl ExactCell {
     /// Records one session observation — the integer mirror of
     /// [`CellStats::record`].
     pub fn record(&mut self, volume_mb: f64, duration_s: f64, vgrid: &LogGrid, dgrid: &LogGrid) {
+        self.record_quantized(volume_mb, q_vol(volume_mb), duration_s, vgrid, dgrid);
+    }
+
+    /// [`ExactCell::record`] with the volume already quantized (`vol_q ==
+    /// q_vol(volume_mb)`), so a caller that needs it too quantizes once.
+    /// One `log₁₀` of the volume serves both the histogram bin and the
+    /// log sums: above the `1e-12` floor it is the logarithm
+    /// [`LogGrid::bin_of`] would take; at or below it the bin comes from
+    /// `bin_of` itself, and a non-finite volume has no bin.
+    fn record_quantized(
+        &mut self,
+        volume_mb: f64,
+        vol_q: i128,
+        duration_s: f64,
+        vgrid: &LogGrid,
+        dgrid: &LogGrid,
+    ) {
+        let lv = volume_mb.max(1e-12).log10();
         self.sessions += 1;
-        self.traffic_q += q_vol(volume_mb);
+        self.traffic_q += vol_q;
         if volume_mb.is_finite() {
-            self.hist_counts[vgrid.bin_of(volume_mb)] += 1;
+            let vbin = if volume_mb > 1e-12 {
+                vgrid.bin_of_log10(lv)
+            } else {
+                vgrid.bin_of(volume_mb)
+            };
+            self.hist_counts[vbin] += 1;
             self.hist_total += 1;
         }
         let bin = dgrid.bin_of(duration_s);
-        self.pair_vol_q[bin] += q_vol(volume_mb);
+        self.pair_vol_q[bin] += vol_q;
         self.pair_counts[bin] += 1;
-        let lv = volume_mb.max(1e-12).log10();
         self.pair_log_q[bin] += q_log(lv);
         self.pair_log_sq_q[bin] += q_log(lv * lv);
     }
@@ -283,6 +323,9 @@ impl SignalRowQ {
     }
 }
 
+/// Cell-index entry of a (day, group, service) without a cell yet.
+const NO_CELL: u32 = u32::MAX;
+
 /// Pass-2 sink: accumulates cells and minute rows for (a shard of) a
 /// campaign in fixed point.
 ///
@@ -292,14 +335,25 @@ impl SignalRowQ {
 /// contributions with integer adds, reproducing the monolithic result
 /// exactly. Rows are kept sparse (only touched BSs) so a shard's memory
 /// scales with its own size plus the handover fringe, not with `n_bs`.
+///
+/// Cells live in insertion order and are found through a direct index
+/// over (day, group, service), not a key-ordered tree: every observation
+/// lands in a cell, so the lookup is the hot path. Integer sums do not
+/// depend on insertion order; whatever can observe the cells walks them
+/// in key order through [`Self::cells`].
 pub struct ShardAccumulator {
     volume_grid: LogGrid,
     duration_grid: LogGrid,
     group_of_bs: Vec<u16>,
     n_days: u32,
+    n_groups: usize,
     row_len: usize,
-    /// Accumulated cells keyed by (service, group, day).
-    pub cells: BTreeMap<CellKey, ExactCell>,
+    /// Row `day × n_groups + group` maps a service id to its slot in
+    /// `cells` ([`NO_CELL`] when absent); rows grow as services appear.
+    cell_index: Vec<Vec<u32>>,
+    /// Accumulated cells with their (service, group, day) keys, in
+    /// insertion order.
+    cells: Vec<(CellKey, ExactCell)>,
     /// Accumulated minute rows keyed by global BS id.
     pub minutes: BTreeMap<u32, MinuteRowQ>,
     /// Accumulated control-plane rows keyed by global BS id. `None`
@@ -318,16 +372,50 @@ impl ShardAccumulator {
         group_of_bs: Vec<u16>,
         n_days: u32,
     ) -> ShardAccumulator {
+        let n_groups = group_of_bs.iter().max().map_or(0, |g| usize::from(*g) + 1);
         ShardAccumulator {
             volume_grid,
             duration_grid,
             group_of_bs,
             n_days,
+            n_groups,
             row_len: (n_days * MINUTES_PER_DAY) as usize,
-            cells: BTreeMap::new(),
+            cell_index: vec![Vec::new(); n_days as usize * n_groups],
+            cells: Vec::new(),
             minutes: BTreeMap::new(),
             signaling: None,
         }
+    }
+
+    /// The cell for `key`, created empty on first use.
+    fn cell_mut(&mut self, key: CellKey) -> &mut ExactCell {
+        let (service, group, day) = key;
+        let row = &mut self.cell_index[day as usize * self.n_groups + usize::from(group)];
+        let service = usize::from(service);
+        if row.len() <= service {
+            row.resize(service + 1, NO_CELL);
+        }
+        let slot = match row[service] {
+            NO_CELL => {
+                row[service] = self.cells.len() as u32;
+                let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
+                self.cells.push((key, ExactCell::new(vbins, dbins)));
+                self.cells.len() - 1
+            }
+            slot => slot as usize,
+        };
+        &mut self.cells[slot].1
+    }
+
+    /// The accumulated cells in (service, group, day) key order — the one
+    /// order in which finalizing, merging and spilling walk them.
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = (&CellKey, &ExactCell)> {
+        let mut order: Vec<usize> = (0..self.cells.len()).collect();
+        order.sort_unstable_by_key(|&i| self.cells[i].0);
+        order.into_iter().map(|i| {
+            let (key, cell) = &self.cells[i];
+            (key, cell)
+        })
     }
 
     /// Turns on control-plane collection: subsequent signaling events
@@ -382,35 +470,25 @@ impl ShardAccumulator {
             return;
         }
         let minute = (day * MINUTES_PER_DAY + obs.start.minute_of_day()) as usize;
+        let vol_q = q_vol(obs.volume_mb);
         let row_len = self.row_len;
         let row = self
             .minutes
             .entry(obs.bs.0)
             .or_insert_with(|| MinuteRowQ::new(row_len));
         row.counts[minute] += 1;
-        row.vol_q[minute] += q_vol(obs.volume_mb) as i64;
+        row.vol_q[minute] += vol_q as i64;
 
         let key = (obs.service.0, self.group_of_bs[obs.bs.0 as usize], day);
-        let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
-        self.cells
-            .entry(key)
-            .or_insert_with(|| ExactCell::new(vbins, dbins))
-            .record(
-                obs.volume_mb,
-                obs.duration_s,
-                &self.volume_grid,
-                &self.duration_grid,
-            );
+        let (vgrid, dgrid) = (self.volume_grid, self.duration_grid);
+        self.cell_mut(key)
+            .record_quantized(obs.volume_mb, vol_q, obs.duration_s, &vgrid, &dgrid);
     }
 
     /// Merges another accumulator (same campaign) into this one.
     pub fn merge(&mut self, other: &ShardAccumulator) {
-        for (key, cell) in &other.cells {
-            let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
-            self.cells
-                .entry(*key)
-                .or_insert_with(|| ExactCell::new(vbins, dbins))
-                .merge(cell);
+        for (key, cell) in other.cells() {
+            self.cell_mut(*key).merge(cell);
         }
         for (bs, row) in &other.minutes {
             let row_len = self.row_len;
@@ -435,8 +513,7 @@ impl ShardAccumulator {
     /// Finalizes the cells into their float [`CellStats`] form.
     #[must_use]
     pub fn finalize_cells(&self) -> BTreeMap<CellKey, CellStats> {
-        self.cells
-            .iter()
+        self.cells()
             .map(|(k, c)| (*k, c.to_cell_stats(&self.volume_grid)))
             .collect()
     }
@@ -559,7 +636,9 @@ mod tests {
             for shard in shards.iter().rev() {
                 merged.merge(shard);
             }
-            assert_eq!(merged.cells, monolithic.cells, "parts={parts}");
+            // Cells are stored in insertion order, which differs between
+            // partitions; the key-ordered views must agree.
+            assert!(merged.cells().eq(monolithic.cells()), "parts={parts}");
             assert_eq!(merged.minutes, monolithic.minutes, "parts={parts}");
             // And the finalized float form is bit-equal, not just close.
             let a = merged.finalize_cells();
@@ -602,7 +681,7 @@ mod tests {
     fn spilled_observations_are_dropped() {
         let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), vec![0], 2);
         acc.record(&obs(0, 0, 2, 10.0, 1.0, 60.0)); // day 2 of a 2-day run
-        assert!(acc.cells.is_empty());
+        assert_eq!(acc.cells().len(), 0);
         assert!(acc.minutes.is_empty());
     }
 
@@ -721,5 +800,138 @@ mod tests {
         }
         assert_eq!(merged.totals_q, mono.totals_q);
         assert_eq!(merged.totals_mb(), mono.totals_mb());
+    }
+
+    #[test]
+    fn rounding_matches_round_then_cast() {
+        let two_52 = 4_503_599_627_370_496.0f64;
+        let two_63 = 9_223_372_036_854_775_808.0f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            two_52 - 0.5,
+            -(two_52 - 0.5),
+            two_52 + 1.0,
+            two_63,
+            -two_63,
+            two_63 - 1024.0,
+            -(two_63 - 1024.0),
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut state = 0x5DEE_CE66_D1CE_5EEDu64;
+        for _ in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            xs.push(f64::from_bits(state));
+            // Exact halves and their neighbours, where the direction flips.
+            let half = (state >> (12 + state % 40)) as f64 + 0.5;
+            let (below, above) = (half.to_bits() - 1, half.to_bits() + 1);
+            xs.extend([half, -half, f64::from_bits(below), f64::from_bits(above)]);
+        }
+        for x in xs {
+            assert_eq!(
+                round_to_i128(x),
+                x.round() as i128,
+                "x={x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// `ExactCell::record` as first written: libm rounding through
+    /// `i128`, and `log₁₀` taken separately for the bin and the sums.
+    fn record_by_direct_formulas(
+        cell: &mut ExactCell,
+        volume_mb: f64,
+        duration_s: f64,
+        vgrid: &LogGrid,
+        dgrid: &LogGrid,
+    ) {
+        let q_vol = |v: f64| (v * Q_VOL).round() as i128;
+        let q_log = |v: f64| (v * Q_LOG).round() as i128;
+        let bin_of = |g: &LogGrid, x: f64| {
+            if x <= 0.0 {
+                return 0;
+            }
+            let idx = ((x.log10() - g.lo_log10()) / g.bin_width()).floor();
+            idx.clamp(0.0, (g.bins() - 1) as f64) as usize
+        };
+        cell.sessions += 1;
+        cell.traffic_q += q_vol(volume_mb);
+        if volume_mb.is_finite() {
+            cell.hist_counts[bin_of(vgrid, volume_mb)] += 1;
+            cell.hist_total += 1;
+        }
+        let bin = bin_of(dgrid, duration_s);
+        cell.pair_vol_q[bin] += q_vol(volume_mb);
+        cell.pair_counts[bin] += 1;
+        let lv = volume_mb.max(1e-12).log10();
+        cell.pair_log_q[bin] += q_log(lv);
+        cell.pair_log_sq_q[bin] += q_log(lv * lv);
+    }
+
+    #[test]
+    fn record_matches_direct_formulas() {
+        // 1e13 MB quantizes past 2⁶³ units: the i128 path.
+        let volumes = [
+            0.0,
+            -1.0,
+            5e-324,
+            1e-13,
+            1e-12,
+            0.37,
+            1e4,
+            1e13,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let (vg, dg) = (volume_grid(), duration_grid());
+        // A grid reaching below the 1e-12 floor, where the floor matters.
+        let deep = LogGrid::new(-15.0, 4.0, 95).unwrap();
+        for vgrid in [vg, deep] {
+            for volume in volumes {
+                for duration in [0.0, 0.5, 60.0, 1e9] {
+                    let mut got = ExactCell::new(vgrid.bins(), dg.bins());
+                    got.record(volume, duration, &vgrid, &dg);
+                    let mut expect = ExactCell::new(vgrid.bins(), dg.bins());
+                    record_by_direct_formulas(&mut expect, volume, duration, &vgrid, &dg);
+                    assert_eq!(got, expect, "volume={volume:e} duration={duration}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cells_in_key_order_match_a_keyed_map() {
+        // Several groups and days, so the direct index spans many rows.
+        let all = stream(3_000, 8);
+        let groups = vec![0u16, 3, 1, 1, 2, 0, 3, 2];
+        let acc = accum(&all, groups.clone());
+        let mut expect: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
+        let (vg, dg) = (volume_grid(), duration_grid());
+        for o in &all {
+            let key = (o.service.0, groups[o.bs.0 as usize], o.start.day);
+            expect
+                .entry(key)
+                .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins()))
+                .record(o.volume_mb, o.duration_s, &vg, &dg);
+        }
+        assert!(acc.cells().eq(expect.iter()));
+        assert_eq!(acc.cells().len(), expect.len());
     }
 }

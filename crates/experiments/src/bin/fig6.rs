@@ -19,8 +19,9 @@ fn main() {
         println!("  cluster {}: {}", label, names.join(", "));
     }
 
-    // Class purity against ground truth.
-    let mut per_class = std::collections::HashMap::new();
+    // Class purity against ground truth, classes in name order so every
+    // run prints the same bytes.
+    let mut per_class = std::collections::BTreeMap::new();
     for (i, name) in sim.names.iter().enumerate() {
         if let Some(s) = catalog.by_name(name) {
             per_class

@@ -109,6 +109,12 @@ pub fn emd_distance_matrix(pdfs: &[&BinnedPdf]) -> Result<Vec<Vec<f64>>> {
 /// `items` pairs each PDF with its mixture weight (session count); merged
 /// clusters are represented by their Eq. (2) mixture, and distances are
 /// recomputed against that centroid, exactly as described in §4.3.
+///
+/// Only the new centroid's distances are computed after a merge; every
+/// other pair keeps its cached distance, which [`emd_centered`] would
+/// reproduce bit for bit (it is a pure function, symmetric to the bit).
+/// That is `(n−1)²` distances for `n` items instead of one full pair scan
+/// per merge.
 pub fn centroid_cluster(items: &[(f64, BinnedPdf)]) -> Result<Dendrogram> {
     let n = items.len();
     if n == 0 {
@@ -140,29 +146,48 @@ pub fn centroid_cluster(items: &[(f64, BinnedPdf)]) -> Result<Dendrogram> {
             })
         })
         .collect::<Result<_>>()?;
+    // `dist[i][j]` is the distance between `active[i]` and `active[j]`;
+    // rows and columns move through the same swaps as `active`.
+    let centroids: Vec<&BinnedPdf> = active.iter().map(|a| &a.centroid).collect();
+    let mut dist = emd_distance_matrix(&centroids)?;
     let mut merges = Vec::with_capacity(n - 1);
     let mut next_node = n;
 
     while active.len() > 1 {
-        // Find the closest pair of active centroids.
+        // Find the closest pair of active centroids; scanning in (i, j)
+        // order with a strict `<` settles a tie on the first such pair.
         let mut best = (0usize, 1usize, f64::INFINITY);
-        for i in 0..active.len() {
-            for j in (i + 1)..active.len() {
-                let d = emd_centered(&active[i].centroid, &active[j].centroid)?;
+        for (i, row) in dist.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate().skip(i + 1) {
                 if d < best.2 {
                     best = (i, j, d);
                 }
             }
         }
-        let (i, j, dist) = best;
+        let (i, j, distance) = best;
         // j > i, so removing j first leaves index i valid.
         let b = active.swap_remove(j);
         let a = active.swap_remove(i);
+        dist.swap_remove(j);
+        dist.swap_remove(i);
+        for row in &mut dist {
+            row.swap_remove(j);
+            row.swap_remove(i);
+        }
         let centroid = BinnedPdf::mixture(&[(a.weight, &a.centroid), (b.weight, &b.centroid)])?;
+        let mut new_row = active
+            .iter()
+            .map(|other| emd_centered(&other.centroid, &centroid))
+            .collect::<Result<Vec<f64>>>()?;
+        for (row, &d) in dist.iter_mut().zip(&new_row) {
+            row.push(d);
+        }
+        new_row.push(0.0);
+        dist.push(new_row);
         merges.push(Merge {
             a: a.node,
             b: b.node,
-            distance: dist,
+            distance,
         });
         active.push(Active {
             node: next_node,

@@ -60,13 +60,17 @@ pub fn emd_centered(a: &BinnedPdf, b: &BinnedPdf) -> Result<f64> {
     quantile_integral(a, b, a.mean_log10(), b.mean_log10())
 }
 
+/// `∫₀¹ |(Q_a(p) − shift_a) − (Q_b(p) − shift_b)| dp` by the midpoint rule.
+/// The midpoints increase, so each PDF's quantiles come from one
+/// [`QuantileWalk`](crate::histogram::QuantileWalk) over its CDF: O(bins +
+/// points) per distance instead of a rescan from bin 0 per point.
 fn quantile_integral(a: &BinnedPdf, b: &BinnedPdf, shift_a: f64, shift_b: f64) -> Result<f64> {
     let n = QUANTILE_POINTS;
+    let (mut qa, mut qb) = (a.quantile_walk(), b.quantile_walk());
     let mut acc = 0.0;
     for i in 0..n {
-        // Midpoint rule over p ∈ (0, 1).
         let p = (i as f64 + 0.5) / n as f64;
-        acc += ((a.quantile_log10(p) - shift_a) - (b.quantile_log10(p) - shift_b)).abs();
+        acc += ((qa.at(p) - shift_a) - (qb.at(p) - shift_b)).abs();
     }
     Ok(acc / n as f64)
 }

@@ -83,7 +83,13 @@ impl LogGrid {
         if x <= 0.0 {
             return 0;
         }
-        let u = x.log10();
+        self.bin_of_log10(x.log10())
+    }
+
+    /// [`LogGrid::bin_of`] for a value already on the `log₁₀` axis, for
+    /// callers that need `log₁₀ x` anyway and should not take it twice.
+    #[must_use]
+    pub fn bin_of_log10(&self, u: f64) -> usize {
         let idx = ((u - self.lo) / self.bin_width()).floor();
         idx.clamp(0.0, (self.bins - 1) as f64) as usize
     }
@@ -331,18 +337,19 @@ impl BinnedPdf {
     /// Quantile on the `log₁₀` axis with linear interpolation inside bins.
     #[must_use]
     pub fn quantile_log10(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let w = self.grid.bin_width();
-        let mut acc = 0.0;
-        for (i, d) in self.density.iter().enumerate() {
-            let mass = d * w;
-            if acc + mass >= p {
-                let frac = if mass > 0.0 { (p - acc) / mass } else { 0.5 };
-                return self.grid.lo_log10() + (i as f64 + frac) * w;
-            }
-            acc += mass;
+        self.quantile_walk().at(p)
+    }
+
+    /// A [`QuantileWalk`] from the first bin, for quantiles at
+    /// non-decreasing probabilities in one pass over the CDF.
+    #[must_use]
+    pub fn quantile_walk(&self) -> QuantileWalk<'_> {
+        QuantileWalk {
+            pdf: self,
+            width: self.grid.bin_width(),
+            bin: 0,
+            below: 0.0,
         }
-        self.grid.hi_log10()
     }
 
     /// Quantile in linear units.
@@ -448,6 +455,47 @@ impl BinnedPdf {
                 .map(|(a, b)| (a - b).max(0.0)),
         );
         Ok(())
+    }
+}
+
+/// Quantiles of one [`BinnedPdf`] at non-decreasing probabilities.
+///
+/// The walk keeps the bin it stopped in and the mass below that bin, so
+/// the next, larger `p` resumes there instead of rescanning the CDF from
+/// bin 0: `k` quantiles cost O(bins + k). The running mass is summed bin
+/// by bin in the same order for every `p`, so each answer is bit-equal to
+/// a walk started from bin 0 ([`BinnedPdf::quantile_log10`] is exactly
+/// that: a one-step walk). A `p` below an earlier one is a caller error:
+/// the walk cannot go back and answers from where it stands.
+#[derive(Debug, Clone)]
+pub struct QuantileWalk<'a> {
+    pdf: &'a BinnedPdf,
+    width: f64,
+    bin: usize,
+    below: f64,
+}
+
+impl QuantileWalk<'_> {
+    /// The `p`-quantile on the `log₁₀` axis, linearly interpolated inside
+    /// its bin (an empty bin answers its center); `p` is clamped to
+    /// `[0, 1]`.
+    pub fn at(&mut self, p: f64) -> f64 {
+        let p = p.clamp(0.0, 1.0);
+        let (grid, w) = (&self.pdf.grid, self.width);
+        while let Some(d) = self.pdf.density.get(self.bin) {
+            let mass = d * w;
+            if self.below + mass >= p {
+                let frac = if mass > 0.0 {
+                    (p - self.below) / mass
+                } else {
+                    0.5
+                };
+                return grid.lo_log10() + (self.bin as f64 + frac) * w;
+            }
+            self.below += mass;
+            self.bin += 1;
+        }
+        grid.hi_log10()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property-based tests for `mtd-math` invariants.
 
-use mtd_math::cluster::silhouette_score;
+use mtd_math::cluster::{centroid_cluster, silhouette_score, Merge};
 use mtd_math::distributions::{Distribution1D, Exponential, Gaussian, LogNormal10, Pareto};
-use mtd_math::emd::{emd_centered, emd_same_grid, squared_euclidean};
+use mtd_math::emd::{emd_centered, emd_quantile, emd_same_grid, squared_euclidean};
 use mtd_math::fit::{fit_exponential_law, fit_power_law, PowerLawFit};
 use mtd_math::histogram::{BinnedPdf, LogGrid, LogHistogram};
 use mtd_math::regression::r_squared;
@@ -268,5 +268,199 @@ fn sampling_stays_in_support() {
             let x = pdf.sample(rng);
             assert!(x >= 10f64.powf(-3.0) * 0.999 && x <= 10f64.powf(4.0) * 1.001);
         }
+    });
+}
+
+/// A random grid: 1 to 400 bins over 1 to 10 decades.
+fn arb_grid(rng: &mut SmallRng) -> LogGrid {
+    let lo = rng.gen_range(-5.0f64..1.0);
+    let span = rng.gen_range(1.0f64..10.0);
+    LogGrid::new(lo, lo + span, rng.gen_range(1usize..400)).unwrap()
+}
+
+/// A random PDF on `grid` in one of four shapes — one populated bin,
+/// runs of empty bins, support ending before the last bin, or dense —
+/// and half the time re-gridded by `centered()`.
+fn arb_pdf(rng: &mut SmallRng, grid: LogGrid) -> BinnedPdf {
+    let bins = grid.bins();
+    let mut density = vec![0.0; bins];
+    match rng.gen_range(0u8..4) {
+        0 => density[rng.gen_range(0..bins)] = rng.gen_range(0.1f64..10.0),
+        1 => {
+            let mut populated = rng.gen_bool(0.5);
+            for d in &mut density {
+                if rng.gen_bool(0.2) {
+                    populated = !populated;
+                }
+                if populated {
+                    *d = rng.gen_range(0.0f64..5.0);
+                }
+            }
+        }
+        2 => {
+            let end = rng.gen_range(1..=bins);
+            let start = rng.gen_range(0..end);
+            for d in &mut density[start..end] {
+                *d = rng.gen_range(0.0f64..5.0);
+            }
+        }
+        _ => {
+            for d in &mut density {
+                *d = rng.gen_range(0.0f64..5.0);
+            }
+        }
+    }
+    if density.iter().all(|d| *d == 0.0) {
+        density[bins - 1] = 1.0;
+    }
+    let pdf = BinnedPdf::from_density(grid, density).unwrap();
+    if rng.gen_bool(0.5) {
+        pdf.centered().unwrap()
+    } else {
+        pdf
+    }
+}
+
+/// A quantile by scanning the CDF from bin 0 for this one `p`.
+fn scanned_quantile(pdf: &BinnedPdf, p: f64) -> f64 {
+    let p = p.clamp(0.0, 1.0);
+    let g = pdf.grid();
+    let w = g.bin_width();
+    let mut acc = 0.0;
+    for (i, d) in pdf.density().iter().enumerate() {
+        let mass = d * w;
+        if acc + mass >= p {
+            let frac = if mass > 0.0 { (p - acc) / mass } else { 0.5 };
+            return g.lo_log10() + (i as f64 + frac) * w;
+        }
+        acc += mass;
+    }
+    g.hi_log10()
+}
+
+/// The quantile-form EMD with one CDF scan per point and PDF.
+fn scanned_emd(a: &BinnedPdf, b: &BinnedPdf, shift_a: f64, shift_b: f64) -> f64 {
+    let n = 1024;
+    let mut acc = 0.0;
+    for i in 0..n {
+        let p = (f64::from(i) + 0.5) / f64::from(n);
+        acc += ((scanned_quantile(a, p) - shift_a) - (scanned_quantile(b, p) - shift_b)).abs();
+    }
+    acc / f64::from(n)
+}
+
+#[test]
+fn quantile_walk_matches_per_point_scan() {
+    check_cases("math/quantile_walk_matches_per_point_scan", 256, |rng| {
+        let grid_a = arb_grid(rng);
+        let grid_b = if rng.gen_bool(0.5) {
+            grid_a
+        } else {
+            arb_grid(rng)
+        };
+        let a = arb_pdf(rng, grid_a);
+        let b = arb_pdf(rng, grid_b);
+
+        let d = emd_quantile(&a, &b).unwrap();
+        assert_eq!(d.to_bits(), scanned_emd(&a, &b, 0.0, 0.0).to_bits());
+        let c = emd_centered(&a, &b).unwrap();
+        let scanned = scanned_emd(&a, &b, a.mean_log10(), b.mean_log10());
+        assert_eq!(c.to_bits(), scanned.to_bits());
+        // Clustering caches distances and reads them either way round.
+        assert_eq!(c.to_bits(), emd_centered(&b, &a).unwrap().to_bits());
+
+        // Single quantiles, including clamped and repeated probabilities.
+        let mut ps = vec_of(rng, 1..40, |r| r.gen_range(-0.1f64..1.1));
+        ps.extend([0.0, 1.0]);
+        ps.sort_by(f64::total_cmp);
+        let mut walk = a.quantile_walk();
+        for p in ps {
+            let expect = scanned_quantile(&a, p).to_bits();
+            assert_eq!(a.quantile_log10(p).to_bits(), expect, "p={p}");
+            assert_eq!(walk.at(p).to_bits(), expect, "walk p={p}");
+            assert_eq!(walk.at(p).to_bits(), expect, "repeated p={p}");
+        }
+    });
+}
+
+/// The merge sequence by the all-pairs loop: every active pair measured
+/// again after every merge.
+fn all_pairs_merges(items: &[(f64, BinnedPdf)]) -> Vec<Merge> {
+    let mut active: Vec<(usize, f64, BinnedPdf)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, (w, p))| (i, *w, p.centered().unwrap()))
+        .collect();
+    let mut merges = Vec::new();
+    let mut next_node = items.len();
+    while active.len() > 1 {
+        let mut best = (0usize, 1usize, f64::INFINITY);
+        for i in 0..active.len() {
+            for j in (i + 1)..active.len() {
+                let d = emd_centered(&active[i].2, &active[j].2).unwrap();
+                if d < best.2 {
+                    best = (i, j, d);
+                }
+            }
+        }
+        let (i, j, distance) = best;
+        let b = active.swap_remove(j);
+        let a = active.swap_remove(i);
+        let centroid = BinnedPdf::mixture(&[(a.1, &a.2), (b.1, &b.2)]).unwrap();
+        merges.push(Merge {
+            a: a.0,
+            b: b.0,
+            distance,
+        });
+        active.push((next_node, a.1 + b.1, centroid));
+        next_node += 1;
+    }
+    merges
+}
+
+fn assert_same_merges(items: &[(f64, BinnedPdf)]) {
+    let got = centroid_cluster(items).unwrap();
+    let expect = all_pairs_merges(items);
+    assert_eq!(got.merges().len(), expect.len());
+    for (k, (g, e)) in got.merges().iter().zip(&expect).enumerate() {
+        assert_eq!((g.a, g.b), (e.a, e.b), "merge {k}");
+        assert_eq!(g.distance.to_bits(), e.distance.to_bits(), "merge {k}");
+    }
+}
+
+#[test]
+fn centroid_cluster_matches_all_pairs_loop() {
+    // The planted set: narrow and wide shapes at several locations.
+    let planted: Vec<(f64, BinnedPdf)> = [
+        (0.0, 0.20),
+        (1.0, 0.22),
+        (2.0, 0.18),
+        (0.5, 1.20),
+        (1.5, 1.25),
+        (2.5, 1.15),
+    ]
+    .iter()
+    .map(|&(mu, sigma)| {
+        let ln = LogNormal10::new(mu, sigma).unwrap();
+        let g = LogGrid::new(-4.0, 5.0, 450).unwrap();
+        (1.0, BinnedPdf::from_fn(g, |u| ln.pdf_log10(u)).unwrap())
+    })
+    .collect();
+    assert_same_merges(&planted);
+
+    check_cases("math/centroid_cluster_matches_all_pairs_loop", 24, |rng| {
+        let grid = arb_grid(rng);
+        let mut items: Vec<(f64, BinnedPdf)> = vec_of(rng, 1..10, |r| {
+            (r.gen_range(0.5f64..100.0), arb_pdf(r, grid))
+        });
+        // Duplicates tie exactly: identical PDFs sit at distance 0.
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(1usize..4) {
+                let copy = items[rng.gen_range(0..items.len())].clone();
+                let at = rng.gen_range(0..=items.len());
+                items.insert(at, copy);
+            }
+        }
+        assert_same_merges(&items);
     });
 }

@@ -147,12 +147,10 @@ impl<'a> Engine<'a> {
     /// Produces output **identical** to [`Engine::run`]: every station has
     /// its own derived RNG streams and deterministic session ids, workers
     /// buffer each station's events, and the pool's ordered streaming map
-    /// replays buffers to `sink` in station order. Nothing bounds those
-    /// buffers: every station that finishes ahead of the one being
-    /// replayed stays buffered, so peak memory can grow far past the
-    /// sequential run's. On a 2-core host, `Dataset::build` of
-    /// `ScenarioConfig::evaluation()` peaked at 1.30–1.85 GB of live heap
-    /// at 2 threads against 112 MB at 1 thread.
+    /// replays buffers to `sink` in station order. A worker starts a
+    /// station only within `2 × threads` stations of the one being
+    /// replayed, so at most that many station buffers are alive however
+    /// slowly `sink` consumes.
     pub fn run_parallel<S: EngineSink>(&self, sink: &mut S, threads: usize) -> RunStats {
         let threads = threads.max(1).min(self.topology.len().max(1));
         if threads == 1 {

@@ -3,7 +3,7 @@
 use crate::deque::WorkDeque;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Index of the pool worker running on this thread, if any.
@@ -108,6 +108,58 @@ fn seed_indices(n: usize, threads: usize) -> Vec<WorkDeque<usize>> {
         deques[i % threads].push(i);
     }
     deques
+}
+
+/// The start gate of [`Pool::par_for_each_ordered`]: index `i` may start
+/// once `i < next + width`, where `next` is the next index to replay.
+struct StartWindow {
+    next: Mutex<usize>,
+    moved: Condvar,
+    width: usize,
+}
+
+impl StartWindow {
+    fn new(width: usize) -> StartWindow {
+        StartWindow {
+            next: Mutex::new(0),
+            moved: Condvar::new(),
+            width,
+        }
+    }
+
+    /// Every update is one store of a valid index, so a guard recovered
+    /// from a poisoned lock still holds a valid window.
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.next.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until index `i` is inside the window.
+    fn wait_for(&self, i: usize) {
+        let outside = |next: &mut usize| i >= next.saturating_add(self.width);
+        let _inside = self
+            .moved
+            .wait_while(self.lock(), outside)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+
+    /// Moves the window to start at `next` (it never moves back).
+    fn advance(&self, next: usize) {
+        let mut at = self.lock();
+        *at = (*at).max(next);
+        self.moved.notify_all();
+    }
+}
+
+/// Opens the window for good when its thread unwinds, so no worker waits
+/// on a replay that will never happen and the panic can propagate.
+struct OpenOnPanic<'a>(&'a StartWindow);
+
+impl Drop for OpenOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.advance(usize::MAX);
+        }
+    }
 }
 
 /// A fixed-size scoped thread pool. Cheap to construct: threads are
@@ -230,9 +282,13 @@ impl Pool {
 
     /// Streaming variant of [`Pool::par_map_indexed`]: workers compute
     /// `f(i)` out of order, the calling thread replays `consume(i, …)`
-    /// strictly in input order, buffering only the out-of-order results
-    /// in flight. Use when results are large (e.g. a station's buffered
-    /// events) and holding all `n` at once would be wasteful.
+    /// strictly in input order. Use when results are large (e.g. a
+    /// station's buffered events) and holding all `n` at once would be
+    /// wasteful.
+    ///
+    /// A worker does not start `f(i)` until `i` is within `2 × threads`
+    /// of the next index to replay, so at most that many results are in
+    /// flight however far the consumer falls behind.
     pub fn par_for_each_ordered<T, F, C>(&self, n: usize, f: F, mut consume: C)
     where
         T: Send,
@@ -247,17 +303,21 @@ impl Pool {
             return;
         }
         let deques = seed_indices(n, threads);
+        let window = StartWindow::new(2 * threads);
         let (tx, rx) = mpsc::channel::<(usize, T)>();
         std::thread::scope(|scope| {
             let deques = &deques;
+            let window = &window;
             let f = &f;
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let tx = tx.clone();
                     scope.spawn(move || {
+                        let _open = OpenOnPanic(window);
                         // A dropped receiver only happens on panic in the
                         // consumer; the send result is irrelevant then.
                         worker_loop(deques, w, |i| {
+                            window.wait_for(i);
                             let _ = tx.send((i, f(i)));
                         });
                         mtd_telemetry::flush_thread();
@@ -265,6 +325,7 @@ impl Pool {
                 })
                 .collect();
             drop(tx);
+            let _open = OpenOnPanic(window);
             let mut pending: BTreeMap<usize, T> = BTreeMap::new();
             let mut next = 0usize;
             for (i, v) in rx {
@@ -272,6 +333,7 @@ impl Pool {
                 while let Some(v) = pending.remove(&next) {
                     consume(next, v);
                     next += 1;
+                    window.advance(next);
                 }
             }
             for h in handles {
@@ -363,7 +425,7 @@ impl<'env> Scope<'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn map_is_input_ordered_for_every_thread_count() {
@@ -405,6 +467,64 @@ mod tests {
             let expect: Vec<(usize, usize)> = (0..40).map(|i| (i, i * 3)).collect();
             assert_eq!(seen, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn ordered_workers_stay_within_the_start_window() {
+        // The bound must hold under every interleaving; the consumer's
+        // sleep only makes it slower than the jobs, so that workers
+        // without the window would run far ahead while it sleeps.
+        for threads in [2, 3, 5] {
+            let replayed = AtomicUsize::new(0);
+            Pool::new(threads).par_for_each_ordered(
+                48,
+                |i| {
+                    let done = replayed.load(Ordering::SeqCst);
+                    assert!(
+                        i < done + 2 * threads,
+                        "job {i} started with {done} replayed, threads={threads}"
+                    );
+                    i
+                },
+                |i, v| {
+                    assert_eq!(i, v);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    replayed.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            assert_eq!(replayed.load(Ordering::SeqCst), 48, "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 exploded")]
+    fn ordered_replay_propagates_worker_panics() {
+        // Index 3 is never replayed, so the window must open rather than
+        // hold the other workers forever.
+        Pool::new(2).par_for_each_ordered(
+            64,
+            |i| {
+                if i == 3 {
+                    panic!("job 3 exploded");
+                }
+                i
+            },
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "replay 5 exploded")]
+    fn ordered_replay_propagates_consumer_panics() {
+        Pool::new(2).par_for_each_ordered(
+            64,
+            |i| i,
+            |i, _| {
+                if i == 5 {
+                    panic!("replay 5 exploded");
+                }
+            },
+        );
     }
 
     #[test]
