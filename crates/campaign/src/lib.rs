@@ -26,9 +26,10 @@
 //!    manifest is *detected*, never half-trusted.
 //!
 //! Peak memory is sublinear in campaign size: a shard holds only its own
-//! minute rows (plus the handover fringe), merged cells are bounded by
-//! the number of realized BS groups (not stations), and assembly streams
-//! spill files through `K` sequential cursors into 64-row store chunks.
+//! per-BS cells and minute rows (plus the handover fringe), merged cells
+//! are bounded by the number of realized BS groups (not stations), and
+//! assembly streams spill files through `K` sequential cursors, one cell
+//! and then one row at a time, into 64-row store chunks.
 
 pub mod manifest;
 pub mod runner;

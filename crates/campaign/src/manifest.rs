@@ -1,19 +1,20 @@
 //! Campaign checkpoint manifest.
 //!
-//! The manifest is the single source of truth for resume: which shards
-//! of each pass are complete, the running pass-1 totals, and a digest
-//! for every durable artifact. It is written atomically (through
-//! [`mtd_dataset::store::write_atomic`], so it inherits the injected
-//! write faults) on every shard boundary and carries a trailing CRC32 —
-//! a torn write is detected wholesale and reported as
-//! [`CampaignError::TornManifest`], never half-parsed.
+//! The manifest is the single source of truth for resume: how many
+//! shards are complete and the digest of each one's spill. It is written
+//! atomically (through [`mtd_dataset::store::write_atomic`], so it
+//! inherits the injected write faults) when the campaign starts and on
+//! every shard boundary, and carries a trailing CRC32 — a torn write is
+//! detected wholesale and reported as [`CampaignError::TornManifest`],
+//! never half-parsed.
 //!
 //! The scenario configuration is echoed bit-exactly (f64 fields as raw
 //! bits) so a resume with a drifted configuration is a structured
 //! [`CampaignError::ConfigMismatch`] instead of a silently different
-//! campaign. Deciles and group tables are *not* stored: they are cheap,
-//! deterministic functions of the totals and are recomputed on every
-//! resume.
+//! campaign. Per-BS volume totals, deciles and group tables are *not*
+//! stored: each spill carries its shard's totals, and the deciles and
+//! groups are cheap, deterministic functions of their sum, derived at
+//! assembly.
 
 use crate::CampaignError;
 use mtd_dataset::format::{crc32, ByteReader, ByteWriter, FormatResult};
@@ -23,29 +24,22 @@ use std::path::Path;
 /// Manifest file magic.
 pub const MAGIC: [u8; 8] = *b"MTDMANIF";
 /// Manifest format version. v2 added the stress-scenario echo
-/// (burst/drift/control-plane fields); v1 manifests predate stress
-/// scenarios and are rejected as unsupported rather than silently
-/// assumed quiescent.
-pub const VERSION: u32 = 2;
+/// (burst/drift/control-plane fields); v3 dropped the pass-1 progress
+/// (totals and their digests) when a campaign became one simulation
+/// pass. Older manifests are rejected as unsupported, naming their
+/// version, rather than reinterpreted.
+pub const VERSION: u32 = 3;
 
 /// Durable campaign progress. See the module docs for the contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Bit-exact echo of the scenario this campaign runs.
     pub scenario: ScenarioConfig,
-    /// Shard count `K`; checkpoints are numbered `0..2K` (pass 1 shard
-    /// `s` → `s`, pass 2 shard `s` → `K + s`).
+    /// Shard count `K`; shard `s` completes checkpoint `s`, so
+    /// checkpoints are numbered `0..K`.
     pub shards: u32,
-    /// Running pass-1 quantized per-BS volume totals over the completed
-    /// prefix of shards (associative integer sums, so the prefix is
-    /// exact, not approximate).
-    pub totals_q: Vec<i128>,
-    /// Pass-1 shards completed (shards run in order, so this is a prefix
+    /// Shards completed (shards run in order, so this is a prefix
     /// count).
-    pub pass1_done: u32,
-    /// Digest of the totals after each completed pass-1 shard.
-    pub pass1_digests: Vec<u64>,
-    /// Pass-2 shards completed.
     pub pass2_done: u32,
     /// FNV-1a digest of each completed shard's spill file.
     pub spill_digests: Vec<u64>,
@@ -57,13 +51,9 @@ impl Manifest {
     /// A fresh manifest for a campaign that has completed nothing.
     #[must_use]
     pub fn new(scenario: ScenarioConfig, shards: u32) -> Manifest {
-        let n_bs = scenario.n_bs;
         Manifest {
             scenario,
             shards,
-            totals_q: vec![0; n_bs],
-            pass1_done: 0,
-            pass1_digests: Vec::new(),
             pass2_done: 0,
             spill_digests: Vec::new(),
             assembled: false,
@@ -77,15 +67,6 @@ impl Manifest {
         let mut w = ByteWriter::new();
         put_scenario(&mut w, &self.scenario);
         w.put_u32(self.shards);
-        w.put_u32(self.totals_q.len() as u32);
-        for q in &self.totals_q {
-            put_i128(&mut w, *q);
-        }
-        w.put_u32(self.pass1_done);
-        w.put_u32(self.pass1_digests.len() as u32);
-        for d in &self.pass1_digests {
-            w.put_u64(*d);
-        }
         w.put_u32(self.pass2_done);
         w.put_u32(self.spill_digests.len() as u32);
         for d in &self.spill_digests {
@@ -125,7 +106,7 @@ impl Manifest {
         }
         let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
         if version != VERSION {
-            return Err(corrupt("unsupported version"));
+            return Err(corrupt(&format!("unsupported version {version}")));
         }
         parse_payload(&body[12..]).map_err(|e| corrupt(&e.to_string()))
     }
@@ -152,18 +133,6 @@ impl Manifest {
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
         mtd_dataset::write_atomic(path, &self.encode())?;
         Ok(())
-    }
-
-    /// Total checkpoint count (`2K`).
-    #[must_use]
-    pub fn total_checkpoints(&self) -> u64 {
-        2 * u64::from(self.shards)
-    }
-
-    /// Checkpoints completed so far (shards only; assembly is atomic).
-    #[must_use]
-    pub fn checkpoints_done(&self) -> u64 {
-        u64::from(self.pass1_done) + u64::from(self.pass2_done)
     }
 
     /// Structured comparison against the configuration a resume was
@@ -273,36 +242,10 @@ fn get_scenario(r: &mut ByteReader) -> FormatResult<ScenarioConfig> {
     })
 }
 
-/// Writes an `i128` as two little-endian 64-bit halves (two's
-/// complement, hi then lo).
-pub(crate) fn put_i128(w: &mut ByteWriter, q: i128) {
-    let u = q as u128;
-    w.put_u64((u >> 64) as u64);
-    w.put_u64(u as u64);
-}
-
-/// Reads an `i128` written by [`put_i128`].
-pub(crate) fn get_i128(r: &mut ByteReader) -> FormatResult<i128> {
-    let hi = r.get_u64()?;
-    let lo = r.get_u64()?;
-    Ok(((u128::from(hi) << 64) | u128::from(lo)) as i128)
-}
-
 fn parse_payload(payload: &[u8]) -> FormatResult<Manifest> {
     let mut r = ByteReader::new(payload);
     let scenario = get_scenario(&mut r)?;
     let shards = r.get_u32()?;
-    let n = r.get_u32()? as usize;
-    let mut totals_q = Vec::with_capacity(n);
-    for _ in 0..n {
-        totals_q.push(get_i128(&mut r)?);
-    }
-    let pass1_done = r.get_u32()?;
-    let n1 = r.get_u32()? as usize;
-    let mut pass1_digests = Vec::with_capacity(n1);
-    for _ in 0..n1 {
-        pass1_digests.push(r.get_u64()?);
-    }
     let pass2_done = r.get_u32()?;
     let n2 = r.get_u32()? as usize;
     let mut spill_digests = Vec::with_capacity(n2);
@@ -318,9 +261,6 @@ fn parse_payload(payload: &[u8]) -> FormatResult<Manifest> {
     Ok(Manifest {
         scenario,
         shards,
-        totals_q,
-        pass1_done,
-        pass1_digests,
         pass2_done,
         spill_digests,
         assembled,
@@ -338,11 +278,8 @@ mod tests {
             ..ScenarioConfig::small_test()
         };
         let mut m = Manifest::new(scenario, 3);
-        m.totals_q = vec![1, -2, i128::MAX / 3, i128::MIN / 5, 0];
-        m.pass1_done = 2;
-        m.pass1_digests = vec![0xdead_beef, 42];
-        m.pass2_done = 1;
-        m.spill_digests = vec![7];
+        m.pass2_done = 2;
+        m.spill_digests = vec![0xdead_beef, 7];
         m
     }
 
@@ -352,7 +289,7 @@ mod tests {
         let bytes = m.encode();
         let back = Manifest::decode(&bytes, Path::new("x")).unwrap();
         assert_eq!(back, m);
-        // Including negative/extreme i128 totals and the f64 bit echo.
+        // Including the f64 bit echo.
         assert_eq!(back.scenario.seed, m.scenario.seed);
         assert_eq!(
             back.scenario.arrival_scale.to_bits(),
@@ -397,6 +334,23 @@ mod tests {
             matches!(r, Err(CampaignError::CorruptManifest { .. })),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn a_pre_v3_manifest_is_refused_naming_its_version() {
+        for old in [1u32, 2] {
+            let mut bytes = sample().encode();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let n = bytes.len();
+            let crc = crc32(&bytes[..n - 4]);
+            bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            match Manifest::decode(&bytes, Path::new("x")) {
+                Err(CampaignError::CorruptManifest { reason, .. }) => {
+                    assert!(reason.contains(&format!("version {old}")), "{reason}");
+                }
+                other => panic!("v{old}: {other:?}"),
+            }
+        }
     }
 
     #[test]

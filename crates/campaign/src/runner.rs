@@ -1,16 +1,19 @@
 //! The sharded campaign runner: run / resume / status / assembly.
 //!
-//! A campaign is the same two-pass pipeline as
-//! [`Dataset::build`](mtd_dataset::Dataset::build) — pass 1 measures
-//! per-BS totals for decile assignment, pass 2 fills cells and minute
-//! rows — except each pass walks the base stations shard by shard,
-//! checkpointing the manifest after every shard. All accumulation is
-//! fixed-point (`mtd_dataset::accum`), so the assembled store is
-//! byte-identical to a monolithic build for any shard count, thread
-//! count, or kill/resume history.
+//! A campaign is the same one-pass pipeline as
+//! [`Dataset::build`](mtd_dataset::Dataset::build) — one simulation
+//! fills per-BS cells, per-BS volume totals and minute rows, and the
+//! totals then group the cells by load decile — except the pass walks
+//! the base stations shard by shard, spilling each shard and
+//! checkpointing the manifest after it. The assembler sums the spills'
+//! totals, derives the deciles and groups, and merges every spilled
+//! per-BS cell into its group cell. All accumulation is fixed-point
+//! (`mtd_dataset::accum`), so the assembled store is byte-identical to
+//! a monolithic build for any shard count, thread count, or kill/resume
+//! history.
 //!
-//! Checkpoint numbering: pass 1 shard `s` completes checkpoint `s`,
-//! pass 2 shard `s` completes checkpoint `K + s`. After each checkpoint
+//! Checkpoint numbering: shard `s` completes checkpoint `s`, so a
+//! campaign of `K` shards has checkpoints `0..K`. After each checkpoint
 //! the runner consults the `campaign.shard.kill` fault site (and the
 //! explicit `kill_after` knob) and aborts with
 //! [`CampaignError::Killed`] — progress up to and including the
@@ -20,9 +23,8 @@
 use crate::manifest::Manifest;
 use crate::spill::{self, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
-use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ, VolumeTotalsQ};
-use mtd_dataset::dataset::{group_table, CellKey};
-use mtd_dataset::decile::assign_deciles;
+use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
+use mtd_dataset::dataset::{BsGroups, CellKey};
 use mtd_dataset::record::{duration_grid, volume_grid};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
 use mtd_dataset::StoreError;
@@ -68,7 +70,7 @@ impl CampaignConfig {
         self.dir.join(MANIFEST_FILE)
     }
 
-    /// The spill path for pass-2 shard `s`.
+    /// The spill path for shard `s`.
     #[must_use]
     pub fn spill_path(&self, s: u32) -> PathBuf {
         self.dir.join(format!("shard-{s:05}.mtdspill"))
@@ -111,9 +113,7 @@ impl CampaignReport {
 pub struct CampaignStatus {
     /// Shard count `K`.
     pub shards: u32,
-    /// Pass-1 shards done.
-    pub pass1_done: u32,
-    /// Pass-2 shards done.
+    /// Shards done.
     pub pass2_done: u32,
     /// Whether the store has been assembled.
     pub assembled: bool,
@@ -127,14 +127,8 @@ impl std::fmt::Display for CampaignStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pass1 {}/{} pass2 {}/{} assembled={} ({} BS x {} days)",
-            self.pass1_done,
-            self.shards,
-            self.pass2_done,
-            self.shards,
-            self.assembled,
-            self.n_bs,
-            self.days
+            "shards {}/{} assembled={} ({} BS x {} days)",
+            self.pass2_done, self.shards, self.assembled, self.n_bs, self.days
         )
     }
 }
@@ -165,7 +159,10 @@ pub fn run(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
     if manifest_path.exists() {
         return Err(CampaignError::AlreadyStarted(manifest_path));
     }
+    // Saved before shard 0, so the campaign's first durable write is its
+    // manifest: a crash or torn write from here on leaves one behind.
     let manifest = Manifest::new(config.scenario.clone(), config.effective_shards());
+    manifest.save(&manifest_path)?;
     advance(config, manifest)
 }
 
@@ -177,8 +174,8 @@ pub fn resume(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> 
     if let Some(reason) = manifest.config_mismatch(&config.scenario, config.effective_shards()) {
         return Err(CampaignError::ConfigMismatch { reason });
     }
-    // Never trust durable state blindly: re-verify completed pass-2
-    // spills before building on them. One special case first: a
+    // Never trust durable state blindly: re-verify completed spills
+    // before building on them. One special case first: a
     // zero-length spill means the process died between creating the
     // file and writing it (the manifest update races the same window),
     // so treat that shard — and everything after it — as not done and
@@ -213,7 +210,6 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, CampaignError> {
     let manifest = Manifest::load(&dir.join(MANIFEST_FILE))?;
     Ok(CampaignStatus {
         shards: manifest.shards,
-        pass1_done: manifest.pass1_done,
         pass2_done: manifest.pass2_done,
         assembled: manifest.assembled,
         n_bs: manifest.scenario.n_bs,
@@ -221,18 +217,9 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, CampaignError> {
     })
 }
 
-/// Digest of the totals prefix — recorded per pass-1 checkpoint.
-fn totals_digest(totals_q: &[i128]) -> u64 {
-    let mut h = Fnv64::new();
-    for q in totals_q {
-        h.update(&(*q as u128).to_le_bytes());
-    }
-    h.finish()
-}
-
 fn publish_progress(manifest: &Manifest) {
-    mtd_telemetry::gauge_set("campaign.shards_total", manifest.total_checkpoints() as f64);
-    mtd_telemetry::gauge_set("campaign.shards_done", manifest.checkpoints_done() as f64);
+    mtd_telemetry::gauge_set("campaign.shards_total", f64::from(manifest.shards));
+    mtd_telemetry::gauge_set("campaign.shards_done", f64::from(manifest.pass2_done));
 }
 
 /// After-checkpoint kill gate: the fault site first, then the explicit
@@ -259,44 +246,16 @@ fn advance(
     let n_bs = scenario.n_bs;
     publish_progress(&manifest);
 
-    // Pass 1: per-BS totals, shard by shard.
-    while manifest.pass1_done < k {
-        let s = manifest.pass1_done;
-        let _span = mtd_telemetry::span!("campaign.pass1_shard");
-        let (first, len) = shard_range(n_bs, k, s);
-        let mut sink = VolumeTotalsQ::new(n_bs);
-        engine.run_shard(&mut sink, first, len, config.threads);
-        for (acc, delta) in manifest.totals_q.iter_mut().zip(&sink.totals_q) {
-            *acc += delta;
-        }
-        manifest.pass1_done = s + 1;
-        manifest
-            .pass1_digests
-            .push(totals_digest(&manifest.totals_q));
-        manifest.save(&config.manifest_path())?;
-        publish_progress(&manifest);
-        mtd_telemetry::count("campaign.shards.completed", 1);
-        kill_gate(config, u64::from(s))?;
-    }
-
-    // Deciles and groups are deterministic functions of the totals —
-    // recomputed on every resume rather than persisted.
-    let totals_mb: Vec<f64> = {
-        let t = VolumeTotalsQ {
-            totals_q: manifest.totals_q.clone(),
-        };
-        t.totals_mb()
-    };
-    let decile_of_bs = assign_deciles(&totals_mb);
-    let (groups, group_of_bs) = group_table(topology.stations(), &decile_of_bs);
-
-    // Pass 2: cells + minute rows, spilled per shard.
+    // The one pass: per-BS cells, totals and minute rows, spilled per
+    // shard.
     let (vg, dg) = (volume_grid(), duration_grid());
     while manifest.pass2_done < k {
         let s = manifest.pass2_done;
+        // Named `pass2_shard` because the benchmark reads this span as
+        // `campaign.pass2_s`.
         let _span = mtd_telemetry::span!("campaign.pass2_shard");
         let (first, len) = shard_range(n_bs, k, s);
-        let mut sink = ShardAccumulator::new(vg, dg, group_of_bs.clone(), scenario.days);
+        let mut sink = ShardAccumulator::new(vg, dg, n_bs, scenario.days);
         if scenario.stress.control_plane {
             sink.enable_signaling();
         }
@@ -308,28 +267,12 @@ fn advance(
         manifest.save(&config.manifest_path())?;
         publish_progress(&manifest);
         mtd_telemetry::count("campaign.shards.completed", 1);
-        kill_gate(config, u64::from(k) + u64::from(s))?;
+        kill_gate(config, u64::from(s))?;
     }
 
     // Assembly: merge spills out of core into the final store.
     if !manifest.assembled {
-        let meta = MetaSection {
-            volume_grid: vg,
-            duration_grid: dg,
-            service_names: catalog
-                .services()
-                .iter()
-                .map(|svc| svc.name.clone())
-                .collect(),
-            groups,
-            group_of_bs,
-            n_days: scenario.days,
-        };
-        let deciles = DecileSection {
-            decile_of_bs,
-            bs_total_volume_mb: totals_mb,
-        };
-        assemble(config, &manifest, &meta, &deciles)?;
+        assemble(config, &manifest, &topology, &catalog)?;
         manifest.assembled = true;
         manifest.save(&config.manifest_path())?;
     }
@@ -347,48 +290,78 @@ fn advance(
 
 /// Streams the K verified spills into the final MTDSTORE file.
 ///
-/// Memory contract: the integer cell map, bounded by realized groups
-/// (not stations), drains into the writer's one open chunk as each cell
-/// is finalized; rows flow through one buffered row per spill cursor.
+/// The spills' per-BS totals sum to the campaign's, which fix the load
+/// deciles and BS groups. Every spilled per-BS cell then merges into its
+/// group cell one at a time, so the integer group-cell map — bounded by
+/// realized groups, not stations — is the only cell memory; it drains
+/// into the writer's one open chunk as each cell is finalized. Rows flow
+/// through one buffered row per spill cursor.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
-    meta: &MetaSection,
-    deciles: &DecileSection,
+    topology: &Topology,
+    catalog: &ServiceCatalog,
 ) -> Result<(), CampaignError> {
     let _span = mtd_telemetry::span!("campaign.assemble");
-    let k = manifest.shards;
-    let (vbins, dbins) = (meta.volume_grid.bins(), meta.duration_grid.bins());
+    let (k, n_bs) = (manifest.shards, manifest.scenario.n_bs);
+    let (vg, dg) = (volume_grid(), duration_grid());
 
-    // Verify every spill against the manifest, then open cursors.
-    // Cells merge eagerly (group-bounded); rows stay on disk.
-    let mut cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
+    // Verify every spill against the manifest, then open cursors and sum
+    // the totals.
+    let mut totals_q = vec![0i128; n_bs];
     let mut cursors: Vec<SpillCursor> = Vec::with_capacity(k as usize);
     for s in 0..k {
         let path = config.spill_path(s);
         verify_spill(manifest, &path, s)?;
-        let (cursor, shard_cells) = SpillCursor::open(&path, s)?;
-        for (key, cell) in shard_cells {
+        cursors.push(SpillCursor::open(&path, s, &mut totals_q)?);
+    }
+    let grouping = BsGroups::from_totals(topology.stations(), &totals_q);
+
+    let mut cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
+    for cursor in &mut cursors {
+        let shard = cursor.shard();
+        while let Some(((service, bs, day), cell)) = cursor.next_cell()? {
+            let group = *grouping.group_of_bs.get(bs as usize).ok_or_else(|| {
+                CampaignError::SpillCorrupt {
+                    shard,
+                    reason: format!("cell for BS {bs} beyond the scenario's {n_bs} BSs"),
+                }
+            })?;
             cells
-                .entry(key)
-                .or_insert_with(|| ExactCell::new(vbins, dbins))
-                .merge(&cell);
+                .entry((service, group, day))
+                .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins()))
+                .add(&cell);
         }
-        cursors.push(cursor);
     }
     mtd_telemetry::gauge_set("campaign.cells", cells.len() as f64);
 
+    let meta = MetaSection {
+        volume_grid: vg,
+        duration_grid: dg,
+        service_names: catalog
+            .services()
+            .iter()
+            .map(|svc| svc.name.clone())
+            .collect(),
+        groups: grouping.groups,
+        group_of_bs: grouping.group_of_bs,
+        n_days: manifest.scenario.days,
+    };
+    let deciles = DecileSection {
+        decile_of_bs: grouping.decile_of_bs,
+        bs_total_volume_mb: grouping.bs_total_volume_mb,
+    };
     // Control-plane campaigns add the signaling rows (a v2 store).
     let signaling = manifest.scenario.stress.control_plane;
-    let mut writer = StoreWriter::new(&config.out, meta, deciles, signaling)?;
+    let mut writer = StoreWriter::new(&config.out, &meta, &deciles, signaling)?;
     for (key, cell) in cells {
-        writer.cell(&key, &cell.to_cell_stats(&meta.volume_grid))?;
+        writer.cell(&key, &cell.to_cell_stats(&vg))?;
     }
-    let (n_bs, row_len) = (meta.n_bs(), meta.minutes_per_row());
+    let row_len = meta.minutes_per_row();
     merge_rows(
         &mut cursors,
         n_bs,
-        |cursor| Ok(cursor.peek_bs()),
+        SpillCursor::peek_bs,
         SpillCursor::next_row,
         MinuteRowQ::merge,
         |row| {
@@ -513,19 +486,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (vg, dg) = (volume_grid(), duration_grid());
         let mut cursors = Vec::new();
+        let mut totals_q = vec![0; 10];
         for (shard, bs) in [(0u32, 1u32), (1, 9)] {
-            let mut acc = ShardAccumulator::new(vg, dg, vec![0; 10], 1);
+            let mut acc = ShardAccumulator::new(vg, dg, 10, 1);
             acc.minutes.insert(bs, MinuteRowQ::new(acc.row_len()));
             let path = dir.join(format!("stray-{shard}.mtdspill"));
             std::fs::write(&path, spill::encode(&acc, vg.bins(), dg.bins())).unwrap();
-            cursors.push(SpillCursor::open(&path, shard).unwrap().0);
+            cursors.push(SpillCursor::open(&path, shard, &mut totals_q).unwrap());
         }
         // In a 5-BS scenario, shard 1's row for BS 9 is a stray.
         let mut written = 0;
         let result = merge_rows(
             &mut cursors,
             5,
-            |cursor| Ok(cursor.peek_bs()),
+            SpillCursor::peek_bs,
             SpillCursor::next_row,
             MinuteRowQ::merge,
             |_| {

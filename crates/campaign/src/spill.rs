@@ -1,4 +1,4 @@
-//! Per-shard spill files: the durable form of a pass-2
+//! Per-shard spill files: the durable form of a campaign shard's
 //! [`ShardAccumulator`](mtd_dataset::ShardAccumulator).
 //!
 //! Everything is stored in the fixed-point integer domain — dequantizing
@@ -9,45 +9,48 @@
 //! Layout (all little-endian, built on `mtd_dataset::format`):
 //!
 //! ```text
-//! magic "MTDSPILL" | version u32 (1 without signaling, 2 with)
+//! magic "MTDSPILL" | version u32 (3 without signaling, 4 with)
 //! header block:  u32 len | vbins, dbins, row_len, n_cells, n_rows (u32 each)
-//!                          + n_sig_rows u32            (v2 only)
-//! cells block:   u32 len | n_cells × cell record (sparse vectors)
+//!                          + n_sig_rows u32            (v4 only)
+//! totals block:  u32 len | sparse i128 per-BS volume totals
+//! n_cells ×      u32 len | service u16, bs u32, day u32, sessions u32,
+//!                          traffic_q i64, sparse hist_counts (u32),
+//!                          sparse pair_vol_q (i64), sparse pair_counts
+//!                          (u32), sparse pair_log_q, sparse pair_log_sq_q
+//!                          (i64)                     (key ascending)
 //! n_rows ×       u32 len | bs u32, sparse counts, sparse vol_q   (bs ascending)
 //! n_sig_rows ×   u32 len | bs u32, sparse attach, sparse handover,
-//!                          sparse paging                (v2 only, bs ascending)
+//!                          sparse paging                (v4 only, bs ascending)
 //! crc32 of all preceding bytes
 //! ```
 //!
-//! Shards without a signaling plane keep writing byte-identical v1
-//! images; the version only advances for data that v1 readers could not
-//! represent.
+//! Shards without a signaling plane write v3 images; the version only
+//! advances to 4 for data those could not represent. Versions 1 and 2
+//! held cells already keyed by BS group and no totals; they are refused.
 //!
-//! Rows are individually length-prefixed and sorted by BS id so the
-//! assembler can stream a spill through [`SpillCursor`] — one row
-//! resident per open spill — instead of materializing the whole shard.
-//! Cells are one block: their count is bounded by realized BS *groups*
-//! (services × groups × days), independent of shard size.
+//! The totals come first, so the assembler sums every shard's totals —
+//! and from them derives the load deciles and BS groups — before it
+//! reads a cell. Cells and rows are each individually length-prefixed
+//! and the assembler streams a spill through [`SpillCursor`] one cell,
+//! then one row, at a time instead of materializing the shard: the
+//! cells are per BS, so their count grows with the shard's stations.
 
-use crate::manifest::{get_i128, put_i128};
 use crate::{CampaignError, Fnv64};
-use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
-use mtd_dataset::dataset::CellKey;
+use mtd_dataset::accum::{BsCell, BsCellKey, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::format::{crc32, ByteReader, ByteWriter, Crc32, FormatError, FormatResult};
-use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::Path;
 
 /// Spill file magic.
 pub const MAGIC: [u8; 8] = *b"MTDSPILL";
 /// Spill format version for shards without a signaling plane.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 3;
 /// Spill format version for shards carrying signaling rows.
-pub const SIGNALING_VERSION: u32 = 2;
+pub const SIGNALING_VERSION: u32 = 4;
 
 /// Encodes a shard accumulator into a complete spill file image
 /// (including the trailing CRC). Accumulators with signaling enabled
-/// encode as v2; everything else stays byte-identical v1.
+/// encode as v4; everything else as v3.
 #[must_use]
 pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     let version = if acc.signaling.is_some() {
@@ -71,11 +74,15 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     }
     put_block(&mut out, header.into_bytes());
 
-    let mut cells = ByteWriter::new();
+    let mut totals = ByteWriter::new();
+    put_sparse_i128(&mut totals, acc.totals_q());
+    put_block(&mut out, totals.into_bytes());
+
     for (key, cell) in in_key_order {
-        put_cell(&mut cells, key, cell);
+        let mut w = ByteWriter::new();
+        put_cell(&mut w, key, &cell);
+        put_block(&mut out, w.into_bytes());
     }
-    put_block(&mut out, cells.into_bytes());
 
     for (bs, row) in &acc.minutes {
         let mut w = ByteWriter::new();
@@ -106,35 +113,75 @@ fn put_block(out: &mut Vec<u8>, payload: Vec<u8>) {
     out.extend_from_slice(&payload);
 }
 
-fn put_cell(w: &mut ByteWriter, key: &CellKey, cell: &ExactCell) {
-    let (service, group, day) = *key;
+fn put_cell(w: &mut ByteWriter, key: BsCellKey, cell: &BsCell) {
+    let (service, bs, day) = key;
     w.put_u16(service);
-    w.put_u16(group);
+    w.put_u32(bs);
     w.put_u32(day);
-    w.put_u64(cell.sessions);
-    put_i128(w, cell.traffic_q);
-    w.put_u64(cell.hist_total);
-    put_sparse_u64(w, &cell.hist_counts);
-    put_sparse_i128(w, &cell.pair_vol_q);
-    put_sparse_u64(w, &cell.pair_counts);
-    put_sparse_i128(w, &cell.pair_log_q);
-    put_sparse_i128(w, &cell.pair_log_sq_q);
+    w.put_u32(cell.sessions);
+    w.put_u64(cell.traffic_q as u64);
+    put_sparse_u32(w, cell.hist_counts);
+    put_sparse_i64(w, cell.pair_vol_q);
+    put_sparse_u32(w, cell.pair_counts);
+    put_sparse_i64(w, cell.pair_log_q);
+    put_sparse_i64(w, cell.pair_log_sq_q);
 }
 
-fn get_cell(r: &mut ByteReader, vbins: usize, dbins: usize) -> FormatResult<(CellKey, ExactCell)> {
-    let service = r.get_u16()?;
-    let group = r.get_u16()?;
-    let day = r.get_u32()?;
-    let mut cell = ExactCell::new(vbins, dbins);
-    cell.sessions = r.get_u64()?;
-    cell.traffic_q = get_i128(r)?;
-    cell.hist_total = r.get_u64()?;
-    get_sparse_u64(r, &mut cell.hist_counts)?;
-    get_sparse_i128(r, &mut cell.pair_vol_q)?;
-    get_sparse_u64(r, &mut cell.pair_counts)?;
-    get_sparse_i128(r, &mut cell.pair_log_q)?;
-    get_sparse_i128(r, &mut cell.pair_log_sq_q)?;
-    Ok(((service, group, day), cell))
+/// The per-BS cell [`SpillCursor::next_cell`] decoded last; one buffer
+/// serves every cell of a spill.
+struct CellBuf {
+    sessions: u32,
+    traffic_q: i64,
+    hist_counts: Vec<u32>,
+    pair_vol_q: Vec<i64>,
+    pair_counts: Vec<u32>,
+    pair_log_q: Vec<i64>,
+    pair_log_sq_q: Vec<i64>,
+}
+
+impl CellBuf {
+    fn new(vbins: usize, dbins: usize) -> CellBuf {
+        CellBuf {
+            sessions: 0,
+            traffic_q: 0,
+            hist_counts: vec![0; vbins],
+            pair_vol_q: vec![0; dbins],
+            pair_counts: vec![0; dbins],
+            pair_log_q: vec![0; dbins],
+            pair_log_sq_q: vec![0; dbins],
+        }
+    }
+
+    /// Decodes one cell record, returning its key.
+    fn decode(&mut self, r: &mut ByteReader) -> FormatResult<BsCellKey> {
+        let key = (r.get_u16()?, r.get_u32()?, r.get_u32()?);
+        self.sessions = r.get_u32()?;
+        self.traffic_q = r.get_u64()? as i64;
+        // Sparse records name only their nonzero entries.
+        self.hist_counts.fill(0);
+        self.pair_counts.fill(0);
+        self.pair_vol_q.fill(0);
+        self.pair_log_q.fill(0);
+        self.pair_log_sq_q.fill(0);
+        get_sparse_u32(r, &mut self.hist_counts)?;
+        get_sparse_i64(r, &mut self.pair_vol_q)?;
+        get_sparse_u32(r, &mut self.pair_counts)?;
+        get_sparse_i64(r, &mut self.pair_log_q)?;
+        get_sparse_i64(r, &mut self.pair_log_sq_q)?;
+        Ok(key)
+    }
+
+    fn view(&self) -> BsCell<'_> {
+        BsCell {
+            sessions: self.sessions,
+            traffic_q: self.traffic_q,
+            hist_counts: &self.hist_counts,
+            pair_vol_q: &self.pair_vol_q,
+            pair_counts: &self.pair_counts,
+            pair_log_q: &self.pair_log_q,
+            pair_log_sq_q: &self.pair_log_sq_q,
+        }
+    }
 }
 
 // Sparse vector codecs: nnz count, then (index, value) pairs in index
@@ -148,16 +195,6 @@ fn put_sparse_u32(w: &mut ByteWriter, v: &[u32]) {
         if *x != 0 {
             w.put_u32(i as u32);
             w.put_u32(*x);
-        }
-    }
-}
-
-fn put_sparse_u64(w: &mut ByteWriter, v: &[u64]) {
-    w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
-    for (i, x) in v.iter().enumerate() {
-        if *x != 0 {
-            w.put_u32(i as u32);
-            w.put_u64(*x);
         }
     }
 }
@@ -199,15 +236,6 @@ fn get_sparse_u32(r: &mut ByteReader, out: &mut [u32]) -> FormatResult<()> {
     Ok(())
 }
 
-fn get_sparse_u64(r: &mut ByteReader, out: &mut [u64]) -> FormatResult<()> {
-    let nnz = r.get_u32()?;
-    for _ in 0..nnz {
-        let i = sparse_index(r, out.len())?;
-        out[i] = r.get_u64()?;
-    }
-    Ok(())
-}
-
 fn get_sparse_i64(r: &mut ByteReader, out: &mut [i64]) -> FormatResult<()> {
     let nnz = r.get_u32()?;
     for _ in 0..nnz {
@@ -217,13 +245,29 @@ fn get_sparse_i64(r: &mut ByteReader, out: &mut [i64]) -> FormatResult<()> {
     Ok(())
 }
 
-fn get_sparse_i128(r: &mut ByteReader, out: &mut [i128]) -> FormatResult<()> {
+/// Adds a sparse `i128` vector into `out`.
+fn add_sparse_i128(r: &mut ByteReader, out: &mut [i128]) -> FormatResult<()> {
     let nnz = r.get_u32()?;
     for _ in 0..nnz {
         let i = sparse_index(r, out.len())?;
-        out[i] = get_i128(r)?;
+        out[i] += get_i128(r)?;
     }
     Ok(())
+}
+
+/// Writes an `i128` as two little-endian 64-bit halves (two's
+/// complement, hi then lo).
+fn put_i128(w: &mut ByteWriter, q: i128) {
+    let u = q as u128;
+    w.put_u64((u >> 64) as u64);
+    w.put_u64(u as u64);
+}
+
+/// Reads an `i128` written by [`put_i128`].
+fn get_i128(r: &mut ByteReader) -> FormatResult<i128> {
+    let hi = r.get_u64()?;
+    let lo = r.get_u64()?;
+    Ok(((u128::from(hi) << 64) | u128::from(lo)) as i128)
 }
 
 /// Streams a spill file once end to end, returning its FNV-1a digest
@@ -284,25 +328,28 @@ pub struct SpillHeader {
     pub dbins: usize,
     /// Minute-row length (`n_days × 1440`).
     pub row_len: usize,
-    /// Cell count.
+    /// Per-BS cell count.
     pub n_cells: usize,
     /// Minute-row count.
     pub n_rows: usize,
-    /// Signaling-row count (always 0 in v1 spills).
+    /// Signaling-row count (always 0 in v3 spills).
     pub n_sig_rows: usize,
 }
 
-/// A sequential reader over one spill file: decodes the cells block
-/// eagerly (group-bounded) and then yields minute rows one at a time in
-/// ascending BS order — the memory contract the out-of-core assembler
-/// relies on. Run [`verify`] first; the cursor itself does not
-/// re-checksum.
+/// A sequential reader over one spill file: adds the shard's per-BS
+/// totals up front, then yields the per-BS cells one at a time, then
+/// the minute rows and the signaling rows one at a time in ascending BS
+/// order — the memory contract the out-of-core assembler relies on. Run
+/// [`verify`] first; the cursor itself does not re-checksum.
 pub struct SpillCursor {
     reader: SpillReader,
     header: SpillHeader,
+    cells_read: usize,
+    cell: CellBuf,
     rows_read: usize,
     last_bs: Option<u32>,
-    /// Next row, pre-read so callers can order cursors by `peek_bs`.
+    /// Next row, read ahead so callers can order cursors by `peek_bs`;
+    /// only filled once the cells are drained.
     buffered: Option<(u32, MinuteRowQ)>,
     sig_rows_read: usize,
     last_sig_bs: Option<u32>,
@@ -312,12 +359,14 @@ pub struct SpillCursor {
 }
 
 impl SpillCursor {
-    /// Opens a spill, decodes header and cells, and pre-reads the first
-    /// minute row.
+    /// Opens a spill, decodes its header, and adds the shard's per-BS
+    /// volume totals into `totals_q` (a BS id past its end is
+    /// corruption).
     pub fn open(
         path: &Path,
         shard: u32,
-    ) -> Result<(SpillCursor, BTreeMap<CellKey, ExactCell>), CampaignError> {
+        totals_q: &mut [i128],
+    ) -> Result<SpillCursor, CampaignError> {
         let corrupt = |reason: String| CampaignError::SpillCorrupt { shard, reason };
         let io_err = |e| {
             CampaignError::Store(mtd_dataset::StoreError::Io {
@@ -364,30 +413,25 @@ impl SpillCursor {
         })()
         .map_err(|e| corrupt(e.to_string()))?;
 
-        let cells_block = reader.read_block()?;
-        let mut r = ByteReader::new(&cells_block);
-        let mut cells = BTreeMap::new();
-        for _ in 0..header.n_cells {
-            let (key, cell) =
-                get_cell(&mut r, header.vbins, header.dbins).map_err(|e| corrupt(e.to_string()))?;
-            cells.insert(key, cell);
-        }
+        let totals_block = reader.read_block()?;
+        let mut r = ByteReader::new(&totals_block);
+        add_sparse_i128(&mut r, totals_q).map_err(|e| corrupt(e.to_string()))?;
         if !r.is_exhausted() {
-            return Err(corrupt("trailing bytes in cells block".to_string()));
+            return Err(corrupt("trailing bytes in totals block".to_string()));
         }
 
-        let mut cursor = SpillCursor {
+        Ok(SpillCursor {
             reader,
             header,
+            cells_read: 0,
+            cell: CellBuf::new(header.vbins, header.dbins),
             rows_read: 0,
             last_bs: None,
             buffered: None,
             sig_rows_read: 0,
             last_sig_bs: None,
             buffered_sig: None,
-        };
-        cursor.fill()?;
-        Ok((cursor, cells))
+        })
     }
 
     /// The spill's header.
@@ -402,25 +446,54 @@ impl SpillCursor {
         self.reader.shard
     }
 
-    /// BS id of the next row, if any.
-    #[must_use]
-    pub fn peek_bs(&self) -> Option<u32> {
-        self.buffered.as_ref().map(|(bs, _)| *bs)
+    /// Decodes the next per-BS cell (ascending key order), `None` once
+    /// the cells are drained. The cell borrows the cursor's one decode
+    /// buffer.
+    pub fn next_cell(&mut self) -> Result<Option<(BsCellKey, BsCell<'_>)>, CampaignError> {
+        if self.cells_read >= self.header.n_cells {
+            return Ok(None);
+        }
+        let block = self.reader.read_block()?;
+        let mut r = ByteReader::new(&block);
+        let key = self
+            .cell
+            .decode(&mut r)
+            .and_then(|key| {
+                if r.is_exhausted() {
+                    Ok(key)
+                } else {
+                    Err(FormatError("trailing bytes in cell"))
+                }
+            })
+            .map_err(|e| CampaignError::SpillCorrupt {
+                shard: self.reader.shard,
+                reason: e.to_string(),
+            })?;
+        self.cells_read += 1;
+        Ok(Some((key, self.cell.view())))
+    }
+
+    /// BS id of the next row, if any. Only valid once the cells are
+    /// drained.
+    pub fn peek_bs(&mut self) -> Result<Option<u32>, CampaignError> {
+        self.fill()?;
+        Ok(self.buffered.as_ref().map(|(bs, _)| *bs))
     }
 
     /// Takes the next row (ascending BS order).
     pub fn next_row(&mut self) -> Result<Option<(u32, MinuteRowQ)>, CampaignError> {
-        let row = self.buffered.take();
-        if row.is_some() {
-            self.fill()?;
-        }
-        Ok(row)
+        self.fill()?;
+        Ok(self.buffered.take())
     }
 
     fn fill(&mut self) -> Result<(), CampaignError> {
-        if self.rows_read >= self.header.n_rows {
+        if self.buffered.is_some() || self.rows_read >= self.header.n_rows {
             return Ok(());
         }
+        debug_assert!(
+            self.cells_read >= self.header.n_cells,
+            "minute rows requested before the cells were drained"
+        );
         let corrupt = |shard: u32, reason: String| CampaignError::SpillCorrupt { shard, reason };
         let block = self.reader.read_block()?;
         let mut r = ByteReader::new(&block);
@@ -546,6 +619,7 @@ mod tests {
     use mtd_netsim::ids::{BsId, Rat, ServiceId, SessionId};
     use mtd_netsim::session::SessionObservation;
     use mtd_netsim::time::SimTime;
+    use std::collections::BTreeMap;
 
     fn grids() -> (LogGrid, LogGrid) {
         (volume_grid(), duration_grid())
@@ -553,7 +627,7 @@ mod tests {
 
     fn sample_acc() -> ShardAccumulator {
         let (vg, dg) = grids();
-        let mut acc = ShardAccumulator::new(vg, dg, vec![0, 1, 0, 1, 2], 2);
+        let mut acc = ShardAccumulator::new(vg, dg, 5, 2);
         let mut state = 99u64;
         let mut next = move || {
             state = state
@@ -578,6 +652,19 @@ mod tests {
         acc
     }
 
+    /// Opens `path`'s cursor and checks that the spill holds `acc`'s
+    /// totals and per-BS cells, leaving the cursor at the rows.
+    fn open_and_check_cells(path: &Path, acc: &ShardAccumulator) -> SpillCursor {
+        let mut totals_q = vec![0; acc.totals_q().len()];
+        let mut cursor = SpillCursor::open(path, 0, &mut totals_q).unwrap();
+        assert_eq!(totals_q, acc.totals_q());
+        for (key, cell) in acc.cells() {
+            assert_eq!(cursor.next_cell().unwrap(), Some((key, cell)));
+        }
+        assert_eq!(cursor.next_cell().unwrap(), None);
+        cursor
+    }
+
     /// Writes `acc`'s spill to a file named after the calling test: tests
     /// run in parallel, and `corruption_is_detected` rewrites and deletes
     /// its file, so no two tests may share one.
@@ -595,7 +682,7 @@ mod tests {
     fn roundtrip_is_lossless() {
         let acc = sample_acc();
         let (path, bytes) = write_spill("roundtrip_is_lossless", &acc);
-        // Signaling-free shards must keep emitting v1 images.
+        // Signaling-free shards emit v3 images.
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             VERSION
@@ -604,8 +691,7 @@ mod tests {
         let digest = verify(&path, 0).unwrap();
         assert_eq!(digest, crate::fnv64(&bytes));
 
-        let (mut cursor, cells) = SpillCursor::open(&path, 0).unwrap();
-        assert!(cells.iter().eq(acc.cells()));
+        let mut cursor = open_and_check_cells(&path, &acc);
         let mut minutes = BTreeMap::new();
         while let Some((bs, row)) = cursor.next_row().unwrap() {
             minutes.insert(bs, row);
@@ -615,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn signaling_spills_as_v2_and_roundtrips() {
+    fn signaling_spills_as_v4_and_roundtrips() {
         use mtd_netsim::ids::UeId;
         use mtd_netsim::probes::{SignalingEvent, SignalingKind};
 
@@ -643,15 +729,14 @@ mod tests {
             acc.record_signaling(&ev);
         }
 
-        let (path, bytes) = write_spill("signaling_spills_as_v2_and_roundtrips", &acc);
+        let (path, bytes) = write_spill("signaling_spills_as_v4_and_roundtrips", &acc);
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             SIGNALING_VERSION
         );
         verify(&path, 0).unwrap();
 
-        let (mut cursor, cells) = SpillCursor::open(&path, 0).unwrap();
-        assert!(cells.iter().eq(acc.cells()));
+        let mut cursor = open_and_check_cells(&path, &acc);
         let mut minutes = BTreeMap::new();
         while let Some((bs, row)) = cursor.next_row().unwrap() {
             minutes.insert(bs, row);
@@ -666,10 +751,32 @@ mod tests {
     }
 
     #[test]
+    fn pre_v3_spills_are_refused_naming_their_version() {
+        let acc = sample_acc();
+        let (path, bytes) = write_spill("pre_v3_spills_are_refused_naming_their_version", &acc);
+        for old in [1u32, 2] {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&old.to_le_bytes());
+            let n = bad.len();
+            let crc = crc32(&bad[..n - 4]);
+            bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            verify(&path, 0).expect("a sealed image passes its CRC");
+            match SpillCursor::open(&path, 0, &mut [0; 5]) {
+                Err(CampaignError::SpillCorrupt { reason, .. }) => {
+                    assert_eq!(reason, format!("unsupported version {old}"));
+                }
+                other => panic!("v{old}: {:?}", other.map(|c| c.header())),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn block_longer_than_the_file_is_refused() {
         let acc = sample_acc();
         let (path, bytes) = write_spill("block_longer_than_the_file_is_refused", &acc);
-        // The cells block's length prefix follows the magic, the version
+        // The totals block's length prefix follows the magic, the version
         // and the length-prefixed header block.
         let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let at = 16 + header_len;
@@ -679,7 +786,7 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             assert!(
                 matches!(
-                    SpillCursor::open(&path, 5),
+                    SpillCursor::open(&path, 5, &mut [0; 5]),
                     Err(CampaignError::SpillCorrupt { shard: 5, .. })
                 ),
                 "claimed {claimed}"

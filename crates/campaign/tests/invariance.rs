@@ -124,7 +124,6 @@ fn status_tracks_progress_and_run_refuses_to_clobber() {
     assert_eq!(report.shards, 2);
 
     let s = status(&config.dir).unwrap();
-    assert_eq!(s.pass1_done, 2);
     assert_eq!(s.pass2_done, 2);
     assert!(s.assembled);
     assert_eq!(s.n_bs, config.scenario.n_bs);

@@ -1,6 +1,6 @@
 //! Resume-equivalence battery.
 //!
-//! Kill the campaign after every checkpoint (all `2K` of them), resume,
+//! Kill the campaign after every checkpoint (all `K` of them), resume,
 //! and demand the final store and manifest are byte-identical to an
 //! uninterrupted run — which is itself byte-identical to the monolithic
 //! pipeline. Also drives the failure edges: a manifest torn mid-write by
@@ -92,11 +92,11 @@ fn kill_at_every_checkpoint_then_resume_reproduces_the_golden_bytes() {
 
     // p=1 kill: every checkpoint fires, so each run/resume call advances
     // exactly one shard before dying — the walk visits every one of the
-    // 2K kill points in a single history.
+    // K kill points in a single history.
     let plan = FaultPlan::parse("campaign.shard.kill=1", 0xC4A0_5EED).expect("spec parses");
     fault::install(plan);
     let config = campaign_config("kill-walk");
-    let total = u64::from(2 * SHARDS);
+    let total = u64::from(SHARDS);
 
     let first = run(&config);
     assert!(
@@ -112,12 +112,12 @@ fn kill_at_every_checkpoint_then_resume_reproduces_the_golden_bytes() {
             other => panic!("expected Killed at {expect}, got {other:?}"),
         }
     }
-    // All 2K checkpoints are durable; the final resume only assembles.
+    // All K checkpoints are durable; the final resume only assembles.
     let report = resume(&config).expect("final resume completes");
     fault::clear();
 
     let bytes = std::fs::read(&config.out).unwrap();
-    assert_eq!(bytes, *golden(), "bytes after 2K kills + resumes");
+    assert_eq!(bytes, *golden(), "bytes after K kills + resumes");
     assert_eq!(report.store_digest, mtd_campaign::fnv64(golden()));
     let manifest = Manifest::load(&config.manifest_path()).unwrap();
     assert_eq!(manifest, expected_manifest, "manifest after kill walk");
@@ -131,7 +131,7 @@ fn single_kill_at_each_checkpoint_via_kill_after_matches_golden() {
 
     // The deterministic CLI/CI kill switch: one kill at checkpoint c,
     // one resume to the end, for every c.
-    for c in 0..u64::from(2 * SHARDS) {
+    for c in 0..u64::from(SHARDS) {
         let mut config = campaign_config(&format!("kill-after-{c}"));
         config.kill_after = Some(c);
         let killed = run(&config);
@@ -186,8 +186,8 @@ fn manifest_torn_mid_write_is_detected_not_half_trusted() {
 fn corrupt_or_missing_spills_are_refused_with_shard_attribution() {
     let _g = fault_lock();
     let mut config = campaign_config("spill-damage");
-    // Stop right after pass-2 shard 0's spill is durable.
-    config.kill_after = Some(u64::from(SHARDS));
+    // Stop right after shard 0's spill is durable.
+    config.kill_after = Some(0);
     let killed = run(&config);
     assert!(
         matches!(killed, Err(CampaignError::Killed { .. })),
@@ -231,9 +231,9 @@ fn zero_length_spill_is_treated_as_incomplete_not_assembled_empty() {
     let _g = fault_lock();
     let expected_manifest = golden_manifest().clone();
     let mut config = campaign_config("zero-length-spill");
-    // Stop right after pass-2 shard 1's spill is durable: spills 0 and 1
+    // Stop right after shard 1's spill is durable: spills 0 and 1
     // exist, the manifest says pass2_done = 2.
-    config.kill_after = Some(u64::from(SHARDS) + 1);
+    config.kill_after = Some(1);
     let killed = run(&config);
     assert!(
         matches!(killed, Err(CampaignError::Killed { .. })),

@@ -88,7 +88,7 @@ USAGE:
       after every shard, and assemble the final MTDSTORE by streaming
       shard spills — the result is byte-identical to a monolithic
       `dataset export`, for any K and thread count. A killed or crashed
-      run (simulate one with --kill-after C, checkpoints 0..2K-1) is
+      run (simulate one with --kill-after C, checkpoints 0..K-1) is
       picked up by `resume` with the same flags; completed shards are
       never recomputed. `status` prints manifest progress.
       --scenario starts from a pinned stress preset (bursts, drift,
@@ -1730,7 +1730,7 @@ pub(crate) mod tests {
             a
         };
 
-        // Kill right after the first pass-1 checkpoint: exits cleanly.
+        // Kill right after shard 0, the first checkpoint: exits cleanly.
         let mut a = base("run");
         a.extend(argv(&["--kill-after", "0"]));
         run(&a).unwrap();

@@ -16,17 +16,29 @@
 //! - `log₁₀(volume)` and its square: `2⁻³²` — the fit pipelines consume
 //!   these through means and variances where the error vanishes.
 //!
-//! Sums are `i128` (a campaign of 10⁹ observations × 10¹⁰ quantized units
-//! per observation stays 60+ bits from overflow); counts are plain `u64`.
+//! One simulation pass fills cells keyed per BS — (service, BS, day) —
+//! and sums every observation's volume into a per-BS total on the way.
+//! The paper's load deciles, and with them the (decile, region, city,
+//! RAT) groups the dataset keys its cells by, depend on those totals, so
+//! the per-BS cells are grouped only after the pass
+//! ([`ShardAccumulator::finalize_cells`]). Integer sums do not depend on
+//! how they are grouped, so this is bit-identical to accumulating each
+//! group directly.
+//!
+//! Per-BS cells hold narrow sums (`u32` counts, `i64` sums; the bound is
+//! on [`ShardAccumulator`]) in one arena. The group cells they sum into
+//! ([`ExactCell`]) hold `u64` counts and `i128` sums, 60+ bits from
+//! overflow for a campaign of 10⁹ observations.
 //!
 //! [`Dataset::build`](crate::Dataset::build) itself accumulates through
 //! this module, so a sharded campaign and a monolithic build are the same
 //! pipeline by construction, not by coincidence.
 
-use crate::dataset::{CellKey, SignalingPlane};
+use crate::dataset::{BsGroups, CellKey, CellMap, SignalingPlane};
 use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_netsim::engine::EngineSink;
+use mtd_netsim::geo::BaseStation;
 use mtd_netsim::probes::{SignalingEvent, SignalingKind};
 use mtd_netsim::session::SessionObservation;
 use mtd_netsim::time::MINUTES_PER_DAY;
@@ -83,30 +95,29 @@ pub fn dq_log(q: i128) -> f64 {
     q as f64 / Q_LOG
 }
 
-/// One (service, BS-group, day) cell accumulated in fixed point — the
-/// exact-arithmetic twin of [`CellStats`]. Fields are public so the
-/// campaign runner can spill and reload shards without a codec here.
+/// One (service, BS-group, day) cell in fixed point — the exact-arithmetic
+/// twin of [`CellStats`], summed from per-BS cells ([`ExactCell::add`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactCell {
     /// Session count (`sessions` in [`CellStats`]).
-    pub sessions: u64,
+    sessions: u64,
     /// Total traffic volume, quantized MB.
-    pub traffic_q: i128,
+    traffic_q: i128,
     /// Volume histogram bin counts. Kept separate from `sessions`
     /// because `LogHistogram::add` skips non-finite values.
-    pub hist_counts: Vec<u64>,
+    hist_counts: Vec<u64>,
     /// Total weight of `hist_counts`.
-    pub hist_total: u64,
+    hist_total: u64,
     /// Sum of volumes per duration bin, quantized MB.
-    pub pair_vol_q: Vec<i128>,
+    pair_vol_q: Vec<i128>,
     /// Session count per duration bin.
-    pub pair_counts: Vec<u64>,
+    pair_counts: Vec<u64>,
     /// Sum of `log₁₀(volume)` per duration bin, quantized.
-    pub pair_log_q: Vec<i128>,
+    pair_log_q: Vec<i128>,
     /// Sum of `log₁₀(volume)²` per duration bin, quantized. The square
     /// is quantized directly (not squared after quantization) so the
     /// finalized value is one rounding away from the float it replaces.
-    pub pair_log_sq_q: Vec<i128>,
+    pair_log_sq_q: Vec<i128>,
 }
 
 impl ExactCell {
@@ -126,68 +137,29 @@ impl ExactCell {
         }
     }
 
-    /// Records one session observation — the integer mirror of
-    /// [`CellStats::record`].
-    pub fn record(&mut self, volume_mb: f64, duration_s: f64, vgrid: &LogGrid, dgrid: &LogGrid) {
-        self.record_quantized(volume_mb, q_vol(volume_mb), duration_s, vgrid, dgrid);
-    }
-
-    /// [`ExactCell::record`] with the volume already quantized (`vol_q ==
-    /// q_vol(volume_mb)`), so a caller that needs it too quantizes once.
-    /// One `log₁₀` of the volume serves both the histogram bin and the
-    /// log sums: above the `1e-12` floor it is the logarithm
-    /// [`LogGrid::bin_of`] would take; at or below it the bin comes from
-    /// `bin_of` itself, and a non-finite volume has no bin.
-    fn record_quantized(
-        &mut self,
-        volume_mb: f64,
-        vol_q: i128,
-        duration_s: f64,
-        vgrid: &LogGrid,
-        dgrid: &LogGrid,
-    ) {
-        let lv = volume_mb.max(1e-12).log10();
-        self.sessions += 1;
-        self.traffic_q += vol_q;
-        if volume_mb.is_finite() {
-            let vbin = if volume_mb > 1e-12 {
-                vgrid.bin_of_log10(lv)
-            } else {
-                vgrid.bin_of(volume_mb)
-            };
-            self.hist_counts[vbin] += 1;
-            self.hist_total += 1;
+    /// Adds one per-BS cell (same bin counts) into this one, widening
+    /// every sum. Pure integer addition: associative and commutative, so
+    /// the order cells are added in never changes the result.
+    pub fn add(&mut self, cell: &BsCell) {
+        assert_eq!(self.hist_counts.len(), cell.hist_counts.len());
+        assert_eq!(self.pair_counts.len(), cell.pair_counts.len());
+        self.sessions += u64::from(cell.sessions);
+        self.traffic_q += i128::from(cell.traffic_q);
+        for (a, b) in self.hist_counts.iter_mut().zip(cell.hist_counts) {
+            *a += u64::from(*b);
+            self.hist_total += u64::from(*b);
         }
-        let bin = dgrid.bin_of(duration_s);
-        self.pair_vol_q[bin] += vol_q;
-        self.pair_counts[bin] += 1;
-        self.pair_log_q[bin] += q_log(lv);
-        self.pair_log_sq_q[bin] += q_log(lv * lv);
-    }
-
-    /// Adds another cell (same bin counts) into this one. Pure integer
-    /// addition: associative and commutative, so merge order never
-    /// changes the result.
-    pub fn merge(&mut self, other: &ExactCell) {
-        assert_eq!(self.pair_counts.len(), other.pair_counts.len());
-        assert_eq!(self.hist_counts.len(), other.hist_counts.len());
-        self.sessions += other.sessions;
-        self.traffic_q += other.traffic_q;
-        self.hist_total += other.hist_total;
-        for (a, b) in self.hist_counts.iter_mut().zip(&other.hist_counts) {
-            *a += b;
+        for (a, b) in self.pair_counts.iter_mut().zip(cell.pair_counts) {
+            *a += u64::from(*b);
         }
-        for (a, b) in self.pair_vol_q.iter_mut().zip(&other.pair_vol_q) {
-            *a += b;
-        }
-        for (a, b) in self.pair_counts.iter_mut().zip(&other.pair_counts) {
-            *a += b;
-        }
-        for (a, b) in self.pair_log_q.iter_mut().zip(&other.pair_log_q) {
-            *a += b;
-        }
-        for (a, b) in self.pair_log_sq_q.iter_mut().zip(&other.pair_log_sq_q) {
-            *a += b;
+        for (sums, adds) in [
+            (&mut self.pair_vol_q, cell.pair_vol_q),
+            (&mut self.pair_log_q, cell.pair_log_q),
+            (&mut self.pair_log_sq_q, cell.pair_log_sq_q),
+        ] {
+            for (a, b) in sums.iter_mut().zip(adds) {
+                *a += i128::from(*b);
+            }
         }
     }
 
@@ -210,31 +182,213 @@ impl ExactCell {
     }
 }
 
-/// Pass-1 sink: per-BS quantized volume totals for decile assignment.
-pub struct VolumeTotalsQ {
-    /// Quantized total volume per global BS id.
-    pub totals_q: Vec<i128>,
+/// Key of a per-BS cell: (service, global BS id, day).
+pub type BsCellKey = (u16, u32, u32);
+
+/// One (service, BS, day) cell's narrow sums, borrowed from an
+/// accumulator's arena or from a spill decoder. The fields mirror
+/// [`ExactCell`]'s; its `hist_total` is the sum of `hist_counts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BsCell<'a> {
+    /// Session count.
+    pub sessions: u32,
+    /// Total traffic volume, quantized MB.
+    pub traffic_q: i64,
+    /// Volume histogram bin counts (finite volumes only).
+    pub hist_counts: &'a [u32],
+    /// Sum of volumes per duration bin, quantized MB.
+    pub pair_vol_q: &'a [i64],
+    /// Session count per duration bin.
+    pub pair_counts: &'a [u32],
+    /// Sum of `log₁₀(volume)` per duration bin, quantized.
+    pub pair_log_q: &'a [i64],
+    /// Sum of `log₁₀(volume)²` per duration bin, quantized.
+    pub pair_log_sq_q: &'a [i64],
 }
 
-impl VolumeTotalsQ {
-    /// Zeroed totals for `n_bs` stations.
-    #[must_use]
-    pub fn new(n_bs: usize) -> VolumeTotalsQ {
-        VolumeTotalsQ {
-            totals_q: vec![0; n_bs],
+/// A narrow integer sum that must never wrap.
+trait NarrowSum: Copy {
+    fn checked_sum(self, add: Self) -> Option<Self>;
+}
+
+impl NarrowSum for u32 {
+    fn checked_sum(self, add: u32) -> Option<u32> {
+        self.checked_add(add)
+    }
+}
+
+impl NarrowSum for i64 {
+    fn checked_sum(self, add: i64) -> Option<i64> {
+        self.checked_add(add)
+    }
+}
+
+/// `*sum += add`, panicking with the cell's key instead of wrapping.
+#[inline]
+fn add_narrow<T: NarrowSum>(sum: &mut T, add: T, key: BsCellKey) {
+    *sum = sum.checked_sum(add).unwrap_or_else(|| overflow(key));
+}
+
+/// Adds `adds` into `sums` element by element, never wrapping.
+fn add_all<T: NarrowSum>(sums: &mut [T], adds: &[T], key: BsCellKey) {
+    assert_eq!(sums.len(), adds.len());
+    for (sum, add) in sums.iter_mut().zip(adds) {
+        add_narrow(sum, *add, key);
+    }
+}
+
+/// One observation's quantized value, narrowed for an `i64` sum.
+#[inline]
+fn narrow(q: i128, key: BsCellKey) -> i64 {
+    i64::try_from(q).unwrap_or_else(|_| overflow(key))
+}
+
+#[cold]
+#[inline(never)]
+fn overflow(key: BsCellKey) -> ! {
+    let (service, bs, day) = key;
+    panic!("per-BS cell (service {service}, BS {bs}, day {day}) overflowed a narrow sum")
+}
+
+/// Per-BS cells per arena block. The arena grows one block at a time, so
+/// its unused tail stays under one block (about 280 KB on the default
+/// grids) instead of the up-to-half of a doubling `Vec`.
+const BLOCK_CELLS: usize = 128;
+
+/// The per-BS cells as a struct of arrays: each block holds every field
+/// of `BLOCK_CELLS` cells, one array per field. Blocks are allocated
+/// zeroed and never move.
+struct CellArena {
+    vbins: usize,
+    dbins: usize,
+    /// Each cell's key, by cell id (insertion order).
+    keys: Vec<BsCellKey>,
+    blocks: Vec<CellBlock>,
+}
+
+struct CellBlock {
+    sessions: Vec<u32>,
+    traffic_q: Vec<i64>,
+    /// `vbins` counts per cell.
+    hist_counts: Vec<u32>,
+    /// `dbins` entries per cell in each of the four pair arrays.
+    pair_counts: Vec<u32>,
+    pair_vol_q: Vec<i64>,
+    pair_log_q: Vec<i64>,
+    pair_log_sq_q: Vec<i64>,
+}
+
+/// The block and the slot in it of cell `id`.
+fn locate(id: u32) -> (usize, usize) {
+    let id = id as usize;
+    (id / BLOCK_CELLS, id % BLOCK_CELLS)
+}
+
+impl CellArena {
+    fn new(vbins: usize, dbins: usize) -> CellArena {
+        CellArena {
+            vbins,
+            dbins,
+            keys: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
-    /// Dequantized totals in MB.
-    #[must_use]
-    pub fn totals_mb(&self) -> Vec<f64> {
-        self.totals_q.iter().map(|q| dq_vol(*q)).collect()
+    fn len(&self) -> usize {
+        self.keys.len()
     }
-}
 
-impl EngineSink for VolumeTotalsQ {
-    fn on_observation(&mut self, obs: &SessionObservation) {
-        self.totals_q[obs.bs.0 as usize] += q_vol(obs.volume_mb);
+    /// Appends an empty cell for `key` and returns its id.
+    fn push(&mut self, key: BsCellKey) -> u32 {
+        let id = self.keys.len();
+        if id.is_multiple_of(BLOCK_CELLS) {
+            let (v, d) = (BLOCK_CELLS * self.vbins, BLOCK_CELLS * self.dbins);
+            self.blocks.push(CellBlock {
+                sessions: vec![0; BLOCK_CELLS],
+                traffic_q: vec![0; BLOCK_CELLS],
+                hist_counts: vec![0; v],
+                pair_counts: vec![0; d],
+                pair_vol_q: vec![0; d],
+                pair_log_q: vec![0; d],
+                pair_log_sq_q: vec![0; d],
+            });
+        }
+        self.keys.push(key);
+        u32::try_from(id).expect("fewer than 2³² per-BS cells")
+    }
+
+    /// Cell `id` with its key.
+    fn get(&self, id: u32) -> (BsCellKey, BsCell<'_>) {
+        let (b, i) = locate(id);
+        let (block, v, d) = (&self.blocks[b], self.vbins, self.dbins);
+        let pairs = i * d..(i + 1) * d;
+        let cell = BsCell {
+            sessions: block.sessions[i],
+            traffic_q: block.traffic_q[i],
+            hist_counts: &block.hist_counts[i * v..(i + 1) * v],
+            pair_vol_q: &block.pair_vol_q[pairs.clone()],
+            pair_counts: &block.pair_counts[pairs.clone()],
+            pair_log_q: &block.pair_log_q[pairs.clone()],
+            pair_log_sq_q: &block.pair_log_sq_q[pairs],
+        };
+        (self.keys[id as usize], cell)
+    }
+
+    /// Records one observation into cell `id` (`vol_q == q_vol(volume_mb)`).
+    /// One `log₁₀` of the volume serves both the histogram bin and the
+    /// log sums: above the `1e-12` floor it is the logarithm
+    /// [`LogGrid::bin_of`] would take; at or below it the bin comes from
+    /// `bin_of` itself, and a non-finite volume has no bin.
+    fn record(
+        &mut self,
+        id: u32,
+        volume_mb: f64,
+        vol_q: i128,
+        duration_s: f64,
+        vgrid: &LogGrid,
+        dgrid: &LogGrid,
+    ) {
+        let (key, (b, i)) = (self.keys[id as usize], locate(id));
+        let (block, v, d) = (&mut self.blocks[b], self.vbins, self.dbins);
+        let lv = volume_mb.max(1e-12).log10();
+        let vol_q = narrow(vol_q, key);
+        add_narrow(&mut block.sessions[i], 1, key);
+        add_narrow(&mut block.traffic_q[i], vol_q, key);
+        if volume_mb.is_finite() {
+            let vbin = if volume_mb > 1e-12 {
+                vgrid.bin_of_log10(lv)
+            } else {
+                vgrid.bin_of(volume_mb)
+            };
+            add_narrow(&mut block.hist_counts[i * v + vbin], 1, key);
+        }
+        let p = i * d + dgrid.bin_of(duration_s);
+        add_narrow(&mut block.pair_vol_q[p], vol_q, key);
+        add_narrow(&mut block.pair_counts[p], 1, key);
+        add_narrow(&mut block.pair_log_q[p], narrow(q_log(lv), key), key);
+        add_narrow(
+            &mut block.pair_log_sq_q[p],
+            narrow(q_log(lv * lv), key),
+            key,
+        );
+    }
+
+    /// Adds another cell's sums into cell `id`.
+    fn add(&mut self, id: u32, cell: &BsCell) {
+        let (key, (b, i)) = (self.keys[id as usize], locate(id));
+        let (block, v, d) = (&mut self.blocks[b], self.vbins, self.dbins);
+        let pairs = i * d..(i + 1) * d;
+        add_narrow(&mut block.sessions[i], cell.sessions, key);
+        add_narrow(&mut block.traffic_q[i], cell.traffic_q, key);
+        add_all(
+            &mut block.hist_counts[i * v..(i + 1) * v],
+            cell.hist_counts,
+            key,
+        );
+        add_all(&mut block.pair_counts[pairs.clone()], cell.pair_counts, key);
+        add_all(&mut block.pair_vol_q[pairs.clone()], cell.pair_vol_q, key);
+        add_all(&mut block.pair_log_q[pairs.clone()], cell.pair_log_q, key);
+        add_all(&mut block.pair_log_sq_q[pairs], cell.pair_log_sq_q, key);
     }
 }
 
@@ -323,11 +477,11 @@ impl SignalRowQ {
     }
 }
 
-/// Cell-index entry of a (day, group, service) without a cell yet.
+/// Cell-index entry of a (BS, day, service) without a cell yet.
 const NO_CELL: u32 = u32::MAX;
 
-/// Pass-2 sink: accumulates cells and minute rows for (a shard of) a
-/// campaign in fixed point.
+/// The one sink of a build or of a campaign shard: per-BS cells, per-BS
+/// volume totals and minute rows, all in fixed point.
 ///
 /// Observations are attributed by **global** BS id, so a shard sink also
 /// collects handover fragments that land on neighbor stations outside
@@ -336,24 +490,34 @@ const NO_CELL: u32 = u32::MAX;
 /// exactly. Rows are kept sparse (only touched BSs) so a shard's memory
 /// scales with its own size plus the handover fringe, not with `n_bs`.
 ///
-/// Cells live in insertion order and are found through a direct index
-/// over (day, group, service), not a key-ordered tree: every observation
-/// lands in a cell, so the lookup is the hot path. Integer sums do not
-/// depend on insertion order; whatever can observe the cells walks them
-/// in key order through [`Self::cells`].
+/// Cells are keyed (service, BS, day) and live in insertion order in one
+/// arena, found through a direct index over (BS, day) to a service slot:
+/// every observation lands in a cell, so the lookup is the hot path.
+/// Integer sums do not depend on insertion order; whatever can observe
+/// the cells walks them in key order through [`Self::cells`].
+///
+/// A per-BS cell's sums are narrow — `u32` counts, `i64` sums — and every
+/// add is checked: an overflow panics naming the cell's key, it never
+/// wraps. The engine clamps session volumes to `[1e-3, 1e4]` MB
+/// (`services.rs`, `scenarios/bursts.rs`, `scenarios/drift.rs`), so one
+/// observation adds at most `1e4 · 2²⁰ ≈ 1.05·10¹⁰` to a volume sum and,
+/// even at the `1e-12` log floor, `144 · 2³² ≈ 6.2·10¹¹` to the `log²`
+/// sum, the tightest one. One cell therefore holds at least `1.4·10⁷`
+/// observations: over 140 times the 102,240 sessions a BS at the
+/// paper's peak rate of 71 sessions/min would start in a whole day, and
+/// a cell holds only one service's sessions of one BS and one day.
 pub struct ShardAccumulator {
     volume_grid: LogGrid,
     duration_grid: LogGrid,
-    group_of_bs: Vec<u16>,
     n_days: u32,
-    n_groups: usize,
     row_len: usize,
-    /// Row `day × n_groups + group` maps a service id to its slot in
-    /// `cells` ([`NO_CELL`] when absent); rows grow as services appear.
+    /// Quantized volume of every observation per global BS id, past-
+    /// horizon ones included: the load-decile input.
+    totals_q: Vec<i128>,
+    /// Row `bs × n_days + day` maps a service id to its cell id
+    /// ([`NO_CELL`] when absent); rows grow as services appear.
     cell_index: Vec<Vec<u32>>,
-    /// Accumulated cells with their (service, group, day) keys, in
-    /// insertion order.
-    cells: Vec<(CellKey, ExactCell)>,
+    cells: CellArena,
     /// Accumulated minute rows keyed by global BS id.
     pub minutes: BTreeMap<u32, MinuteRowQ>,
     /// Accumulated control-plane rows keyed by global BS id. `None`
@@ -364,58 +528,55 @@ pub struct ShardAccumulator {
 }
 
 impl ShardAccumulator {
-    /// An empty accumulator for a campaign with the given group table.
+    /// An empty accumulator for a campaign of `n_bs` stations over
+    /// `n_days` days.
     #[must_use]
     pub fn new(
         volume_grid: LogGrid,
         duration_grid: LogGrid,
-        group_of_bs: Vec<u16>,
+        n_bs: usize,
         n_days: u32,
     ) -> ShardAccumulator {
-        let n_groups = group_of_bs.iter().max().map_or(0, |g| usize::from(*g) + 1);
         ShardAccumulator {
             volume_grid,
             duration_grid,
-            group_of_bs,
             n_days,
-            n_groups,
             row_len: (n_days * MINUTES_PER_DAY) as usize,
-            cell_index: vec![Vec::new(); n_days as usize * n_groups],
-            cells: Vec::new(),
+            totals_q: vec![0; n_bs],
+            cell_index: vec![Vec::new(); n_bs * n_days as usize],
+            cells: CellArena::new(volume_grid.bins(), duration_grid.bins()),
             minutes: BTreeMap::new(),
             signaling: None,
         }
     }
 
-    /// The cell for `key`, created empty on first use.
-    fn cell_mut(&mut self, key: CellKey) -> &mut ExactCell {
-        let (service, group, day) = key;
-        let row = &mut self.cell_index[day as usize * self.n_groups + usize::from(group)];
+    /// The id of the cell for `key`, created empty on first use.
+    fn cell_id(&mut self, key: BsCellKey) -> u32 {
+        let (service, bs, day) = key;
+        let row = &mut self.cell_index[bs as usize * self.n_days as usize + day as usize];
         let service = usize::from(service);
         if row.len() <= service {
             row.resize(service + 1, NO_CELL);
         }
-        let slot = match row[service] {
-            NO_CELL => {
-                row[service] = self.cells.len() as u32;
-                let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
-                self.cells.push((key, ExactCell::new(vbins, dbins)));
-                self.cells.len() - 1
-            }
-            slot => slot as usize,
-        };
-        &mut self.cells[slot].1
+        if row[service] == NO_CELL {
+            row[service] = self.cells.push(key);
+        }
+        row[service]
     }
 
-    /// The accumulated cells in (service, group, day) key order — the one
-    /// order in which finalizing, merging and spilling walk them.
-    pub fn cells(&self) -> impl ExactSizeIterator<Item = (&CellKey, &ExactCell)> {
-        let mut order: Vec<usize> = (0..self.cells.len()).collect();
-        order.sort_unstable_by_key(|&i| self.cells[i].0);
-        order.into_iter().map(|i| {
-            let (key, cell) = &self.cells[i];
-            (key, cell)
-        })
+    /// The per-BS cells in (service, BS, day) key order — the one order
+    /// in which comparing and spilling walk them.
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = (BsCellKey, BsCell<'_>)> {
+        let mut order: Vec<u32> = (0..self.cells.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| self.cells.keys[id as usize]);
+        order.into_iter().map(|id| self.cells.get(id))
+    }
+
+    /// Quantized volume totals per global BS id, past-horizon
+    /// observations included.
+    #[must_use]
+    pub fn totals_q(&self) -> &[i128] {
+        &self.totals_q
     }
 
     /// Turns on control-plane collection: subsequent signaling events
@@ -461,8 +622,12 @@ impl ShardAccumulator {
     }
 
     /// Records one observation (same attribution rules as
-    /// [`crate::Dataset::record_observation`]).
+    /// [`crate::Dataset::record_observation`]). Its volume counts toward
+    /// its BS's total even past the horizon, where the cells and rows
+    /// drop it: the engine served that traffic.
     pub fn record(&mut self, obs: &SessionObservation) {
+        let vol_q = q_vol(obs.volume_mb);
+        self.totals_q[obs.bs.0 as usize] += vol_q;
         let day = obs.start.day;
         if day >= self.n_days {
             // Sessions spilling past the campaign end are not measured.
@@ -470,7 +635,6 @@ impl ShardAccumulator {
             return;
         }
         let minute = (day * MINUTES_PER_DAY + obs.start.minute_of_day()) as usize;
-        let vol_q = q_vol(obs.volume_mb);
         let row_len = self.row_len;
         let row = self
             .minutes
@@ -479,16 +643,22 @@ impl ShardAccumulator {
         row.counts[minute] += 1;
         row.vol_q[minute] += vol_q as i64;
 
-        let key = (obs.service.0, self.group_of_bs[obs.bs.0 as usize], day);
+        let id = self.cell_id((obs.service.0, obs.bs.0, day));
         let (vgrid, dgrid) = (self.volume_grid, self.duration_grid);
-        self.cell_mut(key)
-            .record_quantized(obs.volume_mb, vol_q, obs.duration_s, &vgrid, &dgrid);
+        self.cells
+            .record(id, obs.volume_mb, vol_q, obs.duration_s, &vgrid, &dgrid);
     }
 
     /// Merges another accumulator (same campaign) into this one.
     pub fn merge(&mut self, other: &ShardAccumulator) {
-        for (key, cell) in other.cells() {
-            self.cell_mut(*key).merge(cell);
+        for id in 0..other.cells.len() as u32 {
+            let (key, cell) = other.cells.get(id);
+            let mine = self.cell_id(key);
+            self.cells.add(mine, &cell);
+        }
+        assert_eq!(self.totals_q.len(), other.totals_q.len());
+        for (a, b) in self.totals_q.iter_mut().zip(&other.totals_q) {
+            *a += b;
         }
         for (bs, row) in &other.minutes {
             let row_len = self.row_len;
@@ -510,12 +680,44 @@ impl ShardAccumulator {
         }
     }
 
-    /// Finalizes the cells into their float [`CellStats`] form.
+    /// Sums the per-BS cells into (service, group, day) cells, where
+    /// `group_of_bs` names each BS's group. Yields each group cell once,
+    /// in key order, and holds one at a time.
+    fn group_cells<'a>(
+        &'a self,
+        group_of_bs: &'a [u16],
+    ) -> impl Iterator<Item = (CellKey, ExactCell)> + 'a {
+        let group_key = move |id: u32| {
+            let (service, bs, day) = self.cells.keys[id as usize];
+            (service, group_of_bs[bs as usize], day)
+        };
+        let mut order: Vec<u32> = (0..self.cells.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| group_key(id));
+        let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let key = group_key(*order.get(next)?);
+            let mut cell = ExactCell::new(vbins, dbins);
+            while let Some(&id) = order.get(next).filter(|&&id| group_key(id) == key) {
+                cell.add(&self.cells.get(id).1);
+                next += 1;
+            }
+            Some((key, cell))
+        })
+    }
+
+    /// Turns the finished accumulator into group cells: the per-BS
+    /// totals rank `stations` into load deciles and groups
+    /// ([`BsGroups::from_totals`]), then each group cell is summed from
+    /// its per-BS cells and finalized, one group cell at a time.
     #[must_use]
-    pub fn finalize_cells(&self) -> BTreeMap<CellKey, CellStats> {
-        self.cells()
-            .map(|(k, c)| (*k, c.to_cell_stats(&self.volume_grid)))
-            .collect()
+    pub fn finalize_cells(&self, stations: &[BaseStation]) -> (BsGroups, CellMap) {
+        let grouping = BsGroups::from_totals(stations, &self.totals_q);
+        let cells = self
+            .group_cells(&grouping.group_of_bs)
+            .map(|(key, cell)| (key, cell.to_cell_stats(&self.volume_grid)))
+            .collect();
+        (grouping, cells)
     }
 
     /// Finalizes the minute rows into dense per-BS arrays for `n_bs`
@@ -568,8 +770,11 @@ impl EngineSink for ShardAccumulator {
 mod tests {
     use super::*;
     use crate::record::{duration_grid, volume_grid};
+    use mtd_math::rng::{check_cases, vec_of};
     use mtd_netsim::ids::{BsId, Rat, ServiceId, SessionId};
     use mtd_netsim::time::SimTime;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     fn obs(bs: u32, service: u16, day: u32, secs: f64, vol: f64, dur: f64) -> SessionObservation {
         SessionObservation {
@@ -607,60 +812,170 @@ mod tests {
             .collect()
     }
 
-    fn accum(observations: &[SessionObservation], group_of_bs: Vec<u16>) -> ShardAccumulator {
-        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), group_of_bs, 3);
+    fn accum<'a>(
+        observations: impl IntoIterator<Item = &'a SessionObservation>,
+        vgrid: LogGrid,
+        n_bs: usize,
+        n_days: u32,
+    ) -> ShardAccumulator {
+        let mut acc = ShardAccumulator::new(vgrid, duration_grid(), n_bs, n_days);
         for o in observations {
             acc.record(o);
         }
         acc
     }
 
-    #[test]
-    fn merge_grouping_is_unobservable() {
-        // The campaign invariant in miniature: any partition of the same
-        // observation stream into accumulators, merged in any order,
-        // yields identical integer state.
-        let all = stream(2_000, 8);
-        let groups = vec![0u16; 8];
-        let monolithic = accum(&all, groups.clone());
-
-        for parts in [2usize, 3, 7] {
-            let chunk = all.len().div_ceil(parts);
-            let mut merged =
-                ShardAccumulator::new(volume_grid(), duration_grid(), groups.clone(), 3);
-            // Merge shards in reverse order to stress order-independence.
-            let shards: Vec<ShardAccumulator> = all
-                .chunks(chunk)
-                .map(|c| accum(c, groups.clone()))
-                .collect();
-            for shard in shards.iter().rev() {
-                merged.merge(shard);
+    /// The integer cell formulas as first written: libm rounding through
+    /// `i128`, and `log₁₀` taken separately for the bin and the sums.
+    fn record_by_direct_formulas(
+        cell: &mut ExactCell,
+        volume_mb: f64,
+        duration_s: f64,
+        vgrid: &LogGrid,
+        dgrid: &LogGrid,
+    ) {
+        let q_vol = |v: f64| (v * Q_VOL).round() as i128;
+        let q_log = |v: f64| (v * Q_LOG).round() as i128;
+        let bin_of = |g: &LogGrid, x: f64| {
+            if x <= 0.0 {
+                return 0;
             }
-            // Cells are stored in insertion order, which differs between
-            // partitions; the key-ordered views must agree.
-            assert!(merged.cells().eq(monolithic.cells()), "parts={parts}");
-            assert_eq!(merged.minutes, monolithic.minutes, "parts={parts}");
-            // And the finalized float form is bit-equal, not just close.
-            let a = merged.finalize_cells();
-            let b = monolithic.finalize_cells();
-            assert_eq!(a, b, "parts={parts}");
+            let idx = ((x.log10() - g.lo_log10()) / g.bin_width()).floor();
+            idx.clamp(0.0, (g.bins() - 1) as f64) as usize
+        };
+        cell.sessions += 1;
+        cell.traffic_q += q_vol(volume_mb);
+        if volume_mb.is_finite() {
+            cell.hist_counts[bin_of(vgrid, volume_mb)] += 1;
+            cell.hist_total += 1;
+        }
+        let bin = bin_of(dgrid, duration_s);
+        cell.pair_vol_q[bin] += q_vol(volume_mb);
+        cell.pair_counts[bin] += 1;
+        let lv = volume_mb.max(1e-12).log10();
+        cell.pair_log_q[bin] += q_log(lv);
+        cell.pair_log_sq_q[bin] += q_log(lv * lv);
+    }
+
+    #[test]
+    fn per_bs_cells_group_like_the_reference_and_merge_in_any_order() {
+        // Every case also records each in-range edge volume at each edge
+        // duration; a grid reaching below the 1e-12 log floor is where
+        // the floor matters.
+        let edge_volumes = [0.0, 5e-324, 1e-13, 1e-12, 0.37, 1e4, f64::NAN];
+        let edge_durations = [0.0, 0.5, 60.0, 1e9];
+        let deep = LogGrid::new(-15.0, 4.0, 95).unwrap();
+        check_cases("dataset/accum/per_bs_cells_group", 64, |rng| {
+            let vgrid = if rng.gen_bool(0.5) {
+                volume_grid()
+            } else {
+                deep
+            };
+            let dgrid = duration_grid();
+            let n_bs = rng.gen_range(1..9usize);
+            let n_days = rng.gen_range(1..4u32);
+            let n_groups = rng.gen_range(1..5u16);
+            let group_of_bs: Vec<u16> = (0..n_bs).map(|_| rng.gen_range(0..n_groups)).collect();
+            let draw = |rng: &mut SmallRng, volume: f64, duration: f64| {
+                // Day `n_days` is past the horizon: totals only.
+                let day = rng.gen_range(0..=n_days);
+                let bs = rng.gen_range(0..n_bs as u32);
+                let service = rng.gen_range(0..6u16);
+                obs(
+                    bs,
+                    service,
+                    day,
+                    rng.gen_range(0.0..86_400.0),
+                    volume,
+                    duration,
+                )
+            };
+            let mut observations = vec_of(rng, 0..300, |rng| {
+                let volume = 10f64.powf(rng.gen_range(-3.0..4.0));
+                let duration = 10f64.powf(rng.gen_range(0.0..5.0));
+                draw(rng, volume, duration)
+            });
+            for volume in edge_volumes {
+                for duration in edge_durations {
+                    observations.push(draw(rng, volume, duration));
+                }
+            }
+
+            // The reference records straight into per-group cells.
+            let mut expect: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
+            let mut expect_totals = vec![0i128; n_bs];
+            for o in &observations {
+                let bs = o.bs.0 as usize;
+                expect_totals[bs] += (o.volume_mb * Q_VOL).round() as i128;
+                if o.start.day < n_days {
+                    let key = (o.service.0, group_of_bs[bs], o.start.day);
+                    let cell = expect
+                        .entry(key)
+                        .or_insert_with(|| ExactCell::new(vgrid.bins(), dgrid.bins()));
+                    record_by_direct_formulas(cell, o.volume_mb, o.duration_s, &vgrid, &dgrid);
+                }
+            }
+            let acc = accum(&observations, vgrid, n_bs, n_days);
+            let got: Vec<(CellKey, ExactCell)> = acc.group_cells(&group_of_bs).collect();
+            assert_eq!(got, expect.into_iter().collect::<Vec<_>>());
+            assert_eq!(acc.totals_q(), expect_totals);
+
+            // Any partition into shards, merged in any order, is the same
+            // state: per-BS cells, totals and rows alike.
+            let parts = rng.gen_range(1..5usize);
+            let part_of: Vec<usize> = observations
+                .iter()
+                .map(|_| rng.gen_range(0..parts))
+                .collect();
+            let mut order: Vec<usize> = (0..parts).collect();
+            for i in (1..parts).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut merged = ShardAccumulator::new(vgrid, dgrid, n_bs, n_days);
+            for part in order {
+                let mine = observations
+                    .iter()
+                    .zip(&part_of)
+                    .filter(|(_, p)| **p == part);
+                merged.merge(&accum(mine.map(|(o, _)| o), vgrid, n_bs, n_days));
+            }
+            assert!(merged.cells().eq(acc.cells()));
+            assert_eq!(merged.totals_q(), acc.totals_q());
+            assert_eq!(merged.minutes, acc.minutes);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "per-BS cell (service 2, BS 1, day 0) overflowed")]
+    fn narrow_sums_panic_instead_of_wrapping() {
+        // 1e12 MB quantizes to about 1.05·10¹⁸ units, so the ninth such
+        // session in one cell passes i64::MAX. One per minute keeps the
+        // minute rows clear of it.
+        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 1);
+        for minute in 0..10 {
+            acc.record(&obs(1, 2, 0, 60.0 * f64::from(minute), 1e12, 60.0));
         }
     }
 
     #[test]
-    fn exact_cell_tracks_cellstats_closely() {
+    fn group_cells_track_cellstats_closely() {
         // The quantized pipeline replaces float accumulation; the
         // finalized values must match a direct CellStats accumulation to
-        // quantization precision, and counts exactly.
-        let dg = duration_grid();
-        let vg = volume_grid();
-        let mut exact = ExactCell::new(vg.bins(), dg.bins());
+        // quantization precision, and counts exactly. Every observation
+        // lands in one cell.
+        let (vg, dg) = (volume_grid(), duration_grid());
         let mut float = CellStats::new(vg, dg.bins());
-        for o in stream(500, 1) {
-            exact.record(o.volume_mb, o.duration_s, &vg, &dg);
+        let observations: Vec<SessionObservation> = stream(500, 1)
+            .iter()
+            .map(|o| obs(0, 0, 0, 10.0, o.volume_mb, o.duration_s))
+            .collect();
+        for o in &observations {
             float.record(o.volume_mb, o.duration_s, &dg);
         }
-        let finalized = exact.to_cell_stats(&vg);
+        let acc = accum(&observations, vg, 1, 1);
+        let cells: Vec<(CellKey, ExactCell)> = acc.group_cells(&[0]).collect();
+        assert_eq!(cells.len(), 1);
+        let finalized = cells[0].1.to_cell_stats(&vg);
         assert_eq!(finalized.sessions, float.sessions);
         assert_eq!(finalized.volume_hist.counts(), float.volume_hist.counts());
         assert_eq!(finalized.volume_hist.total(), float.volume_hist.total());
@@ -679,10 +994,12 @@ mod tests {
 
     #[test]
     fn spilled_observations_are_dropped() {
-        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), vec![0], 2);
+        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 1, 2);
         acc.record(&obs(0, 0, 2, 10.0, 1.0, 60.0)); // day 2 of a 2-day run
         assert_eq!(acc.cells().len(), 0);
         assert!(acc.minutes.is_empty());
+        // The engine still served it, so it still counts toward the load.
+        assert_eq!(acc.totals_q(), [q_vol(1.0)]);
     }
 
     fn sig(bs: u32, day: u32, secs: f64, which: u64) -> SignalingEvent {
@@ -722,8 +1039,7 @@ mod tests {
     #[test]
     fn signaling_merge_is_partition_invariant() {
         let events = sig_stream(3_000, 8);
-        let groups = vec![0u16; 8];
-        let mut mono = ShardAccumulator::new(volume_grid(), duration_grid(), groups.clone(), 3);
+        let mut mono = ShardAccumulator::new(volume_grid(), duration_grid(), 8, 3);
         mono.enable_signaling();
         for ev in &events {
             mono.record_signaling(ev);
@@ -731,14 +1047,12 @@ mod tests {
 
         for parts in [2usize, 3, 7] {
             let chunk = events.len().div_ceil(parts);
-            let mut merged =
-                ShardAccumulator::new(volume_grid(), duration_grid(), groups.clone(), 3);
+            let mut merged = ShardAccumulator::new(volume_grid(), duration_grid(), 8, 3);
             merged.enable_signaling();
             let shards: Vec<ShardAccumulator> = events
                 .chunks(chunk)
                 .map(|c| {
-                    let mut acc =
-                        ShardAccumulator::new(volume_grid(), duration_grid(), groups.clone(), 3);
+                    let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 8, 3);
                     acc.enable_signaling();
                     for ev in c {
                         acc.record_signaling(ev);
@@ -760,7 +1074,7 @@ mod tests {
 
     #[test]
     fn signaling_is_gated_and_drops_spill_and_detach() {
-        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), vec![0, 0], 2);
+        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 2);
         // Disabled: events vanish and finalize stays None.
         acc.record_signaling(&sig(0, 0, 5.0, 0));
         assert!(acc.finalize_signaling(2).is_none());
@@ -779,27 +1093,6 @@ mod tests {
         assert_eq!(plane.handover[0].iter().sum::<u32>(), 0);
         // Rows are dense with the full campaign length.
         assert_eq!(plane.attach[1].len(), 2 * 1440);
-    }
-
-    #[test]
-    fn volume_totals_are_partition_invariant() {
-        let all = stream(1_000, 5);
-        let mut mono = VolumeTotalsQ::new(5);
-        for o in &all {
-            mono.on_observation(o);
-        }
-        let mut merged = VolumeTotalsQ::new(5);
-        for part in all.chunks(137) {
-            let mut shard = VolumeTotalsQ::new(5);
-            for o in part {
-                shard.on_observation(o);
-            }
-            for (a, b) in merged.totals_q.iter_mut().zip(&shard.totals_q) {
-                *a += b;
-            }
-        }
-        assert_eq!(merged.totals_q, mono.totals_q);
-        assert_eq!(merged.totals_mb(), mono.totals_mb());
     }
 
     #[test]
@@ -851,87 +1144,5 @@ mod tests {
                 x.to_bits()
             );
         }
-    }
-
-    /// `ExactCell::record` as first written: libm rounding through
-    /// `i128`, and `log₁₀` taken separately for the bin and the sums.
-    fn record_by_direct_formulas(
-        cell: &mut ExactCell,
-        volume_mb: f64,
-        duration_s: f64,
-        vgrid: &LogGrid,
-        dgrid: &LogGrid,
-    ) {
-        let q_vol = |v: f64| (v * Q_VOL).round() as i128;
-        let q_log = |v: f64| (v * Q_LOG).round() as i128;
-        let bin_of = |g: &LogGrid, x: f64| {
-            if x <= 0.0 {
-                return 0;
-            }
-            let idx = ((x.log10() - g.lo_log10()) / g.bin_width()).floor();
-            idx.clamp(0.0, (g.bins() - 1) as f64) as usize
-        };
-        cell.sessions += 1;
-        cell.traffic_q += q_vol(volume_mb);
-        if volume_mb.is_finite() {
-            cell.hist_counts[bin_of(vgrid, volume_mb)] += 1;
-            cell.hist_total += 1;
-        }
-        let bin = bin_of(dgrid, duration_s);
-        cell.pair_vol_q[bin] += q_vol(volume_mb);
-        cell.pair_counts[bin] += 1;
-        let lv = volume_mb.max(1e-12).log10();
-        cell.pair_log_q[bin] += q_log(lv);
-        cell.pair_log_sq_q[bin] += q_log(lv * lv);
-    }
-
-    #[test]
-    fn record_matches_direct_formulas() {
-        // 1e13 MB quantizes past 2⁶³ units: the i128 path.
-        let volumes = [
-            0.0,
-            -1.0,
-            5e-324,
-            1e-13,
-            1e-12,
-            0.37,
-            1e4,
-            1e13,
-            f64::NAN,
-            f64::INFINITY,
-        ];
-        let (vg, dg) = (volume_grid(), duration_grid());
-        // A grid reaching below the 1e-12 floor, where the floor matters.
-        let deep = LogGrid::new(-15.0, 4.0, 95).unwrap();
-        for vgrid in [vg, deep] {
-            for volume in volumes {
-                for duration in [0.0, 0.5, 60.0, 1e9] {
-                    let mut got = ExactCell::new(vgrid.bins(), dg.bins());
-                    got.record(volume, duration, &vgrid, &dg);
-                    let mut expect = ExactCell::new(vgrid.bins(), dg.bins());
-                    record_by_direct_formulas(&mut expect, volume, duration, &vgrid, &dg);
-                    assert_eq!(got, expect, "volume={volume:e} duration={duration}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cells_in_key_order_match_a_keyed_map() {
-        // Several groups and days, so the direct index spans many rows.
-        let all = stream(3_000, 8);
-        let groups = vec![0u16, 3, 1, 1, 2, 0, 3, 2];
-        let acc = accum(&all, groups.clone());
-        let mut expect: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
-        let (vg, dg) = (volume_grid(), duration_grid());
-        for o in &all {
-            let key = (o.service.0, groups[o.bs.0 as usize], o.start.day);
-            expect
-                .entry(key)
-                .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins()))
-                .record(o.volume_mb, o.duration_s, &vg, &dg);
-        }
-        assert!(acc.cells().eq(expect.iter()));
-        assert_eq!(acc.cells().len(), expect.len());
     }
 }

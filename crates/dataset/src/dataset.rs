@@ -1,5 +1,6 @@
 //! The dataset container and its Eq. (1)/(2) aggregation queries.
 
+use crate::accum::{dq_vol, ShardAccumulator};
 use crate::decile::assign_deciles;
 use crate::record::{duration_grid, volume_grid, CellStats, PairPoint};
 use mtd_math::histogram::{BinnedPdf, LogGrid};
@@ -202,42 +203,62 @@ pub type CellKey = (u16, u16, u32);
 /// The ordered cell store.
 pub type CellMap = std::collections::BTreeMap<CellKey, CellStats>;
 
-/// Builds the interned group table for a topology: the distinct
-/// [`GroupKey`]s in first-appearance (station) order, plus each BS's
-/// group index. Shared by [`Dataset::build`] and the campaign runner so
-/// both derive identical group numbering from identical deciles.
-#[must_use]
-pub fn group_table(
-    stations: &[mtd_netsim::geo::BaseStation],
-    decile_of_bs: &[u8],
-) -> (Vec<GroupKey>, Vec<u16>) {
-    let mut groups: Vec<GroupKey> = Vec::new();
-    let mut group_index: HashMap<GroupKey, u16> = HashMap::new();
-    let mut group_of_bs = Vec::with_capacity(stations.len());
-    for (i, s) in stations.iter().enumerate() {
-        let key = GroupKey {
-            decile: decile_of_bs[i],
-            region: s.region,
-            city: s.city,
-            rat: s.rat,
-        };
-        let idx = *group_index.entry(key).or_insert_with(|| {
-            groups.push(key);
-            (groups.len() - 1) as u16
-        });
-        group_of_bs.push(idx);
+/// How a campaign's base stations group: each BS's measured volume, the
+/// load decile it ranks into (§4.1), and the interned (decile, region,
+/// city, RAT) group table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BsGroups {
+    /// Total measured volume per BS (MB).
+    pub bs_total_volume_mb: Vec<f64>,
+    /// Load decile per BS.
+    pub decile_of_bs: Vec<u8>,
+    /// The distinct [`GroupKey`]s in first-appearance (station) order.
+    pub groups: Vec<GroupKey>,
+    /// Each BS's index into `groups`.
+    pub group_of_bs: Vec<u16>,
+}
+
+impl BsGroups {
+    /// Groups `stations` by their quantized per-BS volume totals. Shared
+    /// by [`Dataset::build`] and the campaign assembler, so both derive
+    /// identical deciles and group numbering from identical totals.
+    #[must_use]
+    pub fn from_totals(stations: &[mtd_netsim::geo::BaseStation], totals_q: &[i128]) -> BsGroups {
+        let bs_total_volume_mb: Vec<f64> = totals_q.iter().map(|q| dq_vol(*q)).collect();
+        let decile_of_bs = assign_deciles(&bs_total_volume_mb);
+        let mut groups: Vec<GroupKey> = Vec::new();
+        let mut group_index: HashMap<GroupKey, u16> = HashMap::new();
+        let mut group_of_bs = Vec::with_capacity(stations.len());
+        for (i, s) in stations.iter().enumerate() {
+            let key = GroupKey {
+                decile: decile_of_bs[i],
+                region: s.region,
+                city: s.city,
+                rat: s.rat,
+            };
+            let idx = *group_index.entry(key).or_insert_with(|| {
+                groups.push(key);
+                (groups.len() - 1) as u16
+            });
+            group_of_bs.push(idx);
+        }
+        BsGroups {
+            bs_total_volume_mb,
+            decile_of_bs,
+            groups,
+            group_of_bs,
+        }
     }
-    (groups, group_of_bs)
 }
 
 impl Dataset {
-    /// Builds the dataset by running the engine twice (see crate docs):
-    /// once to measure per-BS totals for decile assignment, once to fill
-    /// the cells. Both passes are deterministic and identical.
+    /// Builds the dataset from one run of the engine (see crate docs):
+    /// cells accumulate per BS, and once every BS's total volume is
+    /// known they are grouped by load decile.
     ///
-    /// Accumulation goes through the fixed-point [`crate::accum`] sinks —
-    /// the same pipeline the sharded campaign runner uses — so a
-    /// monolithic build and a sharded campaign produce byte-identical
+    /// Accumulation goes through the fixed-point [`ShardAccumulator`] —
+    /// the same sink each shard of the sharded campaign runner uses — so
+    /// a monolithic build and a sharded campaign produce byte-identical
     /// stores by construction.
     #[must_use]
     pub fn build(
@@ -247,44 +268,29 @@ impl Dataset {
     ) -> Dataset {
         let _span = mtd_telemetry::span!("dataset.build");
         let engine = Engine::new(config, topology, catalog);
-        let threads = mtd_par::threads();
-
-        // Pass 1: totals → deciles. (The parallel runner is bit-identical
-        // to the sequential one.)
-        let mut pass1 = crate::accum::VolumeTotalsQ::new(topology.len());
-        {
-            let _span = mtd_telemetry::span!("pass1_totals");
-            engine.run_parallel(&mut pass1, threads);
-        }
-        let totals_mb = pass1.totals_mb();
-        let decile_of_bs = assign_deciles(&totals_mb);
-        let (groups, group_of_bs) = group_table(topology.stations(), &decile_of_bs);
-
-        // Pass 2: identical run fills cells.
-        let mut pass2 = crate::accum::ShardAccumulator::new(
-            volume_grid(),
-            duration_grid(),
-            group_of_bs.clone(),
-            config.days,
-        );
+        let mut acc =
+            ShardAccumulator::new(volume_grid(), duration_grid(), topology.len(), config.days);
         if config.stress.control_plane {
-            pass2.enable_signaling();
+            acc.enable_signaling();
         }
         {
+            // Named `pass2_fill` because the benchmark reads this span as
+            // `dataset.pass2_s`; with no `pass1_totals` span it reads
+            // `dataset.pass1_s` as 0.
             let _span = mtd_telemetry::span!("pass2_fill");
-            engine.run_parallel(&mut pass2, threads);
+            engine.run_parallel(&mut acc, mtd_par::threads());
         }
-        let cells = pass2.finalize_cells();
-        let (minute_counts, minute_volume_mb) = pass2.finalize_minutes(topology.len());
-        let signaling = pass2.finalize_signaling(topology.len());
+        let (grouping, cells) = acc.finalize_cells(topology.stations());
+        let (minute_counts, minute_volume_mb) = acc.finalize_minutes(topology.len());
+        let signaling = acc.finalize_signaling(topology.len());
         let dataset = Dataset {
             volume_grid: volume_grid(),
             duration_grid: duration_grid(),
             service_names: catalog.services().iter().map(|s| s.name.clone()).collect(),
-            groups,
-            group_of_bs,
-            decile_of_bs,
-            bs_total_volume_mb: totals_mb,
+            groups: grouping.groups,
+            group_of_bs: grouping.group_of_bs,
+            decile_of_bs: grouping.decile_of_bs,
+            bs_total_volume_mb: grouping.bs_total_volume_mb,
             cells,
             minute_counts,
             minute_volume_mb,
@@ -295,8 +301,9 @@ impl Dataset {
         dataset
     }
 
-    /// Records one observation (used by the pass-2 sink; public for
-    /// feeding externally-joined probe data in tests).
+    /// Records one observation straight into the float cells and rows,
+    /// with the same attribution rules as the build's accumulator — for
+    /// feeding externally joined probe data into a built dataset.
     pub fn record_observation(&mut self, obs: &SessionObservation) {
         let bs = obs.bs.0 as usize;
         let day = obs.start.day;

@@ -18,10 +18,12 @@
 //! region, city, RAT; §4.1: load decile) is a union of such groups. This
 //! keeps memory bounded while exercising the identical estimators.
 //!
-//! Building is two-pass: BS load deciles depend on total measured traffic,
-//! so pass 1 measures per-BS volume totals, then pass 2 (an identical,
-//! deterministic re-run of the engine) fills the cells. Determinism of the
-//! engine makes the two passes see exactly the same traffic.
+//! Building is one pass: BS load deciles depend on total measured
+//! traffic, so the engine's observations accumulate into cells keyed per
+//! (service, BS, day) while every BS's volume is summed, and once the
+//! pass ends the totals rank the BSs into deciles and the per-BS cells
+//! sum into their group cells (`accum`). Integer sums do not depend on
+//! how they are grouped, so this equals accumulating per group directly.
 
 pub mod accum;
 pub mod chunk;
@@ -33,8 +35,8 @@ pub mod record;
 pub mod shares;
 pub mod store;
 
-pub use accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ, VolumeTotalsQ};
-pub use dataset::{group_table, CellKey, CellMap, Dataset, GroupKey, SignalingPlane, SliceFilter};
+pub use accum::{BsCell, BsCellKey, ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
+pub use dataset::{BsGroups, CellKey, CellMap, Dataset, GroupKey, SignalingPlane, SliceFilter};
 pub use record::{CellStats, PairPoint};
 pub use shares::SharesAccumulator;
 pub mod window;

@@ -95,13 +95,21 @@ pub struct VranReport {
 
 /// Bin-packing heuristic: first-fit decreasing of DU loads onto PSs of
 /// `capacity`; a DU exceeding one PS takes dedicated full PSs for the
-/// overflow. Returns per-PS loads.
-#[must_use]
-pub fn first_fit_decreasing(du_loads: &[f64], capacity: f64) -> Vec<f64> {
-    let mut loads: Vec<f64> = du_loads.iter().copied().filter(|l| *l > 0.0).collect();
-    loads.sort_by(|a, b| b.total_cmp(a));
-    let mut ps: Vec<f64> = Vec::new();
-    for mut l in loads {
+/// overflow. Fills `ps` with the per-PS loads, using `sorted` as scratch
+/// for the sorted DU loads; both are cleared first, so a caller packing
+/// every time slot reuses them.
+pub fn first_fit_decreasing(
+    du_loads: &[f64],
+    capacity: f64,
+    sorted: &mut Vec<f64>,
+    ps: &mut Vec<f64>,
+) {
+    sorted.clear();
+    sorted.extend(du_loads.iter().copied().filter(|l| *l > 0.0));
+    sorted.sort_by(|a, b| b.total_cmp(a));
+    ps.clear();
+    for &load in sorted.iter() {
+        let mut l = load;
         // Oversized DUs: dedicate fully-loaded PSs to the overflow.
         while l > capacity {
             ps.push(capacity);
@@ -112,7 +120,6 @@ pub fn first_fit_decreasing(du_loads: &[f64], capacity: f64) -> Vec<f64> {
             None => ps.push(l),
         }
     }
-    ps
 }
 
 /// Runs the orchestrator over per-ES throughput series.
@@ -121,11 +128,12 @@ fn orchestrate(label: &'static str, es_series: &[Vec<f64>], config: &VranConfig)
     let mut active_ps = Vec::with_capacity(horizon);
     let mut power_w = Vec::with_capacity(horizon);
     let mut du_loads = vec![0.0f64; es_series.len()];
+    let (mut sorted, mut ps) = (Vec::new(), Vec::new());
     for t in 0..horizon {
         for (e, series) in es_series.iter().enumerate() {
             du_loads[e] = series[t];
         }
-        let ps = first_fit_decreasing(&du_loads, config.ps_capacity_mbps);
+        first_fit_decreasing(&du_loads, config.ps_capacity_mbps, &mut sorted, &mut ps);
         active_ps.push(ps.len() as u32);
         power_w.push(
             ps.iter()
@@ -313,10 +321,16 @@ mod tests {
     use mtd_netsim::geo::Topology;
     use mtd_netsim::ScenarioConfig;
 
+    fn ffd(du_loads: &[f64], capacity: f64) -> Vec<f64> {
+        let mut ps = Vec::new();
+        first_fit_decreasing(du_loads, capacity, &mut Vec::new(), &mut ps);
+        ps
+    }
+
     #[test]
     fn ffd_packs_tightly() {
         // Loads 60+40 and 50+50 fit into exactly two 100-capacity PSs.
-        let ps = first_fit_decreasing(&[60.0, 40.0, 50.0, 50.0], 100.0);
+        let ps = ffd(&[60.0, 40.0, 50.0, 50.0], 100.0);
         assert_eq!(ps.len(), 2);
         let total: f64 = ps.iter().sum();
         assert!((total - 200.0).abs() < 1e-9);
@@ -324,19 +338,19 @@ mod tests {
 
     #[test]
     fn ffd_handles_oversized_and_zero_loads() {
-        let ps = first_fit_decreasing(&[250.0, 0.0, 30.0], 100.0);
+        let ps = ffd(&[250.0, 0.0, 30.0], 100.0);
         // 250 → two full PSs + 50 remainder; 30 joins the remainder.
         assert_eq!(ps.len(), 3);
         let total: f64 = ps.iter().sum();
         assert!((total - 280.0).abs() < 1e-9);
-        assert!(first_fit_decreasing(&[], 100.0).is_empty());
-        assert!(first_fit_decreasing(&[0.0, 0.0], 100.0).is_empty());
+        assert!(ffd(&[], 100.0).is_empty());
+        assert!(ffd(&[0.0, 0.0], 100.0).is_empty());
     }
 
     #[test]
     fn ffd_never_exceeds_capacity() {
         let loads = [10.0, 95.0, 20.0, 33.0, 47.0, 99.0, 5.0, 60.0];
-        for p in first_fit_decreasing(&loads, 100.0) {
+        for p in ffd(&loads, 100.0) {
             assert!(p <= 100.0 + 1e-9);
         }
     }
