@@ -4,7 +4,8 @@
 //! months; a monolithic [`Dataset::build`](mtd_dataset::Dataset::build)
 //! holds every per-BS minute row in memory at once, which caps campaign
 //! size at whatever fits in RAM. This crate partitions the base stations
-//! of one scenario into `K` contiguous shards, simulates each shard
+//! of one scenario into `K` shards, each a compact patch of the map cut
+//! from a Hilbert curve over the station positions, simulates each shard
 //! through the same engine and the same fixed-point accumulation pipeline
 //! (`mtd_dataset::accum`), spills per-shard partials to disk, and
 //! assembles the final MTDSTORE file out of core through
@@ -25,11 +26,13 @@
 //!    manifest written atomically on every shard boundary; a torn
 //!    manifest is *detected*, never half-trusted.
 //!
-//! Peak memory is sublinear in campaign size: a shard holds only its own
-//! per-BS cells and minute rows (plus the handover fringe), merged cells
-//! are bounded by the number of realized BS groups (not stations), and
-//! assembly streams spill files through `K` sequential cursors, one cell
-//! and then one row at a time, into 64-row store chunks.
+//! Peak memory is sublinear in campaign size. A shard holds only the
+//! per-BS cells and minute rows of its own stations and of its handover
+//! fringe: the stations just outside its patch, whose number grows with
+//! the patch's perimeter. Merged cells are bounded by the number of
+//! realized BS groups (not stations), and assembly streams spill files
+//! through `K` sequential cursors, one cell and then one row at a time,
+//! into 64-row store chunks.
 
 pub mod manifest;
 pub mod runner;

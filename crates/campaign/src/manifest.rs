@@ -26,9 +26,12 @@ pub const MAGIC: [u8; 8] = *b"MTDMANIF";
 /// Manifest format version. v2 added the stress-scenario echo
 /// (burst/drift/control-plane fields); v3 dropped the pass-1 progress
 /// (totals and their digests) when a campaign became one simulation
-/// pass. Older manifests are rejected as unsupported, naming their
-/// version, rather than reinterpreted.
-pub const VERSION: u32 = 3;
+/// pass; v4 marks campaigns whose shards are Hilbert-curve patches
+/// rather than id ranges, so the spills a v3 manifest vouches for hold
+/// other stations than its shard numbers now name. Older manifests are
+/// rejected as unsupported, naming their version, rather than
+/// reinterpreted.
+pub const VERSION: u32 = 4;
 
 /// Durable campaign progress. See the module docs for the contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +43,7 @@ pub struct Manifest {
     pub shards: u32,
     /// Shards completed (shards run in order, so this is a prefix
     /// count).
-    pub pass2_done: u32,
+    pub shards_done: u32,
     /// FNV-1a digest of each completed shard's spill file.
     pub spill_digests: Vec<u64>,
     /// Whether the final store has been assembled and renamed into place.
@@ -54,7 +57,7 @@ impl Manifest {
         Manifest {
             scenario,
             shards,
-            pass2_done: 0,
+            shards_done: 0,
             spill_digests: Vec::new(),
             assembled: false,
         }
@@ -67,7 +70,7 @@ impl Manifest {
         let mut w = ByteWriter::new();
         put_scenario(&mut w, &self.scenario);
         w.put_u32(self.shards);
-        w.put_u32(self.pass2_done);
+        w.put_u32(self.shards_done);
         w.put_u32(self.spill_digests.len() as u32);
         for d in &self.spill_digests {
             w.put_u64(*d);
@@ -246,7 +249,7 @@ fn parse_payload(payload: &[u8]) -> FormatResult<Manifest> {
     let mut r = ByteReader::new(payload);
     let scenario = get_scenario(&mut r)?;
     let shards = r.get_u32()?;
-    let pass2_done = r.get_u32()?;
+    let shards_done = r.get_u32()?;
     let n2 = r.get_u32()? as usize;
     let mut spill_digests = Vec::with_capacity(n2);
     for _ in 0..n2 {
@@ -261,7 +264,7 @@ fn parse_payload(payload: &[u8]) -> FormatResult<Manifest> {
     Ok(Manifest {
         scenario,
         shards,
-        pass2_done,
+        shards_done,
         spill_digests,
         assembled,
     })
@@ -278,7 +281,7 @@ mod tests {
             ..ScenarioConfig::small_test()
         };
         let mut m = Manifest::new(scenario, 3);
-        m.pass2_done = 2;
+        m.shards_done = 2;
         m.spill_digests = vec![0xdead_beef, 7];
         m
     }
@@ -337,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn a_pre_v3_manifest_is_refused_naming_its_version() {
-        for old in [1u32, 2] {
+    fn a_pre_v4_manifest_is_refused_naming_its_version() {
+        for old in [1u32, 2, 3] {
             let mut bytes = sample().encode();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let n = bytes.len();

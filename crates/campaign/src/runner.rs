@@ -12,6 +12,16 @@
 //! a monolithic build for any shard count, thread count, or kill/resume
 //! history.
 //!
+//! A shard is a compact patch of the map (`partition`): the stations
+//! are ordered along a Hilbert curve over their positions and cut into
+//! `K` runs of that order. A mobile session's handover fragments land
+//! on the nearest neighbors of the station that started it, so they
+//! mostly land inside its own shard, and a shard accumulates, spills
+//! and re-merges rows and cells for few stations outside it (its
+//! *fringe*). The `campaign.spill.*` counters report what each shard
+//! spilled. Integer sums do not depend on how stations are grouped, so
+//! the partition changes no store byte.
+//!
 //! Checkpoint numbering: shard `s` completes checkpoint `s`, so a
 //! campaign of `K` shards has checkpoints `0..K`. After each checkpoint
 //! the runner consults the `campaign.shard.kill` fault site (and the
@@ -29,7 +39,8 @@ use mtd_dataset::record::{duration_grid, volume_grid};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
 use mtd_dataset::StoreError;
 use mtd_netsim::engine::Engine;
-use mtd_netsim::geo::Topology;
+use mtd_netsim::geo::{Position, Topology};
+use mtd_netsim::ids::BsId;
 use mtd_netsim::services::ServiceCatalog;
 use mtd_netsim::ScenarioConfig;
 use std::collections::BTreeMap;
@@ -114,7 +125,7 @@ pub struct CampaignStatus {
     /// Shard count `K`.
     pub shards: u32,
     /// Shards done.
-    pub pass2_done: u32,
+    pub shards_done: u32,
     /// Whether the store has been assembled.
     pub assembled: bool,
     /// Base stations in the scenario.
@@ -128,13 +139,14 @@ impl std::fmt::Display for CampaignStatus {
         write!(
             f,
             "shards {}/{} assembled={} ({} BS x {} days)",
-            self.pass2_done, self.shards, self.assembled, self.n_bs, self.days
+            self.shards_done, self.shards, self.assembled, self.n_bs, self.days
         )
     }
 }
 
-/// The contiguous BS range `[first, first+len)` of shard `s` of `k`.
-/// Ranges tile `0..n_bs` exactly and differ in size by at most one.
+/// The slice `[first, first+len)` of the campaign's station order
+/// (`partition`) that shard `s` of `k` takes. Slices tile `0..n_bs`
+/// exactly and differ in size by at most one.
 #[must_use]
 pub fn shard_range(n_bs: usize, k: u32, s: u32) -> (usize, usize) {
     assert!(s < k, "shard {s} out of {k}");
@@ -143,6 +155,64 @@ pub fn shard_range(n_bs: usize, k: u32, s: u32) -> (usize, usize) {
     let first = n_bs * s / k;
     let end = n_bs * (s + 1) / k;
     (first, end - first)
+}
+
+/// Splits the topology's stations into `k` shards, each a compact patch
+/// of the map: the stations in order of the Hilbert index of their
+/// positions (ties by id), shard `s` taking the [`shard_range`] slice of
+/// that order, sorted by id. A pure function of the topology and `k`, so
+/// the manifest's scenario echo and shard count identify every shard.
+///
+/// A Hilbert curve keeps nearby positions at nearby indices, and each
+/// slice of it is a patch with a short perimeter. Handover targets are
+/// a station's nearest neighbors, so few handover edges cross a shard
+/// boundary: 28% of directed neighbor edges at 300 stations in 16 shards
+/// of the benchmark topology, against 95% for id ranges.
+pub(crate) fn partition(topology: &Topology, k: u32) -> Vec<Vec<BsId>> {
+    let mut order: Vec<(u64, BsId)> = topology
+        .stations()
+        .iter()
+        .map(|station| (hilbert_index(station.position), station.id))
+        .collect();
+    order.sort_unstable();
+    (0..k)
+        .map(|s| {
+            let (first, len) = shard_range(order.len(), k, s);
+            let mut shard: Vec<BsId> = order[first..first + len]
+                .iter()
+                .map(|&(_, id)| id)
+                .collect();
+            shard.sort_unstable();
+            shard
+        })
+        .collect()
+}
+
+/// The distance along a Hilbert curve over a 2¹⁶ × 2¹⁶ grid on the unit
+/// square of the grid point nearest `p` (coordinates clamped to
+/// `[0, 1]`).
+fn hilbert_index(p: Position) -> u64 {
+    const SIDE: u32 = 1 << 16;
+    let quantize = |v: f64| (v.clamp(0.0, 1.0) * f64::from(SIDE - 1)).round() as u32;
+    let (mut x, mut y) = (quantize(p.x), quantize(p.y));
+    let mut d = 0u64;
+    let mut half = SIDE / 2;
+    while half > 0 {
+        let rx = u32::from(x & half != 0);
+        let ry = u32::from(y & half != 0);
+        d += u64::from(half) * u64::from(half) * u64::from((3 * rx) ^ ry);
+        // Turn the quadrant so its sub-curve enters and leaves where the
+        // curve through the parent square does.
+        if ry == 0 {
+            if rx == 1 {
+                x = SIDE - 1 - x;
+                y = SIDE - 1 - y;
+            }
+            std::mem::swap(&mut x, &mut y);
+        }
+        half /= 2;
+    }
+    d
 }
 
 /// Starts a fresh campaign. Fails with
@@ -181,10 +251,10 @@ pub fn resume(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> 
     // so treat that shard — and everything after it — as not done and
     // let `advance` re-simulate it deterministically, instead of
     // refusing forever or assembling an empty shard.
-    for s in 0..manifest.pass2_done {
+    for s in 0..manifest.shards_done {
         let path = config.spill_path(s);
         if std::fs::metadata(&path).map(|m| m.len()).ok() == Some(0) {
-            manifest.pass2_done = s;
+            manifest.shards_done = s;
             manifest.spill_digests.truncate(s as usize);
             break;
         }
@@ -210,7 +280,7 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, CampaignError> {
     let manifest = Manifest::load(&dir.join(MANIFEST_FILE))?;
     Ok(CampaignStatus {
         shards: manifest.shards,
-        pass2_done: manifest.pass2_done,
+        shards_done: manifest.shards_done,
         assembled: manifest.assembled,
         n_bs: manifest.scenario.n_bs,
         days: manifest.scenario.days,
@@ -219,7 +289,7 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, CampaignError> {
 
 fn publish_progress(manifest: &Manifest) {
     mtd_telemetry::gauge_set("campaign.shards_total", f64::from(manifest.shards));
-    mtd_telemetry::gauge_set("campaign.shards_done", f64::from(manifest.pass2_done));
+    mtd_telemetry::gauge_set("campaign.shards_done", f64::from(manifest.shards_done));
 }
 
 /// After-checkpoint kill gate: the fault site first, then the explicit
@@ -249,20 +319,22 @@ fn advance(
     // The one pass: per-BS cells, totals and minute rows, spilled per
     // shard.
     let (vg, dg) = (volume_grid(), duration_grid());
-    while manifest.pass2_done < k {
-        let s = manifest.pass2_done;
+    let shards = partition(&topology, k);
+    while manifest.shards_done < k {
+        let s = manifest.shards_done;
         // Named `pass2_shard` because the benchmark reads this span as
         // `campaign.pass2_s`.
         let _span = mtd_telemetry::span!("campaign.pass2_shard");
-        let (first, len) = shard_range(n_bs, k, s);
+        let stations = &shards[s as usize];
         let mut sink = ShardAccumulator::new(vg, dg, n_bs, scenario.days);
         if scenario.stress.control_plane {
             sink.enable_signaling();
         }
-        engine.run_shard(&mut sink, first, len, config.threads);
+        engine.run_shard(&mut sink, stations, config.threads);
         let bytes = spill::encode(&sink, vg.bins(), dg.bins());
+        count_spill(&sink, stations);
         mtd_dataset::write_atomic(&config.spill_path(s), &bytes)?;
-        manifest.pass2_done = s + 1;
+        manifest.shards_done = s + 1;
         manifest.spill_digests.push(fnv64(&bytes));
         manifest.save(&config.manifest_path())?;
         publish_progress(&manifest);
@@ -286,6 +358,20 @@ fn advance(
         n_bs,
         days: scenario.days,
     })
+}
+
+/// Adds what a shard of `stations` spilled to the `campaign.spill.*`
+/// counters: its per-BS cells, its minute rows, and the rows of stations
+/// outside the shard — the fringe its handovers reached.
+fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
+    let fringe = acc
+        .minutes
+        .keys()
+        .filter(|&&bs| stations.binary_search(&BsId(bs)).is_err())
+        .count();
+    mtd_telemetry::count("campaign.spill.cells", acc.cell_count() as u64);
+    mtd_telemetry::count("campaign.spill.rows", acc.minutes.len() as u64);
+    mtd_telemetry::count("campaign.spill.fringe_rows", fringe as u64);
 }
 
 /// Streams the K verified spills into the final MTDSTORE file.
@@ -478,6 +564,92 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn shard_range_rejects_overflow_index() {
         let _ = shard_range(10, 3, 3);
+    }
+
+    #[test]
+    fn partitions_tile_every_station_once_in_id_order() {
+        for n_bs in [1usize, 5, 12, 97, 1000] {
+            let topology = Topology::generate(n_bs, 7);
+            for k in [1u32, 2, 3, 7, 32] {
+                let k = (k as usize).min(n_bs) as u32;
+                let shards = partition(&topology, k);
+                assert_eq!(shards.len(), k as usize, "n_bs={n_bs} k={k}");
+                let mut seen = vec![0u32; n_bs];
+                for shard in &shards {
+                    let len = shard.len();
+                    assert!(len >= n_bs / k as usize, "n_bs={n_bs} k={k}");
+                    assert!(len <= n_bs / k as usize + 1, "n_bs={n_bs} k={k}");
+                    assert!(shard.windows(2).all(|w| w[0] < w[1]), "n_bs={n_bs} k={k}");
+                    for id in shard {
+                        seen[id.0 as usize] += 1;
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "n_bs={n_bs} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_same_topology_always_gives_the_same_partition() {
+        let a = Topology::generate(240, 0x5CA1E);
+        let b = Topology::generate(240, 0x5CA1E);
+        assert_eq!(partition(&a, 8), partition(&b, 8));
+        // A different layout cuts differently.
+        assert_ne!(partition(&a, 8), partition(&Topology::generate(240, 7), 8));
+    }
+
+    /// The share of directed neighbor edges whose ends lie in different
+    /// shards.
+    fn cut_share(topology: &Topology, k: u32) -> f64 {
+        let mut shard_of = vec![0u32; topology.len()];
+        for (s, shard) in partition(topology, k).iter().enumerate() {
+            for id in shard {
+                shard_of[id.0 as usize] = s as u32;
+            }
+        }
+        let (mut edges, mut cut) = (0usize, 0usize);
+        for station in topology.stations() {
+            for neighbor in &station.neighbors {
+                edges += 1;
+                cut +=
+                    usize::from(shard_of[station.id.0 as usize] != shard_of[neighbor.0 as usize]);
+            }
+        }
+        cut as f64 / edges as f64
+    }
+
+    #[test]
+    fn shards_keep_most_handover_edges_inside() {
+        // Id ranges of these randomly placed stations cut 95% and 94%.
+        let at_300 = cut_share(&Topology::generate(300, 0x5CA1E), 16);
+        assert!(at_300 < 0.35, "300 BS / 16 shards: {at_300}");
+        let at_1000 = cut_share(&Topology::generate(1000, 0x5CA1E), 16);
+        assert!(at_1000 < 0.25, "1000 BS / 16 shards: {at_1000}");
+    }
+
+    #[test]
+    fn hilbert_order_steps_between_adjacent_grid_cells() {
+        // One point per cell of a 16 x 16 grid: in Hilbert order each
+        // next point lies in an edge-adjacent cell.
+        let step = 4096.0 / 65535.0;
+        let mut points: Vec<(u64, i64, i64)> = (0..16i64)
+            .flat_map(|i| (0..16i64).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let p = Position {
+                    x: i as f64 * step,
+                    y: j as f64 * step,
+                };
+                (hilbert_index(p), i, j)
+            })
+            .collect();
+        points.sort_unstable();
+        assert_eq!(points[0], (0, 0, 0));
+        for w in points.windows(2) {
+            let ((_, i0, j0), (_, i1, j1)) = (w[0], w[1]);
+            assert_eq!((i1 - i0).abs() + (j1 - j0).abs(), 1, "{w:?}");
+        }
+        // The curve ends at the far corner of the side it started on.
+        assert_eq!((points[255].1, points[255].2), (15, 0));
     }
 
     #[test]

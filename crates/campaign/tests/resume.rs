@@ -232,7 +232,7 @@ fn zero_length_spill_is_treated_as_incomplete_not_assembled_empty() {
     let expected_manifest = golden_manifest().clone();
     let mut config = campaign_config("zero-length-spill");
     // Stop right after shard 1's spill is durable: spills 0 and 1
-    // exist, the manifest says pass2_done = 2.
+    // exist, the manifest says shards_done = 2.
     config.kill_after = Some(1);
     let killed = run(&config);
     assert!(

@@ -84,13 +84,16 @@ USAGE:
   mtd-traffic campaign resume --dir DIR [--out FILE] [plus the run flags]
   mtd-traffic campaign status --dir DIR
       Sharded out-of-core campaign (DESIGN.md \u{a7}13): simulate the RAN in
-      K base-station shards, checkpointing a durable manifest in DIR
-      after every shard, and assemble the final MTDSTORE by streaming
-      shard spills — the result is byte-identical to a monolithic
-      `dataset export`, for any K and thread count. A killed or crashed
-      run (simulate one with --kill-after C, checkpoints 0..K-1) is
-      picked up by `resume` with the same flags; completed shards are
-      never recomputed. `status` prints manifest progress.
+      K base-station shards, each a compact patch of the map cut along a
+      Hilbert curve over the station positions, checkpointing a durable
+      manifest in DIR after every shard, and assemble the final MTDSTORE
+      by streaming shard spills — the result is byte-identical to a
+      monolithic `dataset export`, for any K and thread count. With
+      --telemetry, the campaign.spill.{cells,rows,fringe_rows} counters
+      report what the shards spilled. A killed or crashed run (simulate
+      one with --kill-after C, checkpoints 0..K-1) is picked up by
+      `resume` with the same flags; completed shards are never
+      recomputed. `status` prints manifest progress.
       --scenario starts from a pinned stress preset (bursts, drift,
       control-plane; see DESIGN.md \u{a7}16) instead of the quiescent
       defaults — explicit --n-bs/--days/--seed/--scale still override.

@@ -572,6 +572,12 @@ impl ShardAccumulator {
         order.into_iter().map(|id| self.cells.get(id))
     }
 
+    /// The number of per-BS cells, counted without walking them.
+    #[must_use]
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
+    }
+
     /// Quantized volume totals per global BS id, past-horizon
     /// observations included.
     #[must_use]

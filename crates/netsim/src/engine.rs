@@ -136,7 +136,7 @@ impl<'a> Engine<'a> {
     pub fn run<S: EngineSink>(&self, sink: &mut S) -> RunStats {
         let _span = mtd_telemetry::span!("sim.run");
         self.announce_total_units();
-        let stats = self.run_stations(self.topology.stations(), sink, 1);
+        let stats = self.run_stations(&self.all_stations(), sink, 1);
         record_run_stats(&stats);
         stats
     }
@@ -159,56 +159,58 @@ impl<'a> Engine<'a> {
         let _span = mtd_telemetry::span!("sim.run_parallel");
         mtd_telemetry::gauge_set("sim.threads", threads as f64);
         self.announce_total_units();
-        let stats = self.run_stations(self.topology.stations(), sink, threads);
+        let stats = self.run_stations(&self.all_stations(), sink, threads);
         record_run_stats(&stats);
         stats
     }
 
-    /// Runs only the stations in `[first, first + len)` — one **shard** of
-    /// the campaign — feeding `sink` in station order.
+    /// Runs only the listed stations — one **shard** of the campaign —
+    /// feeding `sink` in list order.
     ///
-    /// Because every per-station RNG stream and session-id namespace is
-    /// derived from the *global* [`BsId`] (see [`BsId::rng_stream`]),
-    /// concatenating the outputs of any shard partition reproduces the
-    /// monolithic [`Engine::run`] event stream byte for byte. Unlike the
-    /// full runners this does **not** publish `progress.total_units`; the
-    /// campaign driver owns whole-run progress accounting.
+    /// Every per-station RNG stream and session-id namespace is derived
+    /// from the *global* [`BsId`] (see [`BsId::rng_stream`]), so each
+    /// station's events are the same whatever list it runs in and
+    /// wherever it sits in that list. Unlike the full runners this does
+    /// **not** publish `progress.total_units`; the campaign runner owns
+    /// whole-run progress accounting.
     ///
     /// # Panics
-    /// Panics when the range falls outside the topology.
+    /// Panics when an id falls outside the topology.
     pub fn run_shard<S: EngineSink>(
         &self,
         sink: &mut S,
-        first: usize,
-        len: usize,
+        stations: &[BsId],
         threads: usize,
     ) -> RunStats {
-        let stations = self.topology.stations();
-        assert!(
-            first <= stations.len() && len <= stations.len() - first,
-            "shard [{first}, {first}+{len}) outside topology of {}",
-            stations.len()
-        );
+        let n_bs = self.topology.len();
+        if let Some(id) = stations.iter().find(|id| id.0 as usize >= n_bs) {
+            panic!("station {} outside topology of {n_bs}", id.0);
+        }
         let _span = mtd_telemetry::span!("sim.run_shard");
-        self.run_stations(&stations[first..first + len], sink, threads)
+        self.run_stations(stations, sink, threads)
+    }
+
+    /// Every station id of the topology, in id order.
+    fn all_stations(&self) -> Vec<BsId> {
+        self.topology.stations().iter().map(|s| s.id).collect()
     }
 
     /// The one station loop behind every runner: simulates `stations` into
-    /// `sink` in station order on up to `threads` workers. Per-station
-    /// stats merge in station order, so the float totals are bit-identical
-    /// for every thread count.
+    /// `sink` in list order on up to `threads` workers. Per-station stats
+    /// merge in list order, so the float totals are bit-identical for
+    /// every thread count.
     fn run_stations<S: EngineSink>(
         &self,
-        stations: &[crate::geo::BaseStation],
+        stations: &[BsId],
         sink: &mut S,
         threads: usize,
     ) -> RunStats {
         let mut stats = RunStats::default();
         let threads = threads.max(1).min(stations.len().max(1));
         if threads == 1 {
-            for station in stations {
+            for &id in stations {
                 let mut st = RunStats::default();
-                self.run_station(station, sink, &mut st);
+                self.run_station(self.topology.station(id), sink, &mut st);
                 stats.merge(&st);
             }
             return stats;
@@ -218,7 +220,7 @@ impl<'a> Engine<'a> {
             |i| {
                 let mut buffer = BufferSink::default();
                 let mut st = RunStats::default();
-                self.run_station(&stations[i], &mut buffer, &mut st);
+                self.run_station(self.topology.station(stations[i]), &mut buffer, &mut st);
                 let worker = format!("w{}", mtd_par::current_worker().unwrap_or(0));
                 mtd_telemetry::count_labeled("sim.worker.stations", &worker, 1);
                 mtd_telemetry::count_labeled("sim.worker.sessions", &worker, st.sessions);
@@ -486,6 +488,7 @@ impl EngineSink for CollectSink {
 mod tests {
     use super::*;
     use crate::probes::join_observations;
+    use std::collections::BTreeMap;
 
     fn run_small() -> (
         ScenarioConfig,
@@ -654,50 +657,85 @@ mod tests {
         }
     }
 
+    /// Each station's sessions and observations, keyed by the station
+    /// that started them (the high bits of the session id).
+    fn by_origin(sink: &CollectSink) -> BTreeMap<u64, (Vec<SessionSpec>, Vec<SessionObservation>)> {
+        let mut out: BTreeMap<u64, (Vec<_>, Vec<_>)> = BTreeMap::new();
+        for spec in &sink.sessions {
+            out.entry(spec.id.0 >> 42).or_default().0.push(spec.clone());
+        }
+        for obs in &sink.observations {
+            out.entry(obs.session.0 >> 42)
+                .or_default()
+                .1
+                .push(obs.clone());
+        }
+        out
+    }
+
     #[test]
-    fn shard_concatenation_matches_monolithic_run() {
+    fn station_lists_reproduce_each_stations_monolithic_events() {
         let config = ScenarioConfig::small_test();
         let topology = Topology::generate(config.n_bs, config.seed);
         let catalog = ServiceCatalog::paper();
         let engine = Engine::new(&config, &topology, &catalog);
         let mut mono = CollectSink::default();
         let mono_stats = engine.run(&mut mono);
+        let expected = by_origin(&mono);
+        assert_eq!(expected.len(), config.n_bs, "every station starts sessions");
 
-        // Any contiguous partition, at any thread count, must replay the
-        // exact monolithic event stream when concatenated in order.
-        for (shards, threads) in [(1usize, 1usize), (3, 1), (3, 4), (12, 2)] {
-            let mut sharded = CollectSink::default();
-            let mut stats = RunStats::default();
-            for s in 0..shards {
-                let first = s * config.n_bs / shards;
-                let end = (s + 1) * config.n_bs / shards;
-                stats.merge(&engine.run_shard(&mut sharded, first, end - first, threads));
+        // A seeded shuffle of the ids, split into id-sorted lists.
+        let mut shuffled: Vec<BsId> = (0..config.n_bs as u32).map(BsId).collect();
+        let mut rng = stream_rng(0x5EED, stream_id("station-lists"));
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        for n_lists in [1usize, 3, 12] {
+            let lists: Vec<Vec<BsId>> = (0..n_lists)
+                .map(|l| {
+                    let n = shuffled.len();
+                    let mut list = shuffled[n * l / n_lists..n * (l + 1) / n_lists].to_vec();
+                    list.sort_unstable();
+                    list
+                })
+                .collect();
+            for threads in [1usize, 2, 4] {
+                let mut sharded = CollectSink::default();
+                let mut stats = RunStats::default();
+                for list in &lists {
+                    stats.merge(&engine.run_shard(&mut sharded, list, threads));
+                }
+                let case = format!("{n_lists} lists x {threads} threads");
+                assert_eq!(stats.sessions, mono_stats.sessions, "{case}");
+                assert_eq!(stats.observations, mono_stats.observations, "{case}");
+                assert_eq!(
+                    stats.transient_observations, mono_stats.transient_observations,
+                    "{case}"
+                );
+                // The aggregate float total is only grouping-sensitive in
+                // its last ULPs.
+                let rel = (stats.total_volume_mb - mono_stats.total_volume_mb).abs()
+                    / mono_stats.total_volume_mb;
+                assert!(rel < 1e-12, "{case}: {rel}");
+                assert!(by_origin(&sharded) == expected, "{case}");
+                // Stations run in list order, lists one after another.
+                let mut order: Vec<u64> = sharded.sessions.iter().map(|s| s.id.0 >> 42).collect();
+                order.dedup();
+                let listed: Vec<u64> = lists.concat().iter().map(|id| u64::from(id.0)).collect();
+                assert_eq!(order, listed, "{case}");
             }
-            // The event stream is bit-identical; the aggregate float
-            // total is only grouping-sensitive in its last ULPs.
-            assert_eq!(stats.sessions, mono_stats.sessions);
-            assert_eq!(stats.observations, mono_stats.observations);
-            assert_eq!(
-                stats.transient_observations,
-                mono_stats.transient_observations
-            );
-            let rel = (stats.total_volume_mb - mono_stats.total_volume_mb).abs()
-                / mono_stats.total_volume_mb;
-            assert!(rel < 1e-12, "{shards} shards x {threads} threads: {rel}");
-            assert_eq!(sharded.sessions, mono.sessions);
-            assert_eq!(sharded.observations, mono.observations);
         }
     }
 
     #[test]
     #[should_panic(expected = "outside topology")]
-    fn out_of_range_shard_panics() {
+    fn an_id_outside_the_topology_panics() {
         let config = ScenarioConfig::small_test();
         let topology = Topology::generate(config.n_bs, config.seed);
         let catalog = ServiceCatalog::paper();
         let engine = Engine::new(&config, &topology, &catalog);
         let mut sink = CollectSink::default();
-        let _ = engine.run_shard(&mut sink, config.n_bs - 1, 2, 1);
+        let _ = engine.run_shard(&mut sink, &[BsId(0), BsId(config.n_bs as u32)], 1);
     }
 
     #[test]
