@@ -29,10 +29,13 @@
 //! Peak memory is sublinear in campaign size. A shard holds only the
 //! per-BS cells and minute rows of its own stations and of its handover
 //! fringe: the stations just outside its patch, whose number grows with
-//! the patch's perimeter. Merged cells are bounded by the number of
-//! realized BS groups (not stations), and assembly streams spill files
-//! through `K` sequential cursors, one cell and then one row at a time,
-//! into 64-row store chunks.
+//! the patch's perimeter, and whose rows hold only the fragments that
+//! landed there. Merged cells are bounded by the number of realized BS
+//! groups (not stations), and assembly streams spill files through `K`
+//! sequential cursors, one cell and then one row at a time, into 64-row
+//! store chunks. Spilling and assembling cost what a shard touched: the
+//! encoder and the assembler visit a cell's touched bins and a row's
+//! touched minutes, not the full width of either.
 
 pub mod manifest;
 pub mod runner;

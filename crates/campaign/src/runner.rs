@@ -31,7 +31,7 @@
 //! point would leave behind.
 
 use crate::manifest::Manifest;
-use crate::spill::{self, SpillCursor};
+use crate::spill::{self, PlaneRow, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
 use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::dataset::{BsGroups, CellKey};
@@ -42,6 +42,7 @@ use mtd_netsim::engine::Engine;
 use mtd_netsim::geo::{Position, Topology};
 use mtd_netsim::ids::BsId;
 use mtd_netsim::services::ServiceCatalog;
+use mtd_netsim::time::MINUTES_PER_DAY;
 use mtd_netsim::ScenarioConfig;
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -327,15 +328,26 @@ fn advance(
         let _span = mtd_telemetry::span!("campaign.pass2_shard");
         let stations = &shards[s as usize];
         let mut sink = ShardAccumulator::new(vg, dg, n_bs, scenario.days);
+        sink.set_own_stations(stations);
         if scenario.stress.control_plane {
             sink.enable_signaling();
         }
         engine.run_shard(&mut sink, stations, config.threads);
-        let bytes = spill::encode(&sink, vg.bins(), dg.bins());
+        let bytes = {
+            let _span = mtd_telemetry::span!("spill.encode");
+            spill::encode(&sink, vg.bins(), dg.bins())
+        };
         count_spill(&sink, stations);
-        mtd_dataset::write_atomic(&config.spill_path(s), &bytes)?;
+        {
+            let _span = mtd_telemetry::span!("spill.write");
+            mtd_dataset::write_atomic(&config.spill_path(s), &bytes)?;
+        }
+        let digest = {
+            let _span = mtd_telemetry::span!("spill.digest");
+            fnv64(&bytes)
+        };
         manifest.shards_done = s + 1;
-        manifest.spill_digests.push(fnv64(&bytes));
+        manifest.spill_digests.push(digest);
         manifest.save(&config.manifest_path())?;
         publish_progress(&manifest);
         mtd_telemetry::count("campaign.shards.completed", 1);
@@ -365,23 +377,24 @@ fn advance(
 /// outside the shard — the fringe its handovers reached.
 fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
     let fringe = acc
-        .minutes
-        .keys()
-        .filter(|&&bs| stations.binary_search(&BsId(bs)).is_err())
+        .minute_rows()
+        .filter(|&(bs, _)| stations.binary_search(&BsId(bs)).is_err())
         .count();
     mtd_telemetry::count("campaign.spill.cells", acc.cell_count() as u64);
-    mtd_telemetry::count("campaign.spill.rows", acc.minutes.len() as u64);
+    mtd_telemetry::count("campaign.spill.rows", acc.row_count() as u64);
     mtd_telemetry::count("campaign.spill.fringe_rows", fringe as u64);
 }
 
 /// Streams the K verified spills into the final MTDSTORE file.
 ///
 /// The spills' per-BS totals sum to the campaign's, which fix the load
-/// deciles and BS groups. Every spilled per-BS cell then merges into its
-/// group cell one at a time, so the integer group-cell map — bounded by
-/// realized groups, not stations — is the only cell memory; it drains
-/// into the writer's one open chunk as each cell is finalized. Rows flow
-/// through one buffered row per spill cursor.
+/// deciles and BS groups. Every spilled per-BS cell then adds its sparse
+/// entries into its group cell, one cell at a time, so the integer
+/// group-cell map — bounded by realized groups, not stations — is the
+/// only cell memory; it drains into the writer's one open chunk as each
+/// cell is finalized. Rows sum into one reused dense row per plane.
+/// A spilled cell whose key lies outside the scenario fails naming its
+/// shard, before it can reach a store that every reader would refuse.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
@@ -389,34 +402,66 @@ fn assemble(
     catalog: &ServiceCatalog,
 ) -> Result<(), CampaignError> {
     let _span = mtd_telemetry::span!("campaign.assemble");
-    let (k, n_bs) = (manifest.shards, manifest.scenario.n_bs);
+    let (k, n_bs, days) = (
+        manifest.shards,
+        manifest.scenario.n_bs,
+        manifest.scenario.days,
+    );
+    let n_services = catalog.services().len();
     let (vg, dg) = (volume_grid(), duration_grid());
+    let row_len = days as usize * MINUTES_PER_DAY as usize;
 
     // Verify every spill against the manifest, then open cursors and sum
     // the totals.
     let mut totals_q = vec![0i128; n_bs];
     let mut cursors: Vec<SpillCursor> = Vec::with_capacity(k as usize);
-    for s in 0..k {
-        let path = config.spill_path(s);
-        verify_spill(manifest, &path, s)?;
-        cursors.push(SpillCursor::open(&path, s, &mut totals_q)?);
+    {
+        let _span = mtd_telemetry::span!("assemble.verify");
+        for s in 0..k {
+            let path = config.spill_path(s);
+            verify_spill(manifest, &path, s)?;
+            let cursor = SpillCursor::open(&path, s, &mut totals_q)?;
+            let h = cursor.header();
+            if (h.vbins, h.dbins, h.row_len) != (vg.bins(), dg.bins(), row_len) {
+                return Err(CampaignError::SpillCorrupt {
+                    shard: s,
+                    reason: format!(
+                        "{} volume bins, {} duration bins and {}-minute rows, not {}, {} and {row_len}",
+                        h.vbins,
+                        h.dbins,
+                        h.row_len,
+                        vg.bins(),
+                        dg.bins()
+                    ),
+                });
+            }
+            cursors.push(cursor);
+        }
     }
     let grouping = BsGroups::from_totals(topology.stations(), &totals_q);
 
+    let cells_span = mtd_telemetry::span!("assemble.cells");
     let mut cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
     for cursor in &mut cursors {
         let shard = cursor.shard();
-        while let Some(((service, bs, day), cell)) = cursor.next_cell()? {
-            let group = *grouping.group_of_bs.get(bs as usize).ok_or_else(|| {
-                CampaignError::SpillCorrupt {
+        while let Some(spilled) = cursor.next_cell()? {
+            let (service, bs, day) = spilled.key;
+            let group = grouping
+                .group_of_bs
+                .get(bs as usize)
+                .filter(|_| usize::from(service) < n_services && day < days)
+                .ok_or_else(|| CampaignError::SpillCorrupt {
                     shard,
-                    reason: format!("cell for BS {bs} beyond the scenario's {n_bs} BSs"),
-                }
-            })?;
-            cells
-                .entry((service, group, day))
-                .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins()))
-                .add(&cell);
+                    reason: format!(
+                        "cell key (service {service}, BS {bs}, day {day}) outside the \
+                         scenario's {n_services} services, {n_bs} BSs and {days} days"
+                    ),
+                })?;
+            spilled.add_to(
+                cells
+                    .entry((service, *group, day))
+                    .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins())),
+            )?;
         }
     }
     mtd_telemetry::gauge_set("campaign.cells", cells.len() as f64);
@@ -431,7 +476,7 @@ fn assemble(
             .collect(),
         groups: grouping.groups,
         group_of_bs: grouping.group_of_bs,
-        n_days: manifest.scenario.days,
+        n_days: days,
     };
     let deciles = DecileSection {
         decile_of_bs: grouping.decile_of_bs,
@@ -443,64 +488,53 @@ fn assemble(
     for (key, cell) in cells {
         writer.cell(&key, &cell.to_cell_stats(&vg))?;
     }
-    let row_len = meta.minutes_per_row();
-    merge_rows(
-        &mut cursors,
-        n_bs,
-        SpillCursor::peek_bs,
-        SpillCursor::next_row,
-        MinuteRowQ::merge,
-        |row| {
-            let (counts, volumes) = row.unwrap_or_else(|| MinuteRowQ::new(row_len)).to_row();
-            writer.minute_row(&counts, &volumes)
-        },
-    )?;
-    if signaling {
-        merge_rows(
-            &mut cursors,
-            n_bs,
-            SpillCursor::peek_signaling_bs,
-            SpillCursor::next_signaling_row,
-            SignalRowQ::merge,
-            |row| {
-                let row = row.unwrap_or_else(|| SignalRowQ::new(row_len));
+    drop(cells_span);
+
+    {
+        let _span = mtd_telemetry::span!("assemble.rows");
+        let mut volumes = Vec::with_capacity(row_len);
+        merge_rows(&mut cursors, n_bs, &mut MinuteRowQ::new(row_len), |row| {
+            row.volumes_into(&mut volumes);
+            writer.minute_row(&row.counts, &volumes)
+        })?;
+        if signaling {
+            merge_rows(&mut cursors, n_bs, &mut SignalRowQ::new(row_len), |row| {
                 writer.signaling_row(&row.attach, &row.handover, &row.paging)
-            },
-        )?;
+            })?;
+        }
     }
+    let _span = mtd_telemetry::span!("assemble.finish");
     writer.finish()?;
     Ok(())
 }
 
-/// Sums each BS's rows of one plane across the spill cursors and hands
-/// the sums to `write` in BS order, `None` for a BS no shard touched.
-/// Several cursors can hold parts of one row: handover fragments land on
-/// neighbor BSs outside their own shard. `peek` names the BS of a
-/// cursor's next row and `next` takes it; a row left after the last BS
-/// is a stray, and its error names that cursor's shard.
-fn merge_rows<R>(
+/// Sums each BS's rows of one plane across the spill cursors into `row`,
+/// one reused dense row, and hands it to `write` in BS order (all zero
+/// for a BS no shard touched). Several cursors can hold parts of one
+/// row: handover fragments land on neighbor BSs outside their own shard.
+/// A row left after the last BS is a stray, and its error names that
+/// cursor's shard.
+fn merge_rows<R: PlaneRow>(
     cursors: &mut [SpillCursor],
     n_bs: usize,
-    peek: impl Fn(&mut SpillCursor) -> Result<Option<u32>, CampaignError>,
-    next: impl Fn(&mut SpillCursor) -> Result<Option<(u32, R)>, CampaignError>,
-    merge: impl Fn(&mut R, &R),
-    mut write: impl FnMut(Option<R>) -> Result<(), StoreError>,
+    row: &mut R,
+    mut write: impl FnMut(&R) -> Result<(), StoreError>,
 ) -> Result<(), CampaignError> {
     for bs in 0..n_bs as u32 {
-        let mut sum: Option<R> = None;
+        let mut touched = false;
         for cursor in cursors.iter_mut() {
-            if peek(cursor)? == Some(bs) {
-                let (_, row) = next(cursor)?.expect("peeked row present");
-                match &mut sum {
-                    Some(acc) => merge(acc, &row),
-                    None => sum = Some(row),
-                }
+            if cursor.peek_bs::<R>()? == Some(bs) {
+                cursor.add_row(row)?;
+                touched = true;
             }
         }
-        write(sum)?;
+        write(row)?;
+        if touched {
+            row.clear();
+        }
     }
     for cursor in cursors {
-        if let Some(bs) = peek(cursor)? {
+        if let Some(bs) = cursor.peek_bs::<R>()? {
             return Err(CampaignError::SpillCorrupt {
                 shard: cursor.shard(),
                 reason: format!("row for BS {bs} beyond the scenario's {n_bs} BSs"),
@@ -654,6 +688,10 @@ mod tests {
 
     #[test]
     fn stray_row_error_names_its_shard() {
+        use mtd_netsim::ids::{Rat, ServiceId, SessionId};
+        use mtd_netsim::session::SessionObservation;
+        use mtd_netsim::time::SimTime;
+
         let dir = std::env::temp_dir().join("mtd_campaign_runner_test");
         std::fs::create_dir_all(&dir).unwrap();
         let (vg, dg) = (volume_grid(), duration_grid());
@@ -661,29 +699,120 @@ mod tests {
         let mut totals_q = vec![0; 10];
         for (shard, bs) in [(0u32, 1u32), (1, 9)] {
             let mut acc = ShardAccumulator::new(vg, dg, 10, 1);
-            acc.minutes.insert(bs, MinuteRowQ::new(acc.row_len()));
+            acc.record(&SessionObservation {
+                session: SessionId(1),
+                bs: BsId(bs),
+                rat: Rat::Lte,
+                service: ServiceId(0),
+                start: SimTime::new(0, 30.0),
+                duration_s: 60.0,
+                volume_mb: 1.0,
+                transient: false,
+                segment_index: 0,
+            });
             let path = dir.join(format!("stray-{shard}.mtdspill"));
             std::fs::write(&path, spill::encode(&acc, vg.bins(), dg.bins())).unwrap();
-            cursors.push(SpillCursor::open(&path, shard, &mut totals_q).unwrap());
+            let mut cursor = SpillCursor::open(&path, shard, &mut totals_q).unwrap();
+            while cursor.next_cell().unwrap().is_some() {}
+            cursors.push(cursor);
         }
         // In a 5-BS scenario, shard 1's row for BS 9 is a stray.
         let mut written = 0;
-        let result = merge_rows(
-            &mut cursors,
-            5,
-            SpillCursor::peek_bs,
-            SpillCursor::next_row,
-            MinuteRowQ::merge,
-            |_| {
-                written += 1;
-                Ok(())
-            },
-        );
+        let result = merge_rows(&mut cursors, 5, &mut MinuteRowQ::new(1440), |_| {
+            written += 1;
+            Ok(())
+        });
         std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(
             result,
             Err(CampaignError::SpillCorrupt { shard: 1, .. })
         ));
         assert_eq!(written, 5);
+    }
+
+    #[test]
+    fn spills_outside_the_scenario_are_refused_naming_their_shard() {
+        use mtd_netsim::ScenarioConfig;
+
+        let scenario = ScenarioConfig {
+            n_bs: 12,
+            days: 2,
+            arrival_scale: 0.05,
+            ..ScenarioConfig::small_test()
+        };
+        let services = ServiceCatalog::paper().services().len() as u16;
+        // (name, field, its offset in its block, out-of-range bytes, reason)
+        let cases: [(&str, bool, usize, Vec<u8>, &str); 3] = [
+            (
+                "day",
+                true,
+                6,
+                scenario.days.to_le_bytes().to_vec(),
+                "outside the scenario",
+            ),
+            (
+                "service",
+                true,
+                0,
+                services.to_le_bytes().to_vec(),
+                "outside the scenario",
+            ),
+            // The header's volume-bin count.
+            (
+                "grid",
+                false,
+                0,
+                211u32.to_le_bytes().to_vec(),
+                "volume bins",
+            ),
+        ];
+        for (name, in_first_cell, at, bytes, reason_part) in cases {
+            let dir = std::env::temp_dir()
+                .join("mtd_campaign_runner_key_test")
+                .join(name);
+            std::fs::remove_dir_all(&dir).ok();
+            let config = CampaignConfig {
+                scenario: scenario.clone(),
+                shards: 2,
+                threads: 1,
+                out: dir.join("store.mtdstore"),
+                dir: dir.clone(),
+                kill_after: Some(1),
+                refit_window: None,
+            };
+            // Killed after the last shard: both spills durable, no store.
+            assert!(matches!(run(&config), Err(CampaignError::Killed { .. })));
+
+            // Reseal shard 1's spill with one field edited (in its header
+            // or its first cell), and vouch for it in the manifest, so
+            // only that field is wrong.
+            let path = config.spill_path(1);
+            let mut spill = std::fs::read(&path).unwrap();
+            let block = |at: usize| u32::from_le_bytes(spill[at..at + 4].try_into().unwrap());
+            let totals = 16 + block(12) as usize;
+            let first_cell = totals + 4 + block(totals) as usize + 4;
+            let at = at + if in_first_cell { first_cell } else { 16 };
+            spill[at..at + bytes.len()].copy_from_slice(&bytes);
+            let n = spill.len();
+            let crc = mtd_dataset::format::crc32(&spill[..n - 4]);
+            spill[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &spill).unwrap();
+            let mut manifest = Manifest::load(&config.manifest_path()).unwrap();
+            manifest.spill_digests[1] = fnv64(&spill);
+            manifest.save(&config.manifest_path()).unwrap();
+
+            let resumed = resume(&CampaignConfig {
+                kill_after: None,
+                ..config.clone()
+            });
+            match resumed {
+                Err(CampaignError::SpillCorrupt { shard: 1, reason }) => {
+                    assert!(reason.contains(reason_part), "{name}: {reason}");
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+            assert!(!config.out.exists(), "{name}: no store is left behind");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -24,19 +24,31 @@
 //! crc32 of all preceding bytes
 //! ```
 //!
+//! A sparse vector is its count of non-zero entries, then one
+//! `(u32 index, value)` pair per non-zero entry, indices strictly
+//! increasing; an `i128` is two 64-bit halves, high first.
+//!
 //! Shards without a signaling plane write v3 images; the version only
 //! advances to 4 for data those could not represent. Versions 1 and 2
 //! held cells already keyed by BS group and no totals; they are refused.
 //!
+//! Both directions cost what the shard touched. [`encode`] writes every
+//! block straight into one image, patching each block's length and each
+//! sparse vector's count once they are known, and it reads only a
+//! cell's touched bins and a row's touched minutes, each value once.
 //! The totals come first, so the assembler sums every shard's totals —
 //! and from them derives the load deciles and BS groups — before it
-//! reads a cell. Cells and rows are each individually length-prefixed
-//! and the assembler streams a spill through [`SpillCursor`] one cell,
-//! then one row, at a time instead of materializing the shard: the
-//! cells are per BS, so their count grows with the shard's stations.
+//! reads a cell. The assembler streams a spill through [`SpillCursor`],
+//! one block at a time into one reused buffer: a cell's sparse entries
+//! add straight into its group cell ([`SpilledCell::add_to`]), and a
+//! row's into the assembler's one dense row of its plane
+//! ([`SpillCursor::add_row`]). Sparse adds make a repeated index count
+//! twice, so a decoder refuses indices that do not strictly increase.
 
 use crate::{CampaignError, Fnv64};
-use mtd_dataset::accum::{BsCell, BsCellKey, MinuteRowQ, ShardAccumulator, SignalRowQ};
+use mtd_dataset::accum::{
+    BinnedSum, BsCell, BsCellKey, ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ,
+};
 use mtd_dataset::format::{crc32, ByteReader, ByteWriter, Crc32, FormatError, FormatResult};
 use std::io::Read;
 use std::path::Path;
@@ -48,6 +60,15 @@ pub const VERSION: u32 = 3;
 /// Spill format version for shards carrying signaling rows.
 pub const SIGNALING_VERSION: u32 = 4;
 
+/// A cell's binned sums in the order a spill stores them.
+const CELL_SUMS: [BinnedSum; 5] = [
+    BinnedSum::HistCounts,
+    BinnedSum::PairVolQ,
+    BinnedSum::PairCounts,
+    BinnedSum::PairLogQ,
+    BinnedSum::PairLogSqQ,
+];
+
 /// Encodes a shard accumulator into a complete spill file image
 /// (including the trailing CRC). Accumulators with signaling enabled
 /// encode as v4; everything else as v3.
@@ -58,59 +79,60 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     } else {
         VERSION
     };
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    let mut w = ByteWriter::new();
+    for byte in MAGIC {
+        w.put_u8(byte);
+    }
+    w.put_u32(version);
 
     let in_key_order = acc.cells();
-    let mut header = ByteWriter::new();
-    header.put_u32(vbins as u32);
-    header.put_u32(dbins as u32);
-    header.put_u32(acc.row_len() as u32);
-    header.put_u32(in_key_order.len() as u32);
-    header.put_u32(acc.minutes.len() as u32);
-    if let Some(sig) = &acc.signaling {
-        header.put_u32(sig.len() as u32);
-    }
-    put_block(&mut out, header.into_bytes());
-
-    let mut totals = ByteWriter::new();
-    put_sparse_i128(&mut totals, acc.totals_q());
-    put_block(&mut out, totals.into_bytes());
-
+    block(&mut w, |w| {
+        w.put_u32(vbins as u32);
+        w.put_u32(dbins as u32);
+        w.put_u32(acc.row_len() as u32);
+        w.put_u32(in_key_order.len() as u32);
+        w.put_u32(acc.row_count() as u32);
+        if let Some(sig) = &acc.signaling {
+            w.put_u32(sig.len() as u32);
+        }
+    });
+    block(&mut w, |w| put_sparse(w, dense_entries(acc.totals_q())));
     for (key, cell) in in_key_order {
-        let mut w = ByteWriter::new();
-        put_cell(&mut w, key, &cell);
-        put_block(&mut out, w.into_bytes());
+        block(&mut w, |w| put_cell(w, key, &cell));
     }
-
-    for (bs, row) in &acc.minutes {
-        let mut w = ByteWriter::new();
-        w.put_u32(*bs);
-        put_sparse_u32(&mut w, &row.counts);
-        put_sparse_i64(&mut w, &row.vol_q);
-        put_block(&mut out, w.into_bytes());
+    let mut entries = Vec::new();
+    for (bs, row) in acc.minute_rows() {
+        row.entries_into(&mut entries);
+        block(&mut w, |w| {
+            w.put_u32(bs);
+            put_sparse(w, entries.iter().map(|e| (e.minute, e.count)));
+            put_sparse(w, entries.iter().map(|e| (e.minute, e.vol_q)));
+        });
     }
-
     if let Some(sig) = &acc.signaling {
         for (bs, row) in sig {
-            let mut w = ByteWriter::new();
-            w.put_u32(*bs);
-            put_sparse_u32(&mut w, &row.attach);
-            put_sparse_u32(&mut w, &row.handover);
-            put_sparse_u32(&mut w, &row.paging);
-            put_block(&mut out, w.into_bytes());
+            block(&mut w, |w| {
+                w.put_u32(*bs);
+                for lane in [&row.attach, &row.handover, &row.paging] {
+                    put_sparse(w, dense_entries(lane));
+                }
+            });
         }
     }
 
+    let mut out = w.into_bytes();
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-fn put_block(out: &mut Vec<u8>, payload: Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Writes one length-prefixed block straight into `w`, patching its
+/// length in once `body` has written it.
+fn block(w: &mut ByteWriter, body: impl FnOnce(&mut ByteWriter)) {
+    let at = w.len();
+    w.put_u32(0);
+    body(w);
+    w.set_u32(at, (w.len() - at - 4) as u32);
 }
 
 fn put_cell(w: &mut ByteWriter, key: BsCellKey, cell: &BsCell) {
@@ -120,154 +142,162 @@ fn put_cell(w: &mut ByteWriter, key: BsCellKey, cell: &BsCell) {
     w.put_u32(day);
     w.put_u32(cell.sessions);
     w.put_u64(cell.traffic_q as u64);
-    put_sparse_u32(w, cell.hist_counts);
-    put_sparse_i64(w, cell.pair_vol_q);
-    put_sparse_u32(w, cell.pair_counts);
-    put_sparse_i64(w, cell.pair_log_q);
-    put_sparse_i64(w, cell.pair_log_sq_q);
-}
-
-/// The per-BS cell [`SpillCursor::next_cell`] decoded last; one buffer
-/// serves every cell of a spill.
-struct CellBuf {
-    sessions: u32,
-    traffic_q: i64,
-    hist_counts: Vec<u32>,
-    pair_vol_q: Vec<i64>,
-    pair_counts: Vec<u32>,
-    pair_log_q: Vec<i64>,
-    pair_log_sq_q: Vec<i64>,
-}
-
-impl CellBuf {
-    fn new(vbins: usize, dbins: usize) -> CellBuf {
-        CellBuf {
-            sessions: 0,
-            traffic_q: 0,
-            hist_counts: vec![0; vbins],
-            pair_vol_q: vec![0; dbins],
-            pair_counts: vec![0; dbins],
-            pair_log_q: vec![0; dbins],
-            pair_log_sq_q: vec![0; dbins],
-        }
-    }
-
-    /// Decodes one cell record, returning its key.
-    fn decode(&mut self, r: &mut ByteReader) -> FormatResult<BsCellKey> {
-        let key = (r.get_u16()?, r.get_u32()?, r.get_u32()?);
-        self.sessions = r.get_u32()?;
-        self.traffic_q = r.get_u64()? as i64;
-        // Sparse records name only their nonzero entries.
-        self.hist_counts.fill(0);
-        self.pair_counts.fill(0);
-        self.pair_vol_q.fill(0);
-        self.pair_log_q.fill(0);
-        self.pair_log_sq_q.fill(0);
-        get_sparse_u32(r, &mut self.hist_counts)?;
-        get_sparse_i64(r, &mut self.pair_vol_q)?;
-        get_sparse_u32(r, &mut self.pair_counts)?;
-        get_sparse_i64(r, &mut self.pair_log_q)?;
-        get_sparse_i64(r, &mut self.pair_log_sq_q)?;
-        Ok(key)
-    }
-
-    fn view(&self) -> BsCell<'_> {
-        BsCell {
-            sessions: self.sessions,
-            traffic_q: self.traffic_q,
-            hist_counts: &self.hist_counts,
-            pair_vol_q: &self.pair_vol_q,
-            pair_counts: &self.pair_counts,
-            pair_log_q: &self.pair_log_q,
-            pair_log_sq_q: &self.pair_log_sq_q,
+    for sum in CELL_SUMS {
+        let entries = cell
+            .touched(sum)
+            .map(|bin| (bin as u32, cell.get(sum, bin)));
+        if sum.is_count() {
+            put_sparse(w, entries.map(|(bin, n)| (bin, n as u32)));
+        } else {
+            put_sparse(w, entries);
         }
     }
 }
 
-// Sparse vector codecs: nnz count, then (index, value) pairs in index
-// order. Spill vectors (histogram bins, minute rows at realistic
-// arrival scales) are mostly zero, and "always sparse" keeps the
-// encoding deterministic.
+/// A value of a sparse spill vector, at its width.
+trait SpillValue: Copy + Default + PartialEq {
+    fn put(self, w: &mut ByteWriter);
+    fn get(r: &mut ByteReader) -> FormatResult<Self>;
+    fn checked_add(self, add: Self) -> Option<Self>;
+}
 
-fn put_sparse_u32(w: &mut ByteWriter, v: &[u32]) {
-    w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
-    for (i, x) in v.iter().enumerate() {
-        if *x != 0 {
-            w.put_u32(i as u32);
-            w.put_u32(*x);
+impl SpillValue for u32 {
+    fn put(self, w: &mut ByteWriter) {
+        w.put_u32(self);
+    }
+    fn get(r: &mut ByteReader) -> FormatResult<u32> {
+        r.get_u32()
+    }
+    fn checked_add(self, add: u32) -> Option<u32> {
+        u32::checked_add(self, add)
+    }
+}
+
+impl SpillValue for i64 {
+    fn put(self, w: &mut ByteWriter) {
+        w.put_u64(self as u64);
+    }
+    fn get(r: &mut ByteReader) -> FormatResult<i64> {
+        Ok(r.get_u64()? as i64)
+    }
+    fn checked_add(self, add: i64) -> Option<i64> {
+        i64::checked_add(self, add)
+    }
+}
+
+impl SpillValue for i128 {
+    fn put(self, w: &mut ByteWriter) {
+        let u = self as u128;
+        w.put_u64((u >> 64) as u64);
+        w.put_u64(u as u64);
+    }
+    fn get(r: &mut ByteReader) -> FormatResult<i128> {
+        let hi = r.get_u64()?;
+        let lo = r.get_u64()?;
+        Ok(((u128::from(hi) << 64) | u128::from(lo)) as i128)
+    }
+    fn checked_add(self, add: i128) -> Option<i128> {
+        i128::checked_add(self, add)
+    }
+}
+
+/// Writes a sparse vector from its candidate `(index, value)` entries in
+/// increasing index order: each non-zero one, after a count patched in
+/// once known, so every value is read once.
+fn put_sparse<V: SpillValue>(w: &mut ByteWriter, entries: impl IntoIterator<Item = (u32, V)>) {
+    let at = w.len();
+    w.put_u32(0);
+    let mut nnz = 0;
+    for (i, v) in entries {
+        if v != V::default() {
+            w.put_u32(i);
+            v.put(w);
+            nnz += 1;
         }
     }
+    w.set_u32(at, nnz);
 }
 
-fn put_sparse_i64(w: &mut ByteWriter, v: &[i64]) {
-    w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
-    for (i, x) in v.iter().enumerate() {
-        if *x != 0 {
-            w.put_u32(i as u32);
-            w.put_u64(*x as u64);
-        }
-    }
+/// Every entry of a dense vector, as sparse candidates.
+fn dense_entries<V: Copy>(v: &[V]) -> impl Iterator<Item = (u32, V)> + '_ {
+    v.iter().enumerate().map(|(i, &x)| (i as u32, x))
 }
 
-fn put_sparse_i128(w: &mut ByteWriter, v: &[i128]) {
-    w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
-    for (i, x) in v.iter().enumerate() {
-        if *x != 0 {
-            w.put_u32(i as u32);
-            put_i128(w, *x);
-        }
-    }
-}
-
-fn sparse_index(r: &mut ByteReader, len: usize) -> FormatResult<usize> {
-    let i = r.get_u32()? as usize;
-    if i >= len {
-        return Err(FormatError("sparse index out of range"));
-    }
-    Ok(i)
-}
-
-fn get_sparse_u32(r: &mut ByteReader, out: &mut [u32]) -> FormatResult<()> {
+/// Reads a sparse vector over `len` entries, handing each
+/// `(index, value)` to `add`. Indices must be below `len` and strictly
+/// increase: a repeated one would add twice.
+fn get_sparse<V: SpillValue>(
+    r: &mut ByteReader,
+    len: usize,
+    mut add: impl FnMut(usize, V) -> FormatResult<()>,
+) -> FormatResult<()> {
     let nnz = r.get_u32()?;
+    let mut lowest = 0;
     for _ in 0..nnz {
-        let i = sparse_index(r, out.len())?;
-        out[i] = r.get_u32()?;
+        let i = r.get_u32()? as usize;
+        if i >= len {
+            return Err(FormatError("sparse index out of range"));
+        }
+        if i < lowest {
+            return Err(FormatError("sparse indices not increasing"));
+        }
+        lowest = i + 1;
+        add(i, V::get(r)?)?;
     }
     Ok(())
 }
 
-fn get_sparse_i64(r: &mut ByteReader, out: &mut [i64]) -> FormatResult<()> {
-    let nnz = r.get_u32()?;
-    for _ in 0..nnz {
-        let i = sparse_index(r, out.len())?;
-        out[i] = r.get_u64()? as i64;
+/// Adds a sparse vector into `out`, refusing a sum that overflows.
+fn add_sparse<V: SpillValue>(r: &mut ByteReader, out: &mut [V]) -> FormatResult<()> {
+    get_sparse(r, out.len(), |i, v: V| {
+        out[i] = out[i]
+            .checked_add(v)
+            .ok_or(FormatError("sparse sum overflows"))?;
+        Ok(())
+    })
+}
+
+/// A dense row of one plane, which the spilled rows of that plane add
+/// into.
+pub trait PlaneRow {
+    /// Whether this is the signaling plane, whose rows follow the minute
+    /// rows in a spill.
+    const SIGNALING: bool;
+    /// Adds a spilled row's sparse vectors (its block after the BS id).
+    fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()>;
+    /// Zeroes the row.
+    fn clear(&mut self);
+}
+
+impl PlaneRow for MinuteRowQ {
+    const SIGNALING: bool = false;
+
+    fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
+        add_sparse(r, &mut self.counts)?;
+        add_sparse(r, &mut self.vol_q)
     }
-    Ok(())
-}
 
-/// Adds a sparse `i128` vector into `out`.
-fn add_sparse_i128(r: &mut ByteReader, out: &mut [i128]) -> FormatResult<()> {
-    let nnz = r.get_u32()?;
-    for _ in 0..nnz {
-        let i = sparse_index(r, out.len())?;
-        out[i] += get_i128(r)?;
+    fn clear(&mut self) {
+        self.counts.fill(0);
+        self.vol_q.fill(0);
     }
-    Ok(())
 }
 
-/// Writes an `i128` as two little-endian 64-bit halves (two's
-/// complement, hi then lo).
-fn put_i128(w: &mut ByteWriter, q: i128) {
-    let u = q as u128;
-    w.put_u64((u >> 64) as u64);
-    w.put_u64(u as u64);
-}
+impl PlaneRow for SignalRowQ {
+    const SIGNALING: bool = true;
 
-/// Reads an `i128` written by [`put_i128`].
-fn get_i128(r: &mut ByteReader) -> FormatResult<i128> {
-    let hi = r.get_u64()?;
-    let lo = r.get_u64()?;
-    Ok(((u128::from(hi) << 64) | u128::from(lo)) as i128)
+    fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
+        for lane in [&mut self.attach, &mut self.handover, &mut self.paging] {
+            add_sparse(r, lane)?;
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        for lane in [&mut self.attach, &mut self.handover, &mut self.paging] {
+            lane.fill(0);
+        }
+    }
 }
 
 /// Streams a spill file once end to end, returning its FNV-1a digest
@@ -337,25 +367,23 @@ pub struct SpillHeader {
 }
 
 /// A sequential reader over one spill file: adds the shard's per-BS
-/// totals up front, then yields the per-BS cells one at a time, then
-/// the minute rows and the signaling rows one at a time in ascending BS
-/// order — the memory contract the out-of-core assembler relies on. Run
-/// [`verify`] first; the cursor itself does not re-checksum.
+/// totals up front, then yields the per-BS cells one at a time, then the
+/// minute rows and the signaling rows one at a time in ascending BS
+/// order — the memory contract the out-of-core assembler relies on. Every
+/// block is read into the cursor's one buffer. Run [`verify`] first; the
+/// cursor itself does not re-checksum.
 pub struct SpillCursor {
     reader: SpillReader,
     header: SpillHeader,
+    block: Vec<u8>,
     cells_read: usize,
-    cell: CellBuf,
-    rows_read: usize,
-    last_bs: Option<u32>,
-    /// Next row, read ahead so callers can order cursors by `peek_bs`;
-    /// only filled once the cells are drained.
-    buffered: Option<(u32, MinuteRowQ)>,
-    sig_rows_read: usize,
-    last_sig_bs: Option<u32>,
-    /// Next signaling row; only filled once the minute rows are drained
-    /// (signaling blocks sit after the minute rows in the file).
-    buffered_sig: Option<(u32, SignalRowQ)>,
+    /// Rows read of each plane (minutes, then signaling) and the BS of
+    /// the last one.
+    rows_read: [usize; 2],
+    last_bs: [Option<u32>; 2],
+    /// BS of the row in `block`, read ahead so callers can order cursors
+    /// by it.
+    pending: Option<u32>,
 }
 
 impl SpillCursor {
@@ -391,8 +419,9 @@ impl SpillCursor {
             return Err(corrupt(format!("unsupported version {version}")));
         }
 
-        let header_block = reader.read_block()?;
-        let mut r = ByteReader::new(&header_block);
+        let mut block = Vec::new();
+        reader.read_block(&mut block)?;
+        let mut r = ByteReader::new(&block);
         let header = (|| -> FormatResult<SpillHeader> {
             let header = SpillHeader {
                 vbins: r.get_u32()? as usize,
@@ -413,9 +442,9 @@ impl SpillCursor {
         })()
         .map_err(|e| corrupt(e.to_string()))?;
 
-        let totals_block = reader.read_block()?;
-        let mut r = ByteReader::new(&totals_block);
-        add_sparse_i128(&mut r, totals_q).map_err(|e| corrupt(e.to_string()))?;
+        reader.read_block(&mut block)?;
+        let mut r = ByteReader::new(&block);
+        add_sparse(&mut r, totals_q).map_err(|e| corrupt(e.to_string()))?;
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes in totals block".to_string()));
         }
@@ -423,14 +452,11 @@ impl SpillCursor {
         Ok(SpillCursor {
             reader,
             header,
+            block,
             cells_read: 0,
-            cell: CellBuf::new(header.vbins, header.dbins),
-            rows_read: 0,
-            last_bs: None,
-            buffered: None,
-            sig_rows_read: 0,
-            last_sig_bs: None,
-            buffered_sig: None,
+            rows_read: [0; 2],
+            last_bs: [None; 2],
+            pending: None,
         })
     }
 
@@ -446,128 +472,121 @@ impl SpillCursor {
         self.reader.shard
     }
 
-    /// Decodes the next per-BS cell (ascending key order), `None` once
-    /// the cells are drained. The cell borrows the cursor's one decode
-    /// buffer.
-    pub fn next_cell(&mut self) -> Result<Option<(BsCellKey, BsCell<'_>)>, CampaignError> {
+    fn corrupt(&self, reason: impl ToString) -> CampaignError {
+        CampaignError::SpillCorrupt {
+            shard: self.shard(),
+            reason: reason.to_string(),
+        }
+    }
+
+    /// Reads the next per-BS cell (ascending key order), `None` once the
+    /// cells are drained. Its sums stay in the cursor's buffer until
+    /// [`SpilledCell::add_to`] adds them.
+    pub fn next_cell(&mut self) -> Result<Option<SpilledCell<'_>>, CampaignError> {
         if self.cells_read >= self.header.n_cells {
             return Ok(None);
         }
-        let block = self.reader.read_block()?;
-        let mut r = ByteReader::new(&block);
-        let key = self
-            .cell
-            .decode(&mut r)
-            .and_then(|key| {
+        self.reader.read_block(&mut self.block)?;
+        self.cells_read += 1;
+        let mut r = ByteReader::new(&self.block);
+        let key =
+            (|| -> FormatResult<BsCellKey> { Ok((r.get_u16()?, r.get_u32()?, r.get_u32()?)) })()
+                .map_err(|e| self.corrupt(e))?;
+        Ok(Some(SpilledCell {
+            key,
+            r,
+            header: self.header,
+            shard: self.reader.shard,
+        }))
+    }
+
+    /// BS id of the next row of `R`'s plane, if any. Only valid once the
+    /// cells — and, for the signaling plane, the minute rows — are
+    /// drained.
+    pub fn peek_bs<R: PlaneRow>(&mut self) -> Result<Option<u32>, CampaignError> {
+        let plane = usize::from(R::SIGNALING);
+        let rows = [self.header.n_rows, self.header.n_sig_rows];
+        if self.pending.is_some() || self.rows_read[plane] >= rows[plane] {
+            return Ok(self.pending);
+        }
+        debug_assert!(
+            self.cells_read >= self.header.n_cells && self.rows_read[..plane] == rows[..plane],
+            "rows requested before the blocks ahead of them were drained"
+        );
+        self.reader.read_block(&mut self.block)?;
+        let bs = ByteReader::new(&self.block)
+            .get_u32()
+            .map_err(|e| self.corrupt(e))?;
+        if self.last_bs[plane].is_some_and(|prev| bs <= prev) {
+            return Err(self.corrupt(format!(
+                "{} out of order",
+                ["rows", "signaling rows"][plane]
+            )));
+        }
+        self.last_bs[plane] = Some(bs);
+        self.rows_read[plane] += 1;
+        self.pending = Some(bs);
+        Ok(self.pending)
+    }
+
+    /// Adds the row [`Self::peek_bs`] named into `row`.
+    pub fn add_row<R: PlaneRow>(&mut self, row: &mut R) -> Result<(), CampaignError> {
+        self.pending.take().expect("a peeked row");
+        let mut r = ByteReader::new(&self.block[4..]);
+        row.add_spilled(&mut r)
+            .and_then(|()| {
                 if r.is_exhausted() {
-                    Ok(key)
+                    Ok(())
                 } else {
-                    Err(FormatError("trailing bytes in cell"))
+                    Err(FormatError("trailing bytes in row"))
                 }
             })
-            .map_err(|e| CampaignError::SpillCorrupt {
-                shard: self.reader.shard,
-                reason: e.to_string(),
-            })?;
-        self.cells_read += 1;
-        Ok(Some((key, self.cell.view())))
+            .map_err(|e| self.corrupt(e))
     }
+}
 
-    /// BS id of the next row, if any. Only valid once the cells are
-    /// drained.
-    pub fn peek_bs(&mut self) -> Result<Option<u32>, CampaignError> {
-        self.fill()?;
-        Ok(self.buffered.as_ref().map(|(bs, _)| *bs))
-    }
+/// A per-BS cell [`SpillCursor::next_cell`] read: its key, and its sums
+/// still in the cursor's buffer.
+pub struct SpilledCell<'a> {
+    /// (service, global BS id, day).
+    pub key: BsCellKey,
+    r: ByteReader<'a>,
+    header: SpillHeader,
+    shard: u32,
+}
 
-    /// Takes the next row (ascending BS order).
-    pub fn next_row(&mut self) -> Result<Option<(u32, MinuteRowQ)>, CampaignError> {
-        self.fill()?;
-        Ok(self.buffered.take())
-    }
-
-    fn fill(&mut self) -> Result<(), CampaignError> {
-        if self.buffered.is_some() || self.rows_read >= self.header.n_rows {
-            return Ok(());
-        }
-        debug_assert!(
-            self.cells_read >= self.header.n_cells,
-            "minute rows requested before the cells were drained"
-        );
-        let corrupt = |shard: u32, reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let block = self.reader.read_block()?;
-        let mut r = ByteReader::new(&block);
-        let row = (|| -> FormatResult<(u32, MinuteRowQ)> {
-            let bs = r.get_u32()?;
-            let mut row = MinuteRowQ {
-                counts: vec![0; self.header.row_len],
-                vol_q: vec![0; self.header.row_len],
-            };
-            get_sparse_u32(&mut r, &mut row.counts)?;
-            get_sparse_i64(&mut r, &mut row.vol_q)?;
-            Ok((bs, row))
-        })()
-        .map_err(|e| corrupt(self.shard(), e.to_string()))?;
-        if let Some(prev) = self.last_bs {
-            if row.0 <= prev {
-                return Err(corrupt(self.shard(), "rows out of order".to_string()));
+impl SpilledCell<'_> {
+    /// Adds the cell's sums into `cell`, a cell on the spill's grids, one
+    /// sparse entry at a time.
+    pub fn add_to(mut self, cell: &mut ExactCell) -> Result<(), CampaignError> {
+        let (vbins, dbins) = (self.header.vbins, self.header.dbins);
+        let r = &mut self.r;
+        (|| -> FormatResult<()> {
+            cell.add_totals(r.get_u32()?, r.get_u64()? as i64);
+            for sum in CELL_SUMS {
+                let bins = if sum.on_volume_grid() { vbins } else { dbins };
+                if sum.is_count() {
+                    get_sparse(r, bins, |bin, n: u32| {
+                        cell.add_bin(sum, bin, i64::from(n));
+                        Ok(())
+                    })?;
+                } else {
+                    get_sparse(r, bins, |bin, q: i64| {
+                        cell.add_bin(sum, bin, q);
+                        Ok(())
+                    })?;
+                }
             }
-        }
-        self.last_bs = Some(row.0);
-        self.rows_read += 1;
-        self.buffered = Some(row);
-        Ok(())
-    }
-
-    /// BS id of the next signaling row, if any. Only valid once the
-    /// minute rows are drained.
-    pub fn peek_signaling_bs(&mut self) -> Result<Option<u32>, CampaignError> {
-        self.fill_sig()?;
-        Ok(self.buffered_sig.as_ref().map(|(bs, _)| *bs))
-    }
-
-    /// Takes the next signaling row (ascending BS order).
-    pub fn next_signaling_row(&mut self) -> Result<Option<(u32, SignalRowQ)>, CampaignError> {
-        self.fill_sig()?;
-        Ok(self.buffered_sig.take())
-    }
-
-    fn fill_sig(&mut self) -> Result<(), CampaignError> {
-        if self.buffered_sig.is_some() || self.sig_rows_read >= self.header.n_sig_rows {
-            return Ok(());
-        }
-        debug_assert!(
-            self.buffered.is_none() && self.rows_read >= self.header.n_rows,
-            "signaling rows requested before the minute rows were drained"
-        );
-        let corrupt = |shard: u32, reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let block = self.reader.read_block()?;
-        let mut r = ByteReader::new(&block);
-        let row = (|| -> FormatResult<(u32, SignalRowQ)> {
-            let bs = r.get_u32()?;
-            let mut row = SignalRowQ {
-                attach: vec![0; self.header.row_len],
-                handover: vec![0; self.header.row_len],
-                paging: vec![0; self.header.row_len],
-            };
-            get_sparse_u32(&mut r, &mut row.attach)?;
-            get_sparse_u32(&mut r, &mut row.handover)?;
-            get_sparse_u32(&mut r, &mut row.paging)?;
-            Ok((bs, row))
-        })()
-        .map_err(|e| corrupt(self.shard(), e.to_string()))?;
-        if let Some(prev) = self.last_sig_bs {
-            if row.0 <= prev {
-                return Err(corrupt(
-                    self.shard(),
-                    "signaling rows out of order".to_string(),
-                ));
+            if r.is_exhausted() {
+                Ok(())
+            } else {
+                Err(FormatError("trailing bytes in cell"))
             }
-        }
-        self.last_sig_bs = Some(row.0);
-        self.sig_rows_read += 1;
-        self.buffered_sig = Some(row);
-        Ok(())
+        })()
+        .map_err(|e| CampaignError::SpillCorrupt {
+            shard: self.shard,
+            reason: e.to_string(),
+        })
     }
 }
 
@@ -590,11 +609,12 @@ impl SpillReader {
         Ok(())
     }
 
-    /// Reads one length-prefixed block. [`verify`] checks a spill's CRC
-    /// before any cursor opens it, so a declared length is bounded only
-    /// by the bytes left before the CRC trailer: a shard's cells block
-    /// grows with its load and may be as large as the file allows.
-    fn read_block(&mut self) -> Result<Vec<u8>, CampaignError> {
+    /// Reads one length-prefixed block into `block`. [`verify`] checks a
+    /// spill's CRC before any cursor opens it, so a declared length is
+    /// bounded only by the bytes left before the CRC trailer: a shard's
+    /// cells block grows with its load and may be as large as the file
+    /// allows.
+    fn read_block(&mut self, block: &mut Vec<u8>) -> Result<(), CampaignError> {
         let mut len = [0u8; 4];
         self.read_exact(&mut len)?;
         let len = u64::from(u32::from_le_bytes(len));
@@ -605,9 +625,8 @@ impl SpillReader {
                 reason: format!("block length {len} overruns the {room} bytes left"),
             });
         }
-        let mut block = vec![0u8; len as usize];
-        self.read_exact(&mut block)?;
-        Ok(block)
+        block.resize(len as usize, 0);
+        self.read_exact(block)
     }
 }
 
@@ -616,18 +635,57 @@ mod tests {
     use super::*;
     use mtd_dataset::record::{duration_grid, volume_grid};
     use mtd_math::histogram::LogGrid;
-    use mtd_netsim::ids::{BsId, Rat, ServiceId, SessionId};
+    use mtd_math::rng::{check_cases, vec_of};
+    use mtd_netsim::ids::{BsId, Rat, ServiceId, SessionId, UeId};
+    use mtd_netsim::probes::{SignalingEvent, SignalingKind};
     use mtd_netsim::session::SessionObservation;
     use mtd_netsim::time::SimTime;
-    use std::collections::BTreeMap;
+    use rand::Rng;
 
     fn grids() -> (LogGrid, LogGrid) {
         (volume_grid(), duration_grid())
     }
 
+    fn obs(
+        bs: u32,
+        service: u16,
+        day: u32,
+        secs: f64,
+        volume: f64,
+        duration: f64,
+    ) -> SessionObservation {
+        SessionObservation {
+            session: SessionId(1),
+            bs: BsId(bs),
+            rat: Rat::Lte,
+            service: ServiceId(service),
+            start: SimTime::new(day, secs),
+            duration_s: duration,
+            volume_mb: volume,
+            transient: false,
+            segment_index: 0,
+        }
+    }
+
+    fn sig(bs: u32, day: u32, secs: f64, which: u32) -> SignalingEvent {
+        let bs = BsId(bs);
+        SignalingEvent {
+            ue: UeId(1),
+            time: SimTime::new(day, secs),
+            kind: match which % 3 {
+                0 => SignalingKind::Attach(bs),
+                1 => SignalingKind::Handover(bs),
+                _ => SignalingKind::Paging(bs),
+            },
+        }
+    }
+
+    /// Five stations over two days; stations 0 and 3 are the shard's own,
+    /// so the rest keep sparse rows.
     fn sample_acc() -> ShardAccumulator {
         let (vg, dg) = grids();
         let mut acc = ShardAccumulator::new(vg, dg, 5, 2);
+        acc.set_own_stations(&[BsId(0), BsId(3)]);
         let mut state = 99u64;
         let mut next = move || {
             state = state
@@ -636,18 +694,14 @@ mod tests {
             state >> 33
         };
         for _ in 0..400 {
-            let obs = SessionObservation {
-                session: SessionId(1),
-                bs: BsId((next() % 5) as u32),
-                rat: Rat::Lte,
-                service: ServiceId((next() % 4) as u16),
-                start: SimTime::new((next() % 2) as u32, (next() % 86_400) as f64),
-                duration_s: 1.0 + (next() % 3000) as f64,
-                volume_mb: 10f64.powf((next() % 5000) as f64 / 1000.0 - 2.0),
-                transient: false,
-                segment_index: 0,
-            };
-            acc.record(&obs);
+            acc.record(&obs(
+                (next() % 5) as u32,
+                (next() % 4) as u16,
+                (next() % 2) as u32,
+                (next() % 86_400) as f64,
+                10f64.powf((next() % 5000) as f64 / 1000.0 - 2.0),
+                1.0 + (next() % 3000) as f64,
+            ));
         }
         acc
     }
@@ -655,14 +709,50 @@ mod tests {
     /// Opens `path`'s cursor and checks that the spill holds `acc`'s
     /// totals and per-BS cells, leaving the cursor at the rows.
     fn open_and_check_cells(path: &Path, acc: &ShardAccumulator) -> SpillCursor {
+        let (vg, dg) = grids();
         let mut totals_q = vec![0; acc.totals_q().len()];
         let mut cursor = SpillCursor::open(path, 0, &mut totals_q).unwrap();
         assert_eq!(totals_q, acc.totals_q());
         for (key, cell) in acc.cells() {
-            assert_eq!(cursor.next_cell().unwrap(), Some((key, cell)));
+            let spilled = cursor
+                .next_cell()
+                .unwrap()
+                .expect("a cell per accumulated cell");
+            assert_eq!(spilled.key, key);
+            let mut got = ExactCell::new(vg.bins(), dg.bins());
+            spilled.add_to(&mut got).unwrap();
+            let mut want = ExactCell::new(vg.bins(), dg.bins());
+            want.add(&cell);
+            assert_eq!(got, want, "{key:?}");
         }
-        assert_eq!(cursor.next_cell().unwrap(), None);
+        assert!(cursor.next_cell().unwrap().is_none());
         cursor
+    }
+
+    /// Every row of `R`'s plane left in `cursor`, each added into a copy
+    /// of `empty`.
+    fn read_rows<R: PlaneRow + Clone>(cursor: &mut SpillCursor, empty: &R) -> Vec<(u32, R)> {
+        let mut rows = Vec::new();
+        while let Some(bs) = cursor.peek_bs::<R>().unwrap() {
+            let mut row = empty.clone();
+            cursor.add_row(&mut row).unwrap();
+            rows.push((bs, row));
+        }
+        rows
+    }
+
+    fn dense_minutes(acc: &ShardAccumulator) -> Vec<(u32, MinuteRowQ)> {
+        let mut entries = Vec::new();
+        acc.minute_rows()
+            .map(|(bs, row)| {
+                row.entries_into(&mut entries);
+                let mut dense = MinuteRowQ::new(acc.row_len());
+                for &entry in &entries {
+                    dense.add(entry);
+                }
+                (bs, dense)
+            })
+            .collect()
     }
 
     /// Writes `acc`'s spill to a file named after the calling test: tests
@@ -692,19 +782,13 @@ mod tests {
         assert_eq!(digest, crate::fnv64(&bytes));
 
         let mut cursor = open_and_check_cells(&path, &acc);
-        let mut minutes = BTreeMap::new();
-        while let Some((bs, row)) = cursor.next_row().unwrap() {
-            minutes.insert(bs, row);
-        }
-        assert_eq!(minutes, acc.minutes);
+        let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
+        assert_eq!(minutes, dense_minutes(&acc));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn signaling_spills_as_v4_and_roundtrips() {
-        use mtd_netsim::ids::UeId;
-        use mtd_netsim::probes::{SignalingEvent, SignalingKind};
-
         let mut acc = sample_acc();
         acc.enable_signaling();
         let mut state = 7u64;
@@ -715,18 +799,8 @@ mod tests {
             state >> 33
         };
         for _ in 0..300 {
-            let bs = BsId((next() % 5) as u32);
-            let kind = match next() % 3 {
-                0 => SignalingKind::Attach(bs),
-                1 => SignalingKind::Handover(bs),
-                _ => SignalingKind::Paging(bs),
-            };
-            let ev = SignalingEvent {
-                ue: UeId(1),
-                time: SimTime::new((next() % 2) as u32, (next() % 86_400) as f64),
-                kind,
-            };
-            acc.record_signaling(&ev);
+            let (bs, day) = ((next() % 5) as u32, (next() % 2) as u32);
+            acc.record_signaling(&sig(bs, day, (next() % 86_400) as f64, next() as u32));
         }
 
         let (path, bytes) = write_spill("signaling_spills_as_v4_and_roundtrips", &acc);
@@ -737,16 +811,286 @@ mod tests {
         verify(&path, 0).unwrap();
 
         let mut cursor = open_and_check_cells(&path, &acc);
-        let mut minutes = BTreeMap::new();
-        while let Some((bs, row)) = cursor.next_row().unwrap() {
-            minutes.insert(bs, row);
+        let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
+        assert_eq!(minutes, dense_minutes(&acc));
+        let sig = read_rows(&mut cursor, &SignalRowQ::new(acc.row_len()));
+        let want: Vec<(u32, SignalRowQ)> = acc
+            .signaling
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|(bs, row)| (*bs, row.clone()))
+            .collect();
+        assert_eq!(sig, want);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The two-pass encoder the one-pass [`encode`] replaced, kept as its
+    /// reference: a fresh writer per block, and per sparse vector one
+    /// pass over every bin or minute to count the non-zero entries and
+    /// one to write them.
+    fn reference_encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
+        fn put_block(out: &mut Vec<u8>, payload: Vec<u8>) {
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&payload);
         }
-        assert_eq!(minutes, acc.minutes);
-        let mut sig = BTreeMap::new();
-        while let Some((bs, row)) = cursor.next_signaling_row().unwrap() {
-            sig.insert(bs, row);
+        fn put_sparse_u32(w: &mut ByteWriter, v: &[u32]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    w.put_u32(*x);
+                }
+            }
         }
-        assert_eq!(Some(sig), acc.signaling);
+        fn put_sparse_i64(w: &mut ByteWriter, v: &[i64]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    w.put_u64(*x as u64);
+                }
+            }
+        }
+        fn put_sparse_i128(w: &mut ByteWriter, v: &[i128]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    let u = *x as u128;
+                    w.put_u64((u >> 64) as u64);
+                    w.put_u64(u as u64);
+                }
+            }
+        }
+
+        let version = if acc.signaling.is_some() {
+            SIGNALING_VERSION
+        } else {
+            VERSION
+        };
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&version.to_le_bytes());
+        let in_key_order = acc.cells();
+        let minutes = dense_minutes(acc);
+        let mut header = ByteWriter::new();
+        header.put_u32(vbins as u32);
+        header.put_u32(dbins as u32);
+        header.put_u32(acc.row_len() as u32);
+        header.put_u32(in_key_order.len() as u32);
+        header.put_u32(minutes.len() as u32);
+        if let Some(sig) = &acc.signaling {
+            header.put_u32(sig.len() as u32);
+        }
+        put_block(&mut out, header.into_bytes());
+        let mut totals = ByteWriter::new();
+        put_sparse_i128(&mut totals, acc.totals_q());
+        put_block(&mut out, totals.into_bytes());
+        for ((service, bs, day), cell) in in_key_order {
+            let mut w = ByteWriter::new();
+            w.put_u16(service);
+            w.put_u32(bs);
+            w.put_u32(day);
+            w.put_u32(cell.sessions);
+            w.put_u64(cell.traffic_q as u64);
+            put_sparse_u32(&mut w, cell.hist_counts);
+            put_sparse_i64(&mut w, cell.pair_vol_q);
+            put_sparse_u32(&mut w, cell.pair_counts);
+            put_sparse_i64(&mut w, cell.pair_log_q);
+            put_sparse_i64(&mut w, cell.pair_log_sq_q);
+            put_block(&mut out, w.into_bytes());
+        }
+        for (bs, row) in &minutes {
+            let mut w = ByteWriter::new();
+            w.put_u32(*bs);
+            put_sparse_u32(&mut w, &row.counts);
+            put_sparse_i64(&mut w, &row.vol_q);
+            put_block(&mut out, w.into_bytes());
+        }
+        if let Some(sig) = &acc.signaling {
+            for (bs, row) in sig {
+                let mut w = ByteWriter::new();
+                w.put_u32(*bs);
+                put_sparse_u32(&mut w, &row.attach);
+                put_sparse_u32(&mut w, &row.handover);
+                put_sparse_u32(&mut w, &row.paging);
+                put_block(&mut out, w.into_bytes());
+            }
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn encoder_matches_the_two_pass_reference() {
+        let (vg, dg) = grids();
+        check_cases("campaign/spill/reference_encoder", 48, |rng| {
+            let n_bs = rng.gen_range(1..9usize);
+            let n_days = rng.gen_range(1..3u32);
+            let mut acc = ShardAccumulator::new(vg, dg, n_bs, n_days);
+            let own: Vec<BsId> = (0..n_bs as u32)
+                .filter(|_| rng.gen_bool(0.5))
+                .map(BsId)
+                .collect();
+            acc.set_own_stations(&own);
+            let signaling = rng.gen_bool(0.5);
+            if signaling {
+                acc.enable_signaling();
+            }
+            let mut observations = vec_of(rng, 0..200, |rng| {
+                obs(
+                    rng.gen_range(0..n_bs as u32),
+                    rng.gen_range(0..4),
+                    // Day `n_days` is past the horizon: totals only.
+                    rng.gen_range(0..=n_days),
+                    rng.gen_range(0.0..86_400.0),
+                    10f64.powf(rng.gen_range(-3.0..4.0)),
+                    10f64.powf(rng.gen_range(0.0..5.0)),
+                )
+            });
+            // Sums that are touched but zero: no volume, 1 MB (log₁₀ = 0),
+            // and 10 MB beside 0.1 MB in one bin, whose logs cancel.
+            for volumes in [&[0.0][..], &[1.0], &[10.0, 0.1]] {
+                let (bs, service) = (rng.gen_range(0..n_bs as u32), rng.gen_range(0..4));
+                let (day, secs) = (rng.gen_range(0..n_days), rng.gen_range(0.0..86_400.0));
+                for &volume in volumes {
+                    observations.push(obs(bs, service, day, secs, volume, 60.0));
+                }
+            }
+            // Now and then a fringe station gathers enough fragments to
+            // turn its row dense.
+            if rng.gen_bool(0.2) {
+                if let Some(fringe) = (0..n_bs as u32).find(|bs| !own.contains(&BsId(*bs))) {
+                    for i in 0..1100 {
+                        observations.push(obs(
+                            fringe,
+                            0,
+                            0,
+                            f64::from(i * 13 % 1440) * 60.0,
+                            2.0,
+                            9.0,
+                        ));
+                    }
+                }
+            }
+            for o in &observations {
+                acc.record(o);
+            }
+            if signaling {
+                for _ in 0..rng.gen_range(0..120) {
+                    let (bs, day) = (rng.gen_range(0..n_bs as u32), rng.gen_range(0..=n_days));
+                    acc.record_signaling(&sig(
+                        bs,
+                        day,
+                        rng.gen_range(0.0..86_400.0),
+                        rng.gen_range(0..3),
+                    ));
+                }
+            }
+            assert_eq!(
+                encode(&acc, vg.bins(), dg.bins()),
+                reference_encode(&acc, vg.bins(), dg.bins())
+            );
+        });
+    }
+
+    /// The blocks of a spill image, without their length prefixes.
+    fn blocks(image: &[u8]) -> Vec<Vec<u8>> {
+        let (mut at, end, mut out) = (12, image.len() - 4, Vec::new());
+        while at < end {
+            let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+            out.push(image[at + 4..at + 4 + len].to_vec());
+            at += 4 + len;
+        }
+        out
+    }
+
+    /// A spill image of `blocks` under `image`'s magic and version,
+    /// sealed with its CRC.
+    fn reseal(image: &[u8], blocks: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = image[..12].to_vec();
+        for block in blocks {
+            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            out.extend_from_slice(block);
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// `block` with one more entry in the sparse vector whose count sits
+    /// at byte `at`: `index` with the value of the vector's first entry,
+    /// right after that entry.
+    fn with_entry(block: &[u8], at: usize, value_len: usize, index: u32) -> Vec<u8> {
+        let nnz = u32::from_le_bytes(block[at..at + 4].try_into().unwrap());
+        let first = at + 4;
+        let mut out = block[..at].to_vec();
+        out.extend_from_slice(&(nnz + 1).to_le_bytes());
+        out.extend_from_slice(&block[first..first + 4 + value_len]);
+        out.extend_from_slice(&index.to_le_bytes());
+        out.extend_from_slice(&block[first + 4..first + 4 + value_len]);
+        out.extend_from_slice(&block[first + 4 + value_len..]);
+        out
+    }
+
+    #[test]
+    fn sparse_indices_that_do_not_increase_are_refused_naming_the_shard() {
+        // One 3 MB session at BS 1: one cell (histogram bin 104), one
+        // minute row (minute 10) and one non-zero total.
+        let (vg, dg) = grids();
+        let mut acc = ShardAccumulator::new(vg, dg, 3, 1);
+        acc.record(&obs(1, 2, 0, 600.0, 3.0, 60.0));
+        let image = encode(&acc, vg.bins(), dg.bins());
+        let good = blocks(&image);
+        assert_eq!(good.len(), 4, "header, totals, cell, row");
+        let dir = std::env::temp_dir().join("mtd_campaign_spill_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sparse_indices_that_do_not_increase.mtdspill");
+        // (block, offset of its first sparse count, value bytes, index)
+        for (b, at, value_len, index) in [
+            (1, 0, 16, 1),   // totals: BS 1 twice
+            (2, 22, 4, 104), // cell histogram: bin 104 twice
+            (2, 22, 4, 103), // cell histogram: bin 103 after 104
+            (3, 4, 4, 10),   // row counts: minute 10 twice
+        ] {
+            let mut bad = good.clone();
+            bad[b] = with_entry(&good[b], at, value_len, index);
+            std::fs::write(&path, reseal(&image, &bad)).unwrap();
+            verify(&path, 4).expect("a sealed image passes its CRC");
+            let result = SpillCursor::open(&path, 4, &mut [0; 3]).and_then(|mut cursor| {
+                cursor
+                    .next_cell()?
+                    .expect("one cell")
+                    .add_to(&mut ExactCell::new(vg.bins(), dg.bins()))?;
+                cursor.peek_bs::<MinuteRowQ>()?;
+                cursor.add_row(&mut MinuteRowQ::new(1440))
+            });
+            match result {
+                Err(CampaignError::SpillCorrupt { shard: 4, reason }) => {
+                    assert_eq!(reason, "sparse indices not increasing", "block {b}");
+                }
+                other => panic!("block {b}, index {index}: {other:?}"),
+            }
+        }
+        // Unedited, the same walk succeeds.
+        std::fs::write(&path, reseal(&image, &good)).unwrap();
+        let mut cursor = SpillCursor::open(&path, 4, &mut [0; 3]).unwrap();
+        let mut cell = ExactCell::new(vg.bins(), dg.bins());
+        cursor
+            .next_cell()
+            .unwrap()
+            .unwrap()
+            .add_to(&mut cell)
+            .unwrap();
+        assert_eq!(cursor.peek_bs::<MinuteRowQ>().unwrap(), Some(1));
+        let mut row = MinuteRowQ::new(1440);
+        cursor.add_row(&mut row).unwrap();
+        assert_eq!(
+            (row.counts[10], row.vol_q[10]),
+            (1, mtd_dataset::accum::q_vol(3.0) as i64)
+        );
         std::fs::remove_file(&path).ok();
     }
 

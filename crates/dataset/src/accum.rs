@@ -30,6 +30,16 @@
 //! ([`ExactCell`]) hold `u64` counts and `i128` sums, 60+ bits from
 //! overflow for a campaign of 10⁹ observations.
 //!
+//! What a shard holds costs what it touched, not the width of the grids
+//! or of the campaign. A per-BS cell marks which histogram and duration
+//! bins it recorded into ([`BsCell::touched`]), so summing it into a
+//! group cell, or spilling it, visits about as many bins as it has
+//! observations instead of all 258 on the default grids. A station's
+//! minute row ([`MinuteRow`]) is dense only for the accumulator's own
+//! stations; a campaign shard also collects the handover fragments its
+//! sessions leave on stations outside it, and those fringe rows keep one
+//! sparse entry per fragment, sorted and merged only when read.
+//!
 //! [`Dataset::build`](crate::Dataset::build) itself accumulates through
 //! this module, so a sharded campaign and a monolithic build are the same
 //! pipeline by construction, not by coincidence.
@@ -39,6 +49,7 @@ use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_netsim::engine::EngineSink;
 use mtd_netsim::geo::BaseStation;
+use mtd_netsim::ids::BsId;
 use mtd_netsim::probes::{SignalingEvent, SignalingKind};
 use mtd_netsim::session::SessionObservation;
 use mtd_netsim::time::MINUTES_PER_DAY;
@@ -138,28 +149,39 @@ impl ExactCell {
     }
 
     /// Adds one per-BS cell (same bin counts) into this one, widening
-    /// every sum. Pure integer addition: associative and commutative, so
-    /// the order cells are added in never changes the result.
+    /// every sum of the bins it touched. Pure integer addition:
+    /// associative and commutative, so the order cells are added in never
+    /// changes the result.
     pub fn add(&mut self, cell: &BsCell) {
         assert_eq!(self.hist_counts.len(), cell.hist_counts.len());
         assert_eq!(self.pair_counts.len(), cell.pair_counts.len());
-        self.sessions += u64::from(cell.sessions);
-        self.traffic_q += i128::from(cell.traffic_q);
-        for (a, b) in self.hist_counts.iter_mut().zip(cell.hist_counts) {
-            *a += u64::from(*b);
-            self.hist_total += u64::from(*b);
-        }
-        for (a, b) in self.pair_counts.iter_mut().zip(cell.pair_counts) {
-            *a += u64::from(*b);
-        }
-        for (sums, adds) in [
-            (&mut self.pair_vol_q, cell.pair_vol_q),
-            (&mut self.pair_log_q, cell.pair_log_q),
-            (&mut self.pair_log_sq_q, cell.pair_log_sq_q),
-        ] {
-            for (a, b) in sums.iter_mut().zip(adds) {
-                *a += i128::from(*b);
+        self.add_totals(cell.sessions, cell.traffic_q);
+        for sum in BinnedSum::ALL {
+            for bin in cell.touched(sum) {
+                self.add_bin(sum, bin, cell.get(sum, bin));
             }
+        }
+    }
+
+    /// Adds a per-BS cell's session count and traffic; its binned sums
+    /// add through [`Self::add_bin`].
+    pub fn add_totals(&mut self, sessions: u32, traffic_q: i64) {
+        self.sessions += u64::from(sessions);
+        self.traffic_q += i128::from(traffic_q);
+    }
+
+    /// Adds a per-BS cell's bin `bin` of `sum` into this one's. A count
+    /// sum's `value` is a `u32` count, widened.
+    pub fn add_bin(&mut self, sum: BinnedSum, bin: usize, value: i64) {
+        match sum {
+            BinnedSum::HistCounts => {
+                self.hist_counts[bin] += value as u64;
+                self.hist_total += value as u64;
+            }
+            BinnedSum::PairCounts => self.pair_counts[bin] += value as u64,
+            BinnedSum::PairVolQ => self.pair_vol_q[bin] += i128::from(value),
+            BinnedSum::PairLogQ => self.pair_log_q[bin] += i128::from(value),
+            BinnedSum::PairLogSqQ => self.pair_log_sq_q[bin] += i128::from(value),
         }
     }
 
@@ -182,12 +204,53 @@ impl ExactCell {
     }
 }
 
+/// A binned sum of a cell: one entry per volume-histogram bin or per
+/// duration bin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinnedSum {
+    /// Volume histogram bin counts.
+    HistCounts,
+    /// Sum of volumes per duration bin, quantized MB.
+    PairVolQ,
+    /// Session count per duration bin.
+    PairCounts,
+    /// Sum of `log₁₀(volume)` per duration bin, quantized.
+    PairLogQ,
+    /// Sum of `log₁₀(volume)²` per duration bin, quantized.
+    PairLogSqQ,
+}
+
+impl BinnedSum {
+    /// Every binned sum.
+    pub const ALL: [BinnedSum; 5] = [
+        BinnedSum::HistCounts,
+        BinnedSum::PairVolQ,
+        BinnedSum::PairCounts,
+        BinnedSum::PairLogQ,
+        BinnedSum::PairLogSqQ,
+    ];
+
+    /// Whether a per-BS cell holds this sum as `u32` counts (else as
+    /// `i64` sums).
+    #[must_use]
+    pub fn is_count(self) -> bool {
+        matches!(self, BinnedSum::HistCounts | BinnedSum::PairCounts)
+    }
+
+    /// Whether the sum is binned on the volume grid (else on the duration
+    /// grid).
+    #[must_use]
+    pub fn on_volume_grid(self) -> bool {
+        self == BinnedSum::HistCounts
+    }
+}
+
 /// Key of a per-BS cell: (service, global BS id, day).
 pub type BsCellKey = (u16, u32, u32);
 
 /// One (service, BS, day) cell's narrow sums, borrowed from an
-/// accumulator's arena or from a spill decoder. The fields mirror
-/// [`ExactCell`]'s; its `hist_total` is the sum of `hist_counts`.
+/// accumulator's arena. The fields mirror [`ExactCell`]'s; its
+/// `hist_total` is the sum of `hist_counts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BsCell<'a> {
     /// Session count.
@@ -204,6 +267,50 @@ pub struct BsCell<'a> {
     pub pair_log_q: &'a [i64],
     /// Sum of `log₁₀(volume)²` per duration bin, quantized.
     pub pair_log_sq_q: &'a [i64],
+    /// Bit `b % 64` of word `b / 64` is set once histogram bin `b` was
+    /// recorded into. Every other bin is 0; a touched one may sum to 0.
+    pub hist_touched: &'a [u64],
+    /// The same for the duration bins of the four pair sums.
+    pub pair_touched: &'a [u64],
+}
+
+impl<'a> BsCell<'a> {
+    /// The bins of `sum` this cell recorded into, ascending.
+    pub fn touched(&self, sum: BinnedSum) -> impl Iterator<Item = usize> + 'a {
+        let words = if sum.on_volume_grid() {
+            self.hist_touched
+        } else {
+            self.pair_touched
+        };
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                (left != 0).then(|| {
+                    let bit = left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Bin `bin` of `sum`; a count sum's `u32` count, widened.
+    #[must_use]
+    pub fn get(&self, sum: BinnedSum, bin: usize) -> i64 {
+        match sum {
+            BinnedSum::HistCounts => i64::from(self.hist_counts[bin]),
+            BinnedSum::PairCounts => i64::from(self.pair_counts[bin]),
+            BinnedSum::PairVolQ => self.pair_vol_q[bin],
+            BinnedSum::PairLogQ => self.pair_log_q[bin],
+            BinnedSum::PairLogSqQ => self.pair_log_sq_q[bin],
+        }
+    }
+}
+
+/// Sets bit `bin` of a touched-bin mask.
+#[inline]
+fn touch(words: &mut [u64], bin: usize) {
+    words[bin / 64] |= 1 << (bin % 64);
 }
 
 /// A narrow integer sum that must never wrap.
@@ -255,14 +362,23 @@ fn overflow(key: BsCellKey) -> ! {
 /// grids) instead of the up-to-half of a doubling `Vec`.
 const BLOCK_CELLS: usize = 128;
 
-/// The per-BS cells as a struct of arrays: each block holds every field
+/// The per-BS cells as a struct of arrays: each block holds every sum
 /// of `BLOCK_CELLS` cells, one array per field. Blocks are allocated
 /// zeroed and never move.
 struct CellArena {
     vbins: usize,
     dbins: usize,
+    /// Touched-bin mask words per cell: `vwords` for the `vbins` bits,
+    /// then as many as the `dbins` bits take.
+    vwords: usize,
+    words: usize,
     /// Each cell's key, by cell id (insertion order).
     keys: Vec<BsCellKey>,
+    /// Each cell's `words` touched-bin mask words, by cell id, next to
+    /// each other so that recording touches one cache line for both.
+    /// One array for the arena, not one per block: a small allocation
+    /// beside each block's large ones fragments the heap.
+    touched: Vec<u64>,
     blocks: Vec<CellBlock>,
 }
 
@@ -289,7 +405,10 @@ impl CellArena {
         CellArena {
             vbins,
             dbins,
+            vwords: vbins.div_ceil(64),
+            words: vbins.div_ceil(64) + dbins.div_ceil(64),
             keys: Vec::new(),
+            touched: Vec::new(),
             blocks: Vec::new(),
         }
     }
@@ -314,6 +433,7 @@ impl CellArena {
             });
         }
         self.keys.push(key);
+        self.touched.resize(self.touched.len() + self.words, 0);
         u32::try_from(id).expect("fewer than 2³² per-BS cells")
     }
 
@@ -321,6 +441,8 @@ impl CellArena {
     fn get(&self, id: u32) -> (BsCellKey, BsCell<'_>) {
         let (b, i) = locate(id);
         let (block, v, d) = (&self.blocks[b], self.vbins, self.dbins);
+        let id = id as usize;
+        let touched = &self.touched[id * self.words..(id + 1) * self.words];
         let pairs = i * d..(i + 1) * d;
         let cell = BsCell {
             sessions: block.sessions[i],
@@ -330,8 +452,10 @@ impl CellArena {
             pair_counts: &block.pair_counts[pairs.clone()],
             pair_log_q: &block.pair_log_q[pairs.clone()],
             pair_log_sq_q: &block.pair_log_sq_q[pairs],
+            hist_touched: &touched[..self.vwords],
+            pair_touched: &touched[self.vwords..],
         };
-        (self.keys[id as usize], cell)
+        (self.keys[id], cell)
     }
 
     /// Records one observation into cell `id` (`vol_q == q_vol(volume_mb)`).
@@ -350,6 +474,9 @@ impl CellArena {
     ) {
         let (key, (b, i)) = (self.keys[id as usize], locate(id));
         let (block, v, d) = (&mut self.blocks[b], self.vbins, self.dbins);
+        let at = id as usize * self.words;
+        let touched = &mut self.touched[at..at + self.words];
+        let (hist_touched, pair_touched) = touched.split_at_mut(self.vwords);
         let lv = volume_mb.max(1e-12).log10();
         let vol_q = narrow(vol_q, key);
         add_narrow(&mut block.sessions[i], 1, key);
@@ -361,8 +488,11 @@ impl CellArena {
                 vgrid.bin_of(volume_mb)
             };
             add_narrow(&mut block.hist_counts[i * v + vbin], 1, key);
+            touch(hist_touched, vbin);
         }
-        let p = i * d + dgrid.bin_of(duration_s);
+        let dbin = dgrid.bin_of(duration_s);
+        touch(pair_touched, dbin);
+        let p = i * d + dbin;
         add_narrow(&mut block.pair_vol_q[p], vol_q, key);
         add_narrow(&mut block.pair_counts[p], 1, key);
         add_narrow(&mut block.pair_log_q[p], narrow(q_log(lv), key), key);
@@ -377,6 +507,12 @@ impl CellArena {
     fn add(&mut self, id: u32, cell: &BsCell) {
         let (key, (b, i)) = (self.keys[id as usize], locate(id));
         let (block, v, d) = (&mut self.blocks[b], self.vbins, self.dbins);
+        let at = id as usize * self.words;
+        let touched = &mut self.touched[at..at + self.words];
+        let adds = cell.hist_touched.iter().chain(cell.pair_touched);
+        for (word, bits) in touched.iter_mut().zip(adds) {
+            *word |= bits;
+        }
         let pairs = i * d..(i + 1) * d;
         add_narrow(&mut block.sessions[i], cell.sessions, key);
         add_narrow(&mut block.traffic_q[i], cell.traffic_q, key);
@@ -412,27 +548,98 @@ impl MinuteRowQ {
         }
     }
 
-    /// Finalizes into the dense `(counts, volumes)` row the store
-    /// encodes.
-    #[must_use]
-    pub fn to_row(&self) -> (Vec<u32>, Vec<f32>) {
-        (
-            self.counts.clone(),
-            self.vol_q
-                .iter()
-                .map(|q| dq_vol(i128::from(*q)) as f32)
-                .collect(),
-        )
+    /// The row's volumes in MB, as the store encodes them, into `out`
+    /// (cleared first).
+    pub fn volumes_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(self.vol_q.iter().map(|q| dq_vol(i128::from(*q)) as f32));
     }
 
-    /// Adds another row of the same length into this one.
-    pub fn merge(&mut self, other: &MinuteRowQ) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+    /// Adds one entry's sessions and volume at its minute.
+    pub fn add(&mut self, entry: MinuteEntry) {
+        let minute = entry.minute as usize;
+        self.counts[minute] += entry.count;
+        self.vol_q[minute] += entry.vol_q;
+    }
+}
+
+/// One minute of a BS's row: the sessions that started in it and their
+/// volume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MinuteEntry {
+    /// Campaign minute (`day × 1440 + minute of day`).
+    pub minute: u32,
+    /// Session starts.
+    pub count: u32,
+    /// Traffic volume, quantized MB.
+    pub vol_q: i64,
+}
+
+/// Bytes per minute of a dense row: a `u32` count and an `i64` volume.
+const DENSE_MINUTE_BYTES: usize = std::mem::size_of::<u32>() + std::mem::size_of::<i64>();
+
+/// One touched BS's minute row in fixed point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MinuteRow {
+    /// Every minute of the campaign: the row of one of the accumulator's
+    /// own stations.
+    Dense(MinuteRowQ),
+    /// One entry per recorded observation or merged minute, unsorted, a
+    /// minute possibly repeated: the row of a station outside the shard,
+    /// which holds only the handover fragments of the shard's sessions.
+    /// It turns dense once it would outgrow a dense row.
+    Sparse(Vec<MinuteEntry>),
+}
+
+impl MinuteRow {
+    /// Adds one entry to a row of `row_len` minutes.
+    fn add(&mut self, entry: MinuteEntry, row_len: usize) {
+        match self {
+            MinuteRow::Dense(row) => row.add(entry),
+            MinuteRow::Sparse(entries) => {
+                entries.push(entry);
+                if entries.len() * std::mem::size_of::<MinuteEntry>()
+                    >= row_len * DENSE_MINUTE_BYTES
+                {
+                    let mut dense = MinuteRowQ::new(row_len);
+                    for &entry in entries.iter() {
+                        dense.add(entry);
+                    }
+                    *self = MinuteRow::Dense(dense);
+                }
+            }
         }
-        for (a, b) in self.vol_q.iter_mut().zip(&other.vol_q) {
-            *a += b;
+    }
+
+    /// The row's touched minutes into `out` (cleared first), ascending
+    /// and each once: a dense row's minutes with a session start, or a
+    /// sparse row's entries sorted and merged. Reads each value once.
+    pub fn entries_into(&self, out: &mut Vec<MinuteEntry>) {
+        out.clear();
+        match self {
+            MinuteRow::Dense(row) => {
+                for (minute, &count) in row.counts.iter().enumerate() {
+                    if count != 0 {
+                        out.push(MinuteEntry {
+                            minute: minute as u32,
+                            count,
+                            vol_q: row.vol_q[minute],
+                        });
+                    }
+                }
+            }
+            MinuteRow::Sparse(entries) => {
+                out.extend_from_slice(entries);
+                out.sort_unstable_by_key(|entry| entry.minute);
+                out.dedup_by(|next, kept| {
+                    let same = next.minute == kept.minute;
+                    if same {
+                        kept.count += next.count;
+                        kept.vol_q += next.vol_q;
+                    }
+                    same
+                });
+            }
         }
     }
 }
@@ -477,7 +684,8 @@ impl SignalRowQ {
     }
 }
 
-/// Cell-index entry of a (BS, day, service) without a cell yet.
+/// Cell-index entry of a (BS, day, service) without a cell yet, and
+/// row-index entry of a BS without a minute row yet.
 const NO_CELL: u32 = u32::MAX;
 
 /// The one sink of a build or of a campaign shard: per-BS cells, per-BS
@@ -485,16 +693,24 @@ const NO_CELL: u32 = u32::MAX;
 ///
 /// Observations are attributed by **global** BS id, so a shard sink also
 /// collects handover fragments that land on neighbor stations outside
-/// its own range; the campaign assembler merges those cross-shard
-/// contributions with integer adds, reproducing the monolithic result
-/// exactly. Rows are kept sparse (only touched BSs) so a shard's memory
-/// scales with its own size plus the handover fringe, not with `n_bs`.
+/// its own stations (its fringe); the campaign assembler merges those
+/// cross-shard contributions with integer adds, reproducing the
+/// monolithic result exactly. Only touched BSs get a minute row, found
+/// through a direct index by BS id. The row of one of the accumulator's
+/// own stations is dense (`n_days × 1440` minutes); every station is its
+/// own unless [`Self::set_own_stations`] names fewer, as a campaign
+/// shard does, and then a fringe station's row keeps one sparse
+/// [`MinuteEntry`] per fragment. A shard's memory thus scales with its
+/// own stations plus what its handovers left on the fringe, not with
+/// `n_bs` or the fringe's width.
 ///
 /// Cells are keyed (service, BS, day) and live in insertion order in one
 /// arena, found through a direct index over (BS, day) to a service slot:
 /// every observation lands in a cell, so the lookup is the hot path.
-/// Integer sums do not depend on insertion order; whatever can observe
-/// the cells walks them in key order through [`Self::cells`].
+/// Each cell also marks the bins it recorded into, so whatever reads it
+/// visits only those. Integer sums do not depend on insertion order;
+/// whatever can observe the cells walks them in key order through
+/// [`Self::cells`].
 ///
 /// A per-BS cell's sums are narrow — `u32` counts, `i64` sums — and every
 /// add is checked: an overflow panics naming the cell's key, it never
@@ -518,8 +734,13 @@ pub struct ShardAccumulator {
     /// ([`NO_CELL`] when absent); rows grow as services appear.
     cell_index: Vec<Vec<u32>>,
     cells: CellArena,
-    /// Accumulated minute rows keyed by global BS id.
-    pub minutes: BTreeMap<u32, MinuteRowQ>,
+    /// Whether each global BS id is one of the accumulator's own
+    /// stations, whose minute rows are dense.
+    own: Vec<bool>,
+    /// Index into `rows` of each global BS id's minute row ([`NO_CELL`]
+    /// until the BS is touched).
+    row_of_bs: Vec<u32>,
+    rows: Vec<MinuteRow>,
     /// Accumulated control-plane rows keyed by global BS id. `None`
     /// means signaling collection is disabled (the default), so
     /// non-control-plane campaigns pay nothing and produce datasets
@@ -545,9 +766,53 @@ impl ShardAccumulator {
             totals_q: vec![0; n_bs],
             cell_index: vec![Vec::new(); n_bs * n_days as usize],
             cells: CellArena::new(volume_grid.bins(), duration_grid.bins()),
-            minutes: BTreeMap::new(),
+            own: vec![true; n_bs],
+            row_of_bs: vec![NO_CELL; n_bs],
+            rows: Vec::new(),
             signaling: None,
         }
+    }
+
+    /// Narrows the accumulator's own stations, by default all of them, to
+    /// `stations`: only their minute rows are dense. A campaign shard
+    /// names its stations here, so the rows of the fringe its handovers
+    /// reach hold only what landed there. Call before recording.
+    pub fn set_own_stations(&mut self, stations: &[BsId]) {
+        assert!(self.rows.is_empty(), "own stations are set before any row");
+        self.own.fill(false);
+        for bs in stations {
+            self.own[bs.0 as usize] = true;
+        }
+    }
+
+    /// Adds one entry to `bs`'s minute row, created on first use.
+    fn add_minute(&mut self, bs: u32, entry: MinuteEntry) {
+        let slot = &mut self.row_of_bs[bs as usize];
+        if *slot == NO_CELL {
+            *slot = u32::try_from(self.rows.len()).expect("fewer than 2³² rows");
+            self.rows.push(if self.own[bs as usize] {
+                MinuteRow::Dense(MinuteRowQ::new(self.row_len))
+            } else {
+                MinuteRow::Sparse(Vec::new())
+            });
+        }
+        self.rows[*slot as usize].add(entry, self.row_len);
+    }
+
+    /// The touched BSs' minute rows in ascending BS order.
+    pub fn minute_rows(&self) -> impl Iterator<Item = (u32, &MinuteRow)> {
+        self.row_of_bs
+            .iter()
+            .enumerate()
+            .filter(|(_, &slot)| slot != NO_CELL)
+            .map(|(bs, &slot)| (bs as u32, &self.rows[slot as usize]))
+    }
+
+    /// The number of minute rows (touched BSs), counted without walking
+    /// them.
+    #[must_use]
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
     }
 
     /// The id of the cell for `key`, created empty on first use.
@@ -640,14 +905,15 @@ impl ShardAccumulator {
             mtd_telemetry::count("dataset.observations.spilled", 1);
             return;
         }
-        let minute = (day * MINUTES_PER_DAY + obs.start.minute_of_day()) as usize;
-        let row_len = self.row_len;
-        let row = self
-            .minutes
-            .entry(obs.bs.0)
-            .or_insert_with(|| MinuteRowQ::new(row_len));
-        row.counts[minute] += 1;
-        row.vol_q[minute] += vol_q as i64;
+        let minute = day * MINUTES_PER_DAY + obs.start.minute_of_day();
+        self.add_minute(
+            obs.bs.0,
+            MinuteEntry {
+                minute,
+                count: 1,
+                vol_q: vol_q as i64,
+            },
+        );
 
         let id = self.cell_id((obs.service.0, obs.bs.0, day));
         let (vgrid, dgrid) = (self.volume_grid, self.duration_grid);
@@ -666,12 +932,12 @@ impl ShardAccumulator {
         for (a, b) in self.totals_q.iter_mut().zip(&other.totals_q) {
             *a += b;
         }
-        for (bs, row) in &other.minutes {
-            let row_len = self.row_len;
-            self.minutes
-                .entry(*bs)
-                .or_insert_with(|| MinuteRowQ::new(row_len))
-                .merge(row);
+        let mut entries = Vec::new();
+        for (bs, row) in other.minute_rows() {
+            row.entries_into(&mut entries);
+            for &entry in &entries {
+                self.add_minute(bs, entry);
+            }
         }
         if let Some(other_sig) = &other.signaling {
             self.enable_signaling();
@@ -732,10 +998,14 @@ impl ShardAccumulator {
     pub fn finalize_minutes(&self, n_bs: usize) -> (Vec<Vec<u32>>, Vec<Vec<f32>>) {
         let mut counts = vec![vec![0u32; self.row_len]; n_bs];
         let mut volumes = vec![vec![0.0f32; self.row_len]; n_bs];
-        for (bs, row) in &self.minutes {
-            let (c, v) = row.to_row();
-            counts[*bs as usize] = c;
-            volumes[*bs as usize] = v;
+        let mut entries = Vec::new();
+        for (bs, row) in self.minute_rows() {
+            row.entries_into(&mut entries);
+            for entry in &entries {
+                let (bs, minute) = (bs as usize, entry.minute as usize);
+                counts[bs][minute] = entry.count;
+                volumes[bs][minute] = dq_vol(i128::from(entry.vol_q)) as f32;
+            }
         }
         (counts, volumes)
     }
@@ -829,6 +1099,26 @@ mod tests {
             acc.record(o);
         }
         acc
+    }
+
+    /// Every minute row as its sorted, merged entries: equal for equal
+    /// rows, dense or sparse.
+    fn row_entries(acc: &ShardAccumulator) -> Vec<(u32, Vec<MinuteEntry>)> {
+        acc.minute_rows()
+            .map(|(bs, row)| {
+                let mut entries = Vec::new();
+                row.entries_into(&mut entries);
+                (bs, entries)
+            })
+            .collect()
+    }
+
+    /// A random subset of `0..n_bs` as own stations.
+    fn own_subset(rng: &mut SmallRng, n_bs: usize) -> Vec<BsId> {
+        (0..n_bs as u32)
+            .filter(|_| rng.gen_bool(0.5))
+            .map(BsId)
+            .collect()
     }
 
     /// The integer cell formulas as first written: libm rounding through
@@ -927,7 +1217,8 @@ mod tests {
             assert_eq!(acc.totals_q(), expect_totals);
 
             // Any partition into shards, merged in any order, is the same
-            // state: per-BS cells, totals and rows alike.
+            // state: per-BS cells, totals and rows alike, whichever
+            // stations each shard holds dense rows for.
             let parts = rng.gen_range(1..5usize);
             let part_of: Vec<usize> = observations
                 .iter()
@@ -938,17 +1229,89 @@ mod tests {
                 order.swap(i, rng.gen_range(0..=i));
             }
             let mut merged = ShardAccumulator::new(vgrid, dgrid, n_bs, n_days);
+            merged.set_own_stations(&own_subset(rng, n_bs));
             for part in order {
-                let mine = observations
+                let mut shard = ShardAccumulator::new(vgrid, dgrid, n_bs, n_days);
+                shard.set_own_stations(&own_subset(rng, n_bs));
+                for (o, _) in observations
                     .iter()
                     .zip(&part_of)
-                    .filter(|(_, p)| **p == part);
-                merged.merge(&accum(mine.map(|(o, _)| o), vgrid, n_bs, n_days));
+                    .filter(|(_, p)| **p == part)
+                {
+                    shard.record(o);
+                }
+                merged.merge(&shard);
             }
             assert!(merged.cells().eq(acc.cells()));
             assert_eq!(merged.totals_q(), acc.totals_q());
-            assert_eq!(merged.minutes, acc.minutes);
+            assert_eq!(row_entries(&merged), row_entries(&acc));
+            assert_eq!(merged.finalize_minutes(n_bs), acc.finalize_minutes(n_bs));
         });
+    }
+
+    #[test]
+    fn touched_bins_cover_every_nonzero_bin() {
+        // Zero volumes, 1 MB volumes (log₁₀ = 0) and logs that cancel
+        // leave touched bins that sum to 0; untouched bins must all be 0.
+        check_cases("dataset/accum/touched_bins", 64, |rng| {
+            let volumes = [0.0, 1.0, 10.0, 0.1, 0.37, 1e4, f64::NAN];
+            let observations = vec_of(rng, 1..60, |rng| {
+                let volume = volumes[rng.gen_range(0..volumes.len())];
+                let duration = [1.0, 60.0, 4000.0][rng.gen_range(0..3)];
+                obs(0, rng.gen_range(0..2), 0, 30.0, volume, duration)
+            });
+            let acc = accum(&observations, volume_grid(), 1, 1);
+            for (_, cell) in acc.cells() {
+                for sum in BinnedSum::ALL {
+                    let touched: Vec<usize> = cell.touched(sum).collect();
+                    assert!(touched.windows(2).all(|w| w[0] < w[1]));
+                    let bins = if sum.on_volume_grid() {
+                        cell.hist_counts.len()
+                    } else {
+                        cell.pair_counts.len()
+                    };
+                    for bin in 0..bins {
+                        if !touched.contains(&bin) {
+                            assert_eq!(cell.get(sum, bin), 0, "{sum:?} bin {bin}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn fringe_rows_stay_sparse_until_they_outgrow_a_dense_row() {
+        // Station 0 is the only own one; station 1 is fringe. A day has
+        // 1440 minutes, so a sparse row of 16-byte entries reaches the
+        // 12-byte-per-minute dense row at 1080 entries.
+        let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 1);
+        acc.set_own_stations(&[BsId(0)]);
+        let at = |bs: u32, i: u32| obs(bs, 0, 0, f64::from(i % 1440) * 60.0, 1.0, 60.0);
+        acc.record(&at(0, 0));
+        for i in 0..1079 {
+            acc.record(&at(1, i * 7));
+        }
+        let kinds = |acc: &ShardAccumulator| -> Vec<bool> {
+            acc.minute_rows()
+                .map(|(_, row)| matches!(row, MinuteRow::Dense(_)))
+                .collect()
+        };
+        assert_eq!(kinds(&acc), [true, false]);
+        let sparse = row_entries(&acc);
+        acc.record(&at(1, 1079 * 7));
+        assert_eq!(kinds(&acc), [true, true]);
+        // Sorted, merged entries read the same either way.
+        let mut dense = row_entries(&acc);
+        let last = dense[1]
+            .1
+            .iter_mut()
+            .find(|e| e.minute == (1079 * 7) % 1440)
+            .unwrap();
+        last.count -= 1;
+        last.vol_q -= q_vol(1.0) as i64;
+        dense[1].1.retain(|e| e.count != 0);
+        assert_eq!(dense, sparse);
     }
 
     #[test]
@@ -1003,7 +1366,7 @@ mod tests {
         let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 1, 2);
         acc.record(&obs(0, 0, 2, 10.0, 1.0, 60.0)); // day 2 of a 2-day run
         assert_eq!(acc.cells().len(), 0);
-        assert!(acc.minutes.is_empty());
+        assert_eq!(acc.row_count(), 0);
         // The engine still served it, so it still counts toward the load.
         assert_eq!(acc.totals_q(), [q_vol(1.0)]);
     }

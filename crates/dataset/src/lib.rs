@@ -35,7 +35,10 @@ pub mod record;
 pub mod shares;
 pub mod store;
 
-pub use accum::{BsCell, BsCellKey, ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
+pub use accum::{
+    BinnedSum, BsCell, BsCellKey, ExactCell, MinuteEntry, MinuteRow, MinuteRowQ, ShardAccumulator,
+    SignalRowQ,
+};
 pub use dataset::{BsGroups, CellKey, CellMap, Dataset, GroupKey, SignalingPlane, SliceFilter};
 pub use record::{CellStats, PairPoint};
 pub use shares::SharesAccumulator;
