@@ -499,9 +499,16 @@ fn models(argv: &[String]) -> Result<(), String> {
 }
 
 /// Sink that discards events (simulate without `--out`: stats only).
+/// It forks, so a parallel run uses every worker.
 struct NullSink;
 
-impl EngineSink for NullSink {}
+impl EngineSink for NullSink {
+    fn fork(&self) -> Option<Self> {
+        Some(NullSink)
+    }
+
+    fn merge(&mut self, _part: Self) {}
+}
 
 /// Sink that streams observations as CSV while the engine runs.
 struct CsvObservationSink<W: Write> {
@@ -548,7 +555,7 @@ fn simulate(argv: &[String]) -> Result<(), String> {
 
     progress!(
         "cli",
-        "simulating {} BSs x {} days (seed {}, scale {}) on {} thread(s) ...",
+        "simulating {} BSs x {} days (seed {}, scale {}) on up to {} thread(s) ...",
         config.n_bs,
         config.days,
         config.seed,
@@ -1327,29 +1334,46 @@ pub(crate) mod tests {
         assert_eq!(first.split(',').count(), 7);
     }
 
+    /// The value of the `sim.threads` gauge in an NDJSON dump.
+    fn sim_threads(ndjson: &str) -> f64 {
+        let line = ndjson
+            .lines()
+            .find(|line| line.contains("\"name\":\"sim.threads\""))
+            .expect("a sim.threads gauge");
+        let value = line.rsplit("\"value\":").next().unwrap();
+        value.trim_end_matches('}').parse().unwrap()
+    }
+
     #[test]
     fn simulate_dumps_telemetry_ndjson() {
         let dir = std::env::temp_dir().join("mtd_cli_test_tel");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("telemetry.ndjson");
         let path_s = path.to_str().unwrap().to_string();
-        run(&argv(&[
-            "simulate",
-            "--n-bs",
-            "4",
-            "--days",
-            "1",
-            "--scale",
-            "0.02",
-            "--threads",
-            "2",
-            "--telemetry",
-            &path_s,
-            "--quiet",
-        ]))
-        .unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let csv = dir.join("observations.csv");
+        let csv_s = csv.to_str().unwrap().to_string();
+        let simulate = |extra: &[&str]| -> String {
+            let mut args = vec![
+                "simulate",
+                "--n-bs",
+                "4",
+                "--days",
+                "1",
+                "--scale",
+                "0.02",
+                "--threads",
+                "2",
+                "--telemetry",
+                &path_s,
+                "--quiet",
+            ];
+            args.extend_from_slice(extra);
+            run(&argv(&args)).unwrap();
+            let content = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            content
+        };
+        let content = simulate(&[]);
         assert!(content.lines().count() >= 4);
         for line in content.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
@@ -1361,6 +1385,13 @@ pub(crate) mod tests {
         assert!(content.contains("\"name\":\"sim.worker.sessions\""));
         assert!(content.contains("\"label\":\"w0\""));
         assert!(content.contains("\"name\":\"sim.sessions\""));
+        // Without `--out` the sink forks and both workers run; the CSV
+        // sink cannot fork, so `--out` runs on one thread in order.
+        assert_eq!(sim_threads(&content), 2.0);
+        let content = simulate(&["--out", &csv_s]);
+        std::fs::remove_file(&csv).ok();
+        assert_eq!(sim_threads(&content), 1.0);
+        assert!(!content.contains("\"name\":\"sim.worker.sessions\""));
     }
 
     #[test]

@@ -1032,6 +1032,9 @@ impl ShardAccumulator {
     }
 }
 
+/// Every sum is an integer add, so forks merged in any order hold what
+/// one accumulator fed in station order would: a parallel build or
+/// shard folds into one accumulator per worker.
 impl EngineSink for ShardAccumulator {
     fn on_observation(&mut self, obs: &SessionObservation) {
         self.record(obs);
@@ -1039,6 +1042,22 @@ impl EngineSink for ShardAccumulator {
 
     fn on_signaling(&mut self, ev: &SignalingEvent) {
         self.record_signaling(ev);
+    }
+
+    /// An empty accumulator for the same campaign: the same grids, own
+    /// stations and signaling switch.
+    fn fork(&self) -> Option<Self> {
+        let (n_bs, n_days) = (self.totals_q.len(), self.n_days);
+        let mut part = ShardAccumulator::new(self.volume_grid, self.duration_grid, n_bs, n_days);
+        part.own.clone_from(&self.own);
+        if self.signaling.is_some() {
+            part.enable_signaling();
+        }
+        Some(part)
+    }
+
+    fn merge(&mut self, part: Self) {
+        ShardAccumulator::merge(self, &part);
     }
 }
 
@@ -1312,6 +1331,61 @@ mod tests {
         last.vol_q -= q_vol(1.0) as i64;
         dense[1].1.retain(|e| e.count != 0);
         assert_eq!(dense, sparse);
+    }
+
+    #[test]
+    fn a_fork_is_empty_and_keeps_grids_own_stations_and_signaling() {
+        let deep = LogGrid::new(-15.0, 4.0, 95).unwrap();
+        let observations = stream(400, 4);
+        let mut acc = ShardAccumulator::new(deep, duration_grid(), 4, 3);
+        acc.set_own_stations(&[BsId(1), BsId(3)]);
+        acc.enable_signaling();
+        for o in &observations[..200] {
+            acc.record(o);
+        }
+        acc.record_signaling(&sig(1, 0, 30.0, 0));
+
+        let mut fork = EngineSink::fork(&acc).expect("an accumulator forks");
+        assert_eq!(fork.cell_count(), 0);
+        assert_eq!(fork.row_count(), 0);
+        assert!(fork.totals_q().iter().all(|&q| q == 0));
+        assert_eq!(fork.signaling, Some(BTreeMap::new()));
+        assert_eq!(
+            (fork.volume_grid, fork.duration_grid),
+            (acc.volume_grid, acc.duration_grid)
+        );
+        assert_eq!((fork.n_days, fork.row_len), (acc.n_days, acc.row_len));
+        assert_eq!(fork.own, acc.own);
+
+        // The fork records like its parent, and merging it back is the
+        // same as one accumulator fed everything.
+        for o in &observations[200..] {
+            fork.record(o);
+        }
+        fork.record_signaling(&sig(2, 1, 90.0, 1));
+        let kinds: Vec<(u32, bool)> = fork
+            .minute_rows()
+            .map(|(bs, row)| (bs, matches!(row, MinuteRow::Dense(_))))
+            .collect();
+        assert!(
+            kinds.iter().all(|&(bs, dense)| dense == (bs % 2 == 1)),
+            "{kinds:?}"
+        );
+        EngineSink::merge(&mut acc, fork);
+        let mut whole = ShardAccumulator::new(deep, duration_grid(), 4, 3);
+        whole.enable_signaling();
+        for o in &observations {
+            whole.record(o);
+        }
+        whole.record_signaling(&sig(1, 0, 30.0, 0));
+        whole.record_signaling(&sig(2, 1, 90.0, 1));
+        assert!(acc.cells().eq(whole.cells()));
+        assert_eq!(acc.totals_q(), whole.totals_q());
+        assert_eq!(row_entries(&acc), row_entries(&whole));
+        assert_eq!(acc.signaling, whole.signaling);
+
+        let plain = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 1);
+        assert_eq!(EngineSink::fork(&plain).unwrap().signaling, None);
     }
 
     #[test]

@@ -24,15 +24,27 @@ use crate::time::{SimTime, MINUTES_PER_DAY};
 use mtd_math::rng::{stream_id, stream_rng};
 use rand::Rng;
 
-/// Receiver of simulation output. All methods have no-op defaults so a
-/// sink implements only what it needs.
-pub trait EngineSink {
+/// Receiver of simulation output. All methods have defaults so a sink
+/// implements only what it needs. Only a sink that cannot
+/// [`fork`](EngineSink::fork) is promised station order.
+pub trait EngineSink: Sized {
     /// A complete session was generated, together with its attachment plan.
     fn on_session(&mut self, _spec: &SessionSpec, _plan: &[(BsId, f64)]) {}
     /// One per-BS fragment of a session (the dataset's unit of record).
     fn on_observation(&mut self, _obs: &SessionObservation) {}
     /// One S1-MME signaling event (for the RAN probe).
     fn on_signaling(&mut self, _ev: &SignalingEvent) {}
+    /// An empty sink for one more worker of a parallel run, merged back
+    /// once every station has run. `None`, the default, runs the sink on
+    /// one thread in station order. Fork only when the parts merged in
+    /// any order hold what one sink fed in station order would.
+    fn fork(&self) -> Option<Self> {
+        None
+    }
+    /// Adds what a fork recorded; a sink that forks must override this.
+    fn merge(&mut self, _part: Self) {
+        unreachable!("a sink that forks must merge its forks")
+    }
 }
 
 /// Aggregate counters returned by a run.
@@ -132,8 +144,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs the full campaign, feeding `sink`.
-    pub fn run<S: EngineSink>(&self, sink: &mut S) -> RunStats {
+    /// Runs the full campaign, feeding `sink` in station order on the
+    /// calling thread.
+    pub fn run<S: EngineSink + Send>(&self, sink: &mut S) -> RunStats {
         let _span = mtd_telemetry::span!("sim.run");
         self.announce_total_units();
         let stats = self.run_stations(&self.all_stations(), sink, 1);
@@ -141,23 +154,21 @@ impl<'a> Engine<'a> {
         stats
     }
 
-    /// Runs the campaign across `threads` worker threads on the shared
-    /// [`mtd_par`] pool.
+    /// Runs the campaign across up to `threads` worker threads on the
+    /// shared [`mtd_par`] pool.
     ///
     /// Produces output **identical** to [`Engine::run`]: every station has
-    /// its own derived RNG streams and deterministic session ids, workers
-    /// buffer each station's events, and the pool's ordered streaming map
-    /// replays buffers to `sink` in station order. A worker starts a
-    /// station only within `2 × threads` stations of the one being
-    /// replayed, so at most that many station buffers are alive however
-    /// slowly `sink` consumes.
-    pub fn run_parallel<S: EngineSink>(&self, sink: &mut S, threads: usize) -> RunStats {
+    /// its own derived RNG streams and deterministic session ids, so its
+    /// events do not depend on the worker that simulates it. A sink that
+    /// [forks](EngineSink::fork) runs on every worker and its forks merge
+    /// back at the end; any other sink runs on one thread and is the only
+    /// kind promised station order.
+    pub fn run_parallel<S: EngineSink + Send>(&self, sink: &mut S, threads: usize) -> RunStats {
         let threads = threads.max(1).min(self.topology.len().max(1));
         if threads == 1 {
             return self.run(sink);
         }
         let _span = mtd_telemetry::span!("sim.run_parallel");
-        mtd_telemetry::gauge_set("sim.threads", threads as f64);
         self.announce_total_units();
         let stats = self.run_stations(&self.all_stations(), sink, threads);
         record_run_stats(&stats);
@@ -165,7 +176,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs only the listed stations — one **shard** of the campaign —
-    /// feeding `sink` in list order.
+    /// on up to `threads` workers, the same way as
+    /// [`Engine::run_parallel`]: a sink that cannot fork is fed in list
+    /// order on one thread.
     ///
     /// Every per-station RNG stream and session-id namespace is derived
     /// from the *global* [`BsId`] (see [`BsId::rng_stream`]), so each
@@ -176,7 +189,7 @@ impl<'a> Engine<'a> {
     ///
     /// # Panics
     /// Panics when an id falls outside the topology.
-    pub fn run_shard<S: EngineSink>(
+    pub fn run_shard<S: EngineSink + Send>(
         &self,
         sink: &mut S,
         stations: &[BsId],
@@ -195,19 +208,24 @@ impl<'a> Engine<'a> {
         self.topology.stations().iter().map(|s| s.id).collect()
     }
 
-    /// The one station loop behind every runner: simulates `stations` into
-    /// `sink` in list order on up to `threads` workers. Per-station stats
-    /// merge in list order, so the float totals are bit-identical for
-    /// every thread count.
-    fn run_stations<S: EngineSink>(
+    /// The one station loop behind every runner, on up to `threads`
+    /// workers (the `sim.threads` gauge records how many ran). A sink
+    /// that cannot fork is fed in list order on the calling thread; one
+    /// that forks is folded into on every worker, worker 0 recording into
+    /// `sink`. Per-station stats merge in list order either way, so the
+    /// float totals are bit-identical for every thread count.
+    fn run_stations<S: EngineSink + Send>(
         &self,
         stations: &[BsId],
         sink: &mut S,
         threads: usize,
     ) -> RunStats {
+        let workers = threads.max(1).min(stations.len().max(1));
+        let forks: Option<Vec<S>> = (1..workers).map(|_| sink.fork()).collect();
+        let mut forks = forks.unwrap_or_default();
+        mtd_telemetry::gauge_set("sim.threads", (forks.len() + 1) as f64);
         let mut stats = RunStats::default();
-        let threads = threads.max(1).min(stations.len().max(1));
-        if threads == 1 {
+        if forks.is_empty() {
             for &id in stations {
                 let mut st = RunStats::default();
                 self.run_station(self.topology.station(id), sink, &mut st);
@@ -215,22 +233,18 @@ impl<'a> Engine<'a> {
             }
             return stats;
         }
-        mtd_par::Pool::new(threads).par_for_each_ordered(
-            stations.len(),
-            |i| {
-                let mut buffer = BufferSink::default();
+        let mut states: Vec<&mut S> = std::iter::once(&mut *sink).chain(&mut forks).collect();
+        let per_station =
+            mtd_par::Pool::new(workers).par_fold(stations.len(), &mut states, |sink, i| {
                 let mut st = RunStats::default();
-                self.run_station(self.topology.station(stations[i]), &mut buffer, &mut st);
+                self.run_station(self.topology.station(stations[i]), &mut **sink, &mut st);
                 let worker = format!("w{}", mtd_par::current_worker().unwrap_or(0));
                 mtd_telemetry::count_labeled("sim.worker.stations", &worker, 1);
                 mtd_telemetry::count_labeled("sim.worker.sessions", &worker, st.sessions);
-                (buffer, st)
-            },
-            |_, (buffer, st)| {
-                buffer.replay(sink);
-                stats.merge(&st);
-            },
-        );
+                st
+            });
+        forks.into_iter().for_each(|part| sink.merge(part));
+        per_station.iter().for_each(|st| stats.merge(st));
         stats
     }
 
@@ -430,44 +444,6 @@ impl EngineSink for ProbeSink {
     }
 }
 
-/// One buffered engine event (used by the parallel runner).
-enum BufferedEvent {
-    Session(SessionSpec, Vec<(BsId, f64)>),
-    Observation(SessionObservation),
-    Signaling(SignalingEvent),
-}
-
-/// Buffers a station's events for ordered replay.
-#[derive(Default)]
-struct BufferSink {
-    events: Vec<BufferedEvent>,
-}
-
-impl BufferSink {
-    fn replay<S: EngineSink>(self, sink: &mut S) {
-        for ev in self.events {
-            match ev {
-                BufferedEvent::Session(spec, plan) => sink.on_session(&spec, &plan),
-                BufferedEvent::Observation(obs) => sink.on_observation(&obs),
-                BufferedEvent::Signaling(ev) => sink.on_signaling(&ev),
-            }
-        }
-    }
-}
-
-impl EngineSink for BufferSink {
-    fn on_session(&mut self, spec: &SessionSpec, plan: &[(BsId, f64)]) {
-        self.events
-            .push(BufferedEvent::Session(spec.clone(), plan.to_vec()));
-    }
-    fn on_observation(&mut self, obs: &SessionObservation) {
-        self.events.push(BufferedEvent::Observation(obs.clone()));
-    }
-    fn on_signaling(&mut self, ev: &SignalingEvent) {
-        self.events.push(BufferedEvent::Signaling(*ev));
-    }
-}
-
 /// A sink that simply collects observations in memory (tests, small runs).
 #[derive(Debug, Default)]
 pub struct CollectSink {
@@ -485,10 +461,41 @@ impl EngineSink for CollectSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::probes::join_observations;
     use std::collections::BTreeMap;
+
+    /// Each station's sessions and observations, keyed by the station
+    /// that started them (the high bits of the session id). It forks, so
+    /// a parallel run folds into it on every worker; `merged` counts the
+    /// forks added back.
+    #[derive(Default)]
+    pub(crate) struct OriginSink {
+        pub(crate) by_origin: BTreeMap<u64, (Vec<SessionSpec>, Vec<SessionObservation>)>,
+        pub(crate) merged: usize,
+    }
+
+    impl EngineSink for OriginSink {
+        fn on_session(&mut self, spec: &SessionSpec, _plan: &[(BsId, f64)]) {
+            let events = self.by_origin.entry(spec.id.0 >> 42).or_default();
+            events.0.push(spec.clone());
+        }
+        fn on_observation(&mut self, obs: &SessionObservation) {
+            let events = self.by_origin.entry(obs.session.0 >> 42).or_default();
+            events.1.push(obs.clone());
+        }
+        fn fork(&self) -> Option<Self> {
+            Some(OriginSink::default())
+        }
+        fn merge(&mut self, part: Self) {
+            for (origin, events) in part.by_origin {
+                let twice = self.by_origin.insert(origin, events).is_some();
+                assert!(!twice, "station {origin} ran on two workers");
+            }
+            self.merged += 1;
+        }
+    }
 
     fn run_small() -> (
         ScenarioConfig,
@@ -642,35 +649,15 @@ mod tests {
         let topology = Topology::generate(config.n_bs, config.seed);
         let catalog = ServiceCatalog::paper();
         let engine = Engine::new(&config, &topology, &catalog);
-        let mut seq = CollectSink::default();
+        let mut seq = OriginSink::default();
         let seq_stats = engine.run(&mut seq);
-        let mut par = CollectSink::default();
-        let par_stats = engine.run_parallel(&mut par, 4);
-        assert_eq!(seq_stats, par_stats);
-        assert_eq!(seq.sessions.len(), par.sessions.len());
-        assert_eq!(seq.observations.len(), par.observations.len());
-        for (a, b) in seq.observations.iter().zip(&par.observations) {
-            assert_eq!(a, b);
+        for threads in [2, 4] {
+            let mut par = OriginSink::default();
+            let par_stats = engine.run_parallel(&mut par, threads);
+            assert_eq!(par.merged, threads - 1, "every worker folds into a fork");
+            assert_eq!(seq_stats, par_stats, "threads {threads}");
+            assert!(seq.by_origin == par.by_origin, "threads {threads}");
         }
-        for (a, b) in seq.sessions.iter().zip(&par.sessions) {
-            assert_eq!(a, b);
-        }
-    }
-
-    /// Each station's sessions and observations, keyed by the station
-    /// that started them (the high bits of the session id).
-    fn by_origin(sink: &CollectSink) -> BTreeMap<u64, (Vec<SessionSpec>, Vec<SessionObservation>)> {
-        let mut out: BTreeMap<u64, (Vec<_>, Vec<_>)> = BTreeMap::new();
-        for spec in &sink.sessions {
-            out.entry(spec.id.0 >> 42).or_default().0.push(spec.clone());
-        }
-        for obs in &sink.observations {
-            out.entry(obs.session.0 >> 42)
-                .or_default()
-                .1
-                .push(obs.clone());
-        }
-        out
     }
 
     #[test]
@@ -679,9 +666,9 @@ mod tests {
         let topology = Topology::generate(config.n_bs, config.seed);
         let catalog = ServiceCatalog::paper();
         let engine = Engine::new(&config, &topology, &catalog);
-        let mut mono = CollectSink::default();
+        let mut mono = OriginSink::default();
         let mono_stats = engine.run(&mut mono);
-        let expected = by_origin(&mono);
+        let expected = mono.by_origin;
         assert_eq!(expected.len(), config.n_bs, "every station starts sessions");
 
         // A seeded shuffle of the ids, split into id-sorted lists.
@@ -700,10 +687,11 @@ mod tests {
                 })
                 .collect();
             for threads in [1usize, 2, 4] {
-                let mut sharded = CollectSink::default();
+                // A sink that forks folds each list on every worker.
+                let mut folded = OriginSink::default();
                 let mut stats = RunStats::default();
                 for list in &lists {
-                    stats.merge(&engine.run_shard(&mut sharded, list, threads));
+                    stats.merge(&engine.run_shard(&mut folded, list, threads));
                 }
                 let case = format!("{n_lists} lists x {threads} threads");
                 assert_eq!(stats.sessions, mono_stats.sessions, "{case}");
@@ -717,9 +705,14 @@ mod tests {
                 let rel = (stats.total_volume_mb - mono_stats.total_volume_mb).abs()
                     / mono_stats.total_volume_mb;
                 assert!(rel < 1e-12, "{case}: {rel}");
-                assert!(by_origin(&sharded) == expected, "{case}");
-                // Stations run in list order, lists one after another.
-                let mut order: Vec<u64> = sharded.sessions.iter().map(|s| s.id.0 >> 42).collect();
+                assert!(folded.by_origin == expected, "{case}");
+                // A sink that cannot fork sees stations in list order,
+                // lists one after another, at every thread count.
+                let mut ordered = CollectSink::default();
+                for list in &lists {
+                    engine.run_shard(&mut ordered, list, threads);
+                }
+                let mut order: Vec<u64> = ordered.sessions.iter().map(|s| s.id.0 >> 42).collect();
                 order.dedup();
                 let listed: Vec<u64> = lists.concat().iter().map(|id| u64::from(id.0)).collect();
                 assert_eq!(order, listed, "{case}");

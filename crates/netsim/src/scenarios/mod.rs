@@ -90,6 +90,7 @@ pub fn stress_session<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::OriginSink;
     use crate::engine::{CollectSink, Engine};
     use crate::geo::Topology;
     use crate::services::ServiceCatalog;
@@ -169,14 +170,18 @@ mod tests {
         let topology = Topology::generate(config.n_bs, config.seed);
         let catalog = ServiceCatalog::paper();
         let engine = Engine::new(&config, &topology, &catalog);
-        let mut seq = CollectSink::default();
+        let mut seq = OriginSink::default();
         let seq_stats = engine.run(&mut seq);
         for threads in [2, 4, 8] {
-            let mut par = CollectSink::default();
+            let mut par = OriginSink::default();
             let par_stats = engine.run_parallel(&mut par, threads);
+            assert_eq!(
+                par.merged,
+                threads.min(config.n_bs) - 1,
+                "threads {threads}"
+            );
             assert_eq!(seq_stats, par_stats, "threads {threads}");
-            assert_eq!(seq.observations, par.observations, "threads {threads}");
-            assert_eq!(seq.sessions, par.sessions, "threads {threads}");
+            assert!(seq.by_origin == par.by_origin, "threads {threads}");
         }
     }
 

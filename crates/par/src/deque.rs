@@ -60,12 +60,6 @@ impl<T> WorkDeque<T> {
     pub fn len(&self) -> usize {
         self.lock().len()
     }
-
-    /// Whether the deque is drained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +77,7 @@ mod tests {
         assert_eq!(d.steal(), Some(3)); // thief: front = first pushed
         assert_eq!(d.pop(), Some(1));
         assert_eq!(d.steal(), Some(2));
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
         assert_eq!(d.pop(), None);
         assert_eq!(d.steal(), None);
     }

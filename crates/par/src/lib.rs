@@ -1,20 +1,22 @@
 //! `mtd-par` — the workspace's shared parallel runtime.
 //!
-//! A scoped thread pool with per-worker work-stealing deques and a
-//! deterministic, input-ordered parallel map. Every parallel entry point
-//! in the workspace (per-service fitting, the EMD similarity matrix, the
-//! netsim station fan-out) runs on this one abstraction, so a single knob
-//! sizes them all.
+//! A scoped thread pool with per-worker work-stealing deques, a
+//! deterministic, input-ordered parallel map and a per-worker fold.
+//! Every parallel entry point in the workspace (per-service fitting, the
+//! EMD similarity matrix, the netsim station fan-out) runs on this one
+//! abstraction, so a single knob sizes them all.
 //!
 //! # Determinism
 //!
-//! [`Pool::par_map_indexed`] and [`Pool::par_for_each_ordered`] guarantee
-//! results in **input order** regardless of thread count or scheduling:
-//! job `i` always runs `f(i)` on exactly one worker, and results are
-//! placed (or replayed) by index. Because every job executes the same
-//! code path as the sequential loop would, parallel output is
-//! bit-identical to sequential — the discipline established by
-//! `Engine::run_parallel`, now centralized here.
+//! [`Pool::par_fold`] runs `step(state, i)` for every `i` exactly once,
+//! folding into the state of whichever worker ran it, and returns the
+//! per-index results **in input order**; [`Pool::par_map_indexed`] is
+//! the same fold with no state. Because every job executes the same
+//! code path as the sequential loop would, per-index results are
+//! bit-identical to sequential, and per-worker states merge to the
+//! sequential fold whenever folding and merging are associative and
+//! commutative, as the integer sums of the dataset accumulator that the
+//! netsim station fan-out folds into are.
 //!
 //! # Pool sizing
 //!
@@ -34,7 +36,6 @@
 mod deque;
 mod pool;
 
-pub use deque::WorkDeque;
 pub use pool::{current_worker, Pool, Scope};
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,9 +1,7 @@
-//! The scoped thread pool: deterministic parallel maps, `scope`/`join`.
+//! The scoped thread pool: deterministic parallel maps and folds, `scope`.
 
 use crate::deque::WorkDeque;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Index of the pool worker running on this thread, if any.
@@ -110,58 +108,6 @@ fn seed_indices(n: usize, threads: usize) -> Vec<WorkDeque<usize>> {
     deques
 }
 
-/// The start gate of [`Pool::par_for_each_ordered`]: index `i` may start
-/// once `i < next + width`, where `next` is the next index to replay.
-struct StartWindow {
-    next: Mutex<usize>,
-    moved: Condvar,
-    width: usize,
-}
-
-impl StartWindow {
-    fn new(width: usize) -> StartWindow {
-        StartWindow {
-            next: Mutex::new(0),
-            moved: Condvar::new(),
-            width,
-        }
-    }
-
-    /// Every update is one store of a valid index, so a guard recovered
-    /// from a poisoned lock still holds a valid window.
-    fn lock(&self) -> MutexGuard<'_, usize> {
-        self.next.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until index `i` is inside the window.
-    fn wait_for(&self, i: usize) {
-        let outside = |next: &mut usize| i >= next.saturating_add(self.width);
-        let _inside = self
-            .moved
-            .wait_while(self.lock(), outside)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-
-    /// Moves the window to start at `next` (it never moves back).
-    fn advance(&self, next: usize) {
-        let mut at = self.lock();
-        *at = (*at).max(next);
-        self.moved.notify_all();
-    }
-}
-
-/// Opens the window for good when its thread unwinds, so no worker waits
-/// on a replay that will never happen and the panic can propagate.
-struct OpenOnPanic<'a>(&'a StartWindow);
-
-impl Drop for OpenOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.advance(usize::MAX);
-        }
-    }
-}
-
 /// A fixed-size scoped thread pool. Cheap to construct: threads are
 /// spawned per call and joined before the call returns, so borrowed data
 /// (`&Dataset`, `&Engine`) flows into jobs without `'static` bounds.
@@ -186,9 +132,10 @@ impl Pool {
     }
 
     /// Maps `f` over `0..n` in parallel, returning results in input
-    /// order. With one worker (or one job) this *is* the sequential loop
-    /// — same thread, same order — so output is bit-identical across
-    /// thread counts by construction.
+    /// order: [`Pool::par_fold`] with no per-worker state. With one
+    /// worker (or one job) this *is* the sequential loop — same thread,
+    /// same order — so output is bit-identical across thread counts by
+    /// construction.
     ///
     /// # Panics
     /// Propagates the first worker panic after all workers stop.
@@ -197,21 +144,51 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let threads = self.threads.min(n.max(1));
-        if threads <= 1 {
-            return (0..n).map(f).collect();
+        self.par_fold(n, &mut vec![(); self.threads], |(), i| f(i))
+    }
+
+    /// Runs `step(state, i)` for every `i` in `0..n`, each worker `w`
+    /// folding into its own `states[w]`, and returns the steps' results
+    /// in input order. It runs on `min(threads, states.len(), n)`
+    /// workers, the calling thread being worker 0; with one worker it
+    /// *is* the sequential loop over `states[0]`.
+    ///
+    /// Every index runs exactly once, but which worker runs it depends on
+    /// scheduling, so each state holds an unpredictable share of the
+    /// indices. The states merged in any order equal the sequential fold
+    /// whenever folding and merging are associative and commutative
+    /// (integer sums, disjoint keyed maps); anything that must follow
+    /// input order belongs in the per-index results.
+    ///
+    /// # Panics
+    /// Panics when `states` is empty; propagates the first worker panic
+    /// after all workers stop.
+    pub fn par_fold<S, T, F>(&self, n: usize, states: &mut [S], step: F) -> Vec<T>
+    where
+        S: Send,
+        T: Send,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
+        let workers = self.threads.min(states.len()).min(n.max(1));
+        let (first, rest) = states
+            .split_first_mut()
+            .expect("par_fold needs a state per worker");
+        if workers <= 1 {
+            return (0..n).map(|i| step(first, i)).collect();
         }
-        let deques = seed_indices(n, threads);
+        let deques = seed_indices(n, workers);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         std::thread::scope(|scope| {
             let deques = &deques;
-            let f = &f;
-            let handles: Vec<_> = (1..threads)
-                .map(|w| {
+            let step = &step;
+            let handles: Vec<_> = rest[..workers - 1]
+                .iter_mut()
+                .enumerate()
+                .map(|(k, state)| {
                     scope.spawn(move || {
                         let mut local: Vec<(usize, T)> = Vec::new();
-                        worker_loop(deques, w, |i| local.push((i, f(i))));
+                        worker_loop(deques, k + 1, |i| local.push((i, step(state, i))));
                         mtd_telemetry::flush_thread();
                         local
                     })
@@ -219,7 +196,7 @@ impl Pool {
                 .collect();
             // The calling thread doubles as worker 0.
             let mut local: Vec<(usize, T)> = Vec::new();
-            worker_loop(deques, 0, |i| local.push((i, f(i))));
+            worker_loop(deques, 0, |i| local.push((i, step(first, i))));
             for (i, v) in local {
                 slots[i] = Some(v);
             }
@@ -278,91 +255,6 @@ impl Pool {
             out.append(&mut chunk);
         }
         out
-    }
-
-    /// Streaming variant of [`Pool::par_map_indexed`]: workers compute
-    /// `f(i)` out of order, the calling thread replays `consume(i, …)`
-    /// strictly in input order. Use when results are large (e.g. a
-    /// station's buffered events) and holding all `n` at once would be
-    /// wasteful.
-    ///
-    /// A worker does not start `f(i)` until `i` is within `2 × threads`
-    /// of the next index to replay, so at most that many results are in
-    /// flight however far the consumer falls behind.
-    pub fn par_for_each_ordered<T, F, C>(&self, n: usize, f: F, mut consume: C)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        C: FnMut(usize, T),
-    {
-        let threads = self.threads.min(n.max(1));
-        if threads <= 1 {
-            for i in 0..n {
-                consume(i, f(i));
-            }
-            return;
-        }
-        let deques = seed_indices(n, threads);
-        let window = StartWindow::new(2 * threads);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        std::thread::scope(|scope| {
-            let deques = &deques;
-            let window = &window;
-            let f = &f;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let _open = OpenOnPanic(window);
-                        // A dropped receiver only happens on panic in the
-                        // consumer; the send result is irrelevant then.
-                        worker_loop(deques, w, |i| {
-                            window.wait_for(i);
-                            let _ = tx.send((i, f(i)));
-                        });
-                        mtd_telemetry::flush_thread();
-                    })
-                })
-                .collect();
-            drop(tx);
-            let _open = OpenOnPanic(window);
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-            let mut next = 0usize;
-            for (i, v) in rx {
-                pending.insert(i, v);
-                while let Some(v) = pending.remove(&next) {
-                    consume(next, v);
-                    next += 1;
-                    window.advance(next);
-                }
-            }
-            for h in handles {
-                if let Err(panic) = h.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
-    }
-
-    /// Runs two closures, potentially in parallel, returning both results.
-    pub fn join<RA, RB, FA, FB>(&self, a: FA, b: FB) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        FA: FnOnce() -> RA + Send,
-        FB: FnOnce() -> RB + Send,
-    {
-        if self.threads <= 1 {
-            return (a(), b());
-        }
-        std::thread::scope(|scope| {
-            let hb = scope.spawn(b);
-            let ra = a();
-            match hb.join() {
-                Ok(rb) => (ra, rb),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        })
     }
 
     /// Collects heterogeneous jobs via [`Scope::spawn`], then runs them
@@ -425,7 +317,7 @@ impl<'env> Scope<'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn map_is_input_ordered_for_every_thread_count() {
@@ -460,82 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_replay_is_sequential_order() {
-        for threads in [1, 2, 5] {
-            let mut seen = Vec::new();
-            Pool::new(threads).par_for_each_ordered(40, |i| i * 3, |i, v| seen.push((i, v)));
-            let expect: Vec<(usize, usize)> = (0..40).map(|i| (i, i * 3)).collect();
-            assert_eq!(seen, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn ordered_workers_stay_within_the_start_window() {
-        // The bound must hold under every interleaving; the consumer's
-        // sleep only makes it slower than the jobs, so that workers
-        // without the window would run far ahead while it sleeps.
-        for threads in [2, 3, 5] {
-            let replayed = AtomicUsize::new(0);
-            Pool::new(threads).par_for_each_ordered(
-                48,
-                |i| {
-                    let done = replayed.load(Ordering::SeqCst);
-                    assert!(
-                        i < done + 2 * threads,
-                        "job {i} started with {done} replayed, threads={threads}"
-                    );
-                    i
-                },
-                |i, v| {
-                    assert_eq!(i, v);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    replayed.fetch_add(1, Ordering::SeqCst);
-                },
-            );
-            assert_eq!(replayed.load(Ordering::SeqCst), 48, "threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "job 3 exploded")]
-    fn ordered_replay_propagates_worker_panics() {
-        // Index 3 is never replayed, so the window must open rather than
-        // hold the other workers forever.
-        Pool::new(2).par_for_each_ordered(
-            64,
-            |i| {
-                if i == 3 {
-                    panic!("job 3 exploded");
-                }
-                i
-            },
-            |_, _| {},
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "replay 5 exploded")]
-    fn ordered_replay_propagates_consumer_panics() {
-        Pool::new(2).par_for_each_ordered(
-            64,
-            |i| i,
-            |i, _| {
-                if i == 5 {
-                    panic!("replay 5 exploded");
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = Pool::new(2).join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-        let (a, b) = Pool::new(1).join(|| 3, || 4);
-        assert_eq!((a, b), (3, 4));
-    }
-
-    #[test]
     fn scope_runs_every_job_with_borrows() {
         let total = AtomicU64::new(0);
         for threads in [1, 3] {
@@ -558,6 +374,20 @@ mod tests {
         let workers = Pool::new(3).par_map_indexed(12, |_| current_worker());
         assert!(workers.iter().all(|w| matches!(w, Some(0..=2))));
         assert_eq!(current_worker(), None);
+    }
+
+    #[test]
+    fn each_worker_folds_into_its_own_state() {
+        // Four states but three workers: the spare state stays untouched.
+        let mut states = vec![Vec::new(); 4];
+        Pool::new(3).par_fold(40, &mut states, |seen: &mut Vec<Option<usize>>, _| {
+            seen.push(current_worker());
+        });
+        for (w, seen) in states.iter().enumerate() {
+            assert!(seen.iter().all(|&at| at == Some(w)), "state {w}: {seen:?}");
+        }
+        assert!(states[3].is_empty());
+        assert_eq!(states.iter().map(Vec::len).sum::<usize>(), 40);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Determinism under adversarial scheduling: with seeded steal-order
 //! shuffles and injected worker stalls active, `par_map_indexed` and
-//! `par_for_each_ordered` must stay bit-identical to the sequential run
-//! at every thread count — the mtd-par contract cannot depend on which
-//! worker steals what.
+//! `par_fold` must stay bit-identical to the sequential run at every
+//! thread count — the mtd-par contract cannot depend on which worker
+//! steals what.
 //!
 //! All scenarios live in one test function because the fault runtime is
 //! process-global.
@@ -33,6 +33,7 @@ fn maps_stay_bit_identical_under_shuffles_and_stalls() {
     );
     const N: usize = 257;
     let expect: Vec<u64> = (0..N).map(work).collect();
+    let xor_all = expect.iter().fold(0, |acc, x| acc ^ x);
 
     let plans = [
         ("par.steal.shuffle=1", 11u64),
@@ -46,17 +47,20 @@ fn maps_stay_bit_identical_under_shuffles_and_stalls() {
             let got = Pool::new(threads).par_map_indexed(N, work);
             assert_eq!(got, expect, "spec={spec} threads={threads}");
 
-            let mut replay: Vec<(usize, u64)> = Vec::with_capacity(N);
-            Pool::new(threads).par_for_each_ordered(N, work, |i, v| replay.push((i, v)));
-            assert!(
-                replay.iter().enumerate().all(|(k, (i, _))| k == *i),
-                "spec={spec} threads={threads}: replay must be input-ordered"
-            );
-            assert_eq!(
-                replay.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-                expect,
-                "spec={spec} threads={threads}"
-            );
+            // Per worker: how many indices it ran and the XOR of their
+            // jobs, which any split of the indices merges back exactly.
+            let mut states = vec![(0usize, 0u64); threads];
+            let got = Pool::new(threads).par_fold(N, &mut states, |(ran, acc), i| {
+                let value = work(i);
+                *ran += 1;
+                *acc ^= value;
+                value
+            });
+            assert_eq!(got, expect, "spec={spec} threads={threads}");
+            let ran: usize = states.iter().map(|(ran, _)| ran).sum();
+            let merged = states.iter().fold(0, |acc, (_, x)| acc ^ x);
+            assert_eq!(ran, N, "spec={spec} threads={threads}");
+            assert_eq!(merged, xor_all, "spec={spec} threads={threads}");
         }
         mtd_fault::clear();
     }

@@ -27,18 +27,34 @@ fn par_map_matches_sequential_map() {
     });
 }
 
+/// Each worker's state: the indices it ran and a wrapping sum of their
+/// jobs.
+type Tally = (Vec<usize>, u64);
+
 #[test]
-fn ordered_for_each_replays_in_input_order() {
-    check_cases("par/ordered_for_each", 64, |rng| {
+fn fold_runs_each_index_once_and_merges_to_the_sequential_fold() {
+    check_cases("par/fold", 64, |rng| {
         let (n, threads, salt) = (
             rng.gen_range(0usize..150),
             rng.gen_range(1usize..9),
             rng.gen(),
         );
-        let mut replayed = Vec::new();
-        Pool::new(threads).par_for_each_ordered(n, |i| job(i, salt), |i, v| replayed.push((i, v)));
-        let expect: Vec<(usize, u64)> = (0..n).map(|i| (i, job(i, salt))).collect();
-        assert_eq!(replayed, expect);
+        let mut states: Vec<Tally> = vec![(Vec::new(), 0); threads];
+        let results = Pool::new(threads).par_fold(n, &mut states, |(ran, sum), i| {
+            ran.push(i);
+            *sum = sum.wrapping_add(job(i, salt));
+            job(i, salt)
+        });
+        let seq: Vec<u64> = (0..n).map(|i| job(i, salt)).collect();
+        assert_eq!(results, seq, "results come back in input order");
+        let mut ran: Vec<usize> = states.iter().flat_map(|(ran, _)| ran.clone()).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..n).collect::<Vec<_>>(), "every index runs once");
+        let merged = states
+            .iter()
+            .fold(0u64, |acc, (_, sum)| acc.wrapping_add(*sum));
+        let sequential = seq.iter().fold(0u64, |acc, v| acc.wrapping_add(*v));
+        assert_eq!(merged, sequential);
     });
 }
 

@@ -145,9 +145,9 @@ pub fn digest_sessions(sessions: &[GeneratedSession]) -> u64 {
     d.finish()
 }
 
-/// An [`EngineSink`] that digests the replayed observation stream —
-/// order-sensitive, so it doubles as a check that parallel replay stays
-/// in station order under scheduling perturbation.
+/// An [`EngineSink`] that digests the observation stream. The digest is
+/// order-sensitive, so the sink does not fork: the engine feeds it in
+/// station order on one thread at any thread count.
 #[derive(Debug, Default)]
 pub struct DigestSink {
     digest: Digest,
