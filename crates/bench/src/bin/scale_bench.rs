@@ -10,9 +10,11 @@
 //! each hold ten times the stations, so that ratio measures the shard
 //! size, not whether anything holds the whole campaign. With shards of
 //! equal size, only per-station arrays (totals, deciles, a shard's
-//! direct index) and one spill cursor per shard grow ten-fold, and a
-//! structure that holds the whole campaign at once shows up as the
-//! ratio.
+//! direct index), one spill cursor per shard and the assembler's one
+//! service of group cells (realized groups × days) grow with the
+//! campaign, and a structure that holds the whole campaign at once
+//! shows up as the ratio: the assembler's map of every (service, group,
+//! day) cell read 2.80× here.
 //!
 //! The small campaign runs FIRST: the counting allocator's peak is a
 //! process-global monotonic high-water mark, so only the
@@ -31,12 +33,13 @@ use std::time::Instant;
 static ALLOC: mtd_telemetry::alloc::CountingAlloc = mtd_telemetry::alloc::CountingAlloc::new();
 
 /// Peak live heap gate for the BIG campaign (1000 BS × 45 days in 40
-/// shards), full mode. A campaign holding whole-campaign state at once
-/// reads about 600 MiB here; 256 MiB trips on that and on a monolithic
-/// build (dense minute rows alone would be ~780 MB).
+/// shards), full mode. Measured 125 MiB; holding every group cell at
+/// once read 598 MiB, and a monolithic build would hold ~780 MB of dense
+/// minute rows alone.
 const ALLOC_GATE_FULL: i64 = 256 * 1024 * 1024;
-/// Fast-mode twin (240 BS × 3 days in 20 shards).
-const ALLOC_GATE_FAST: i64 = 96 * 1024 * 1024;
+/// Fast-mode twin (240 BS × 3 days in 20 shards): measured 4.3 MiB,
+/// against 26.6 MiB with every group cell held at once.
+const ALLOC_GATE_FAST: i64 = 16 * 1024 * 1024;
 
 /// Bound on big-over-small peak live heap in both modes, for a 10×
 /// campaign at equal stations per shard.
@@ -44,27 +47,20 @@ const PEAK_RATIO_BOUND: f64 = 2.0;
 
 /// The invariance battery's pinned gate (crates/campaign/tests/memory.rs),
 /// echoed here so the bench artifact documents both bounds.
-const TEST_BATTERY_GATE: i64 = 96 * 1024 * 1024;
-
-/// One campaign size: base stations, days and shards.
-#[derive(Clone, Copy)]
-struct Size {
-    n_bs: usize,
-    days: u32,
-    shards: u32,
-}
+const TEST_BATTERY_GATE: i64 = 16 * 1024 * 1024;
 
 struct CampaignRun {
     label: &'static str,
-    size: Size,
+    /// Base stations, days and shards.
+    size: (usize, u32, u32),
     seconds: f64,
     bs_minutes: u64,
     store_bytes: u64,
     peak_live_bytes: i64,
 }
 
-fn run_campaign(label: &'static str, size: Size) -> CampaignRun {
-    let Size { n_bs, days, shards } = size;
+fn run_campaign(label: &'static str, size: (usize, u32, u32)) -> CampaignRun {
+    let (n_bs, days, shards) = size;
     let dir = std::env::temp_dir().join("mtd_scale_bench").join(label);
     std::fs::remove_dir_all(&dir).ok();
     let config = CampaignConfig {
@@ -111,9 +107,9 @@ fn json_for(r: &CampaignRun) -> String {
          \"seconds\": {:.3}, \"bs_minutes_per_second\": {:.0}, \
          \"peak_live_heap_bytes\": {}}}",
         r.label,
-        r.size.n_bs,
-        r.size.days,
-        r.size.shards,
+        r.size.0,
+        r.size.1,
+        r.size.2,
         r.bs_minutes,
         r.store_bytes,
         r.seconds,
@@ -128,13 +124,13 @@ fn main() {
         .unwrap_or_else(|| "BENCH_scale.json".to_string());
     let fast = std::env::var_os("MTD_FAST").is_some();
 
-    // One decade apart in base stations and shards at identical days, so
-    // the size ratio is exactly 10x at equal stations per shard.
-    let size = |n_bs, days, shards| Size { n_bs, days, shards };
+    // (base stations, days, shards), one decade apart in base stations
+    // and shards at identical days, so the size ratio is exactly 10x at
+    // equal stations per shard.
     let (small, big, gate) = if fast {
-        (size(24, 3, 2), size(240, 3, 20), ALLOC_GATE_FAST)
+        ((24, 3, 2), (240, 3, 20), ALLOC_GATE_FAST)
     } else {
-        (size(100, 45, 4), size(1000, 45, 40), ALLOC_GATE_FULL)
+        ((100, 45, 4), (1000, 45, 40), ALLOC_GATE_FULL)
     };
 
     // Small FIRST: the allocator peak is monotonic (see module docs).

@@ -34,7 +34,7 @@ use crate::manifest::Manifest;
 use crate::spill::{self, PlaneRow, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
 use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
-use mtd_dataset::dataset::{BsGroups, CellKey};
+use mtd_dataset::dataset::BsGroups;
 use mtd_dataset::record::{duration_grid, volume_grid};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
 use mtd_dataset::StoreError;
@@ -44,7 +44,6 @@ use mtd_netsim::ids::BsId;
 use mtd_netsim::services::ServiceCatalog;
 use mtd_netsim::time::MINUTES_PER_DAY;
 use mtd_netsim::ScenarioConfig;
-use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -388,13 +387,17 @@ fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
 /// Streams the K verified spills into the final MTDSTORE file.
 ///
 /// The spills' per-BS totals sum to the campaign's, which fix the load
-/// deciles and BS groups. Every spilled per-BS cell then adds its sparse
-/// entries into its group cell, one cell at a time, so the integer
-/// group-cell map — bounded by realized groups, not stations — is the
-/// only cell memory; it drains into the writer's one open chunk as each
-/// cell is finalized. Rows sum into one reused dense row per plane.
-/// A spilled cell whose key lies outside the scenario fails naming its
-/// shard, before it can reach a store that every reader would refuse.
+/// deciles and BS groups, and so the store's Meta and Deciles: the
+/// writer opens before any cell is read. Spills are service-major, so
+/// the cells drain one service at a time: every cursor yields its cells
+/// of service `s`, whose sparse entries add into a dense (group, day)
+/// slab of integer group cells, and the slab's touched cells finalize
+/// into the writer's one open chunk in key order before service `s + 1`
+/// is read. Cell memory is one service's group cells, bounded by
+/// realized groups × days, not stations or services. Rows sum into one
+/// reused dense row per plane. A spilled cell whose key lies outside the
+/// scenario, or out of key order, fails naming its shard; the writer's
+/// temp file is removed, so no store every reader would refuse is left.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
@@ -439,33 +442,6 @@ fn assemble(
         }
     }
     let grouping = BsGroups::from_totals(topology.stations(), &totals_q);
-
-    let cells_span = mtd_telemetry::span!("assemble.cells");
-    let mut cells: BTreeMap<CellKey, ExactCell> = BTreeMap::new();
-    for cursor in &mut cursors {
-        let shard = cursor.shard();
-        while let Some(spilled) = cursor.next_cell()? {
-            let (service, bs, day) = spilled.key;
-            let group = grouping
-                .group_of_bs
-                .get(bs as usize)
-                .filter(|_| usize::from(service) < n_services && day < days)
-                .ok_or_else(|| CampaignError::SpillCorrupt {
-                    shard,
-                    reason: format!(
-                        "cell key (service {service}, BS {bs}, day {day}) outside the \
-                         scenario's {n_services} services, {n_bs} BSs and {days} days"
-                    ),
-                })?;
-            spilled.add_to(
-                cells
-                    .entry((service, *group, day))
-                    .or_insert_with(|| ExactCell::new(vg.bins(), dg.bins())),
-            )?;
-        }
-    }
-    mtd_telemetry::gauge_set("campaign.cells", cells.len() as f64);
-
     let meta = MetaSection {
         volume_grid: vg,
         duration_grid: dg,
@@ -485,9 +461,46 @@ fn assemble(
     // Control-plane campaigns add the signaling rows (a v2 store).
     let signaling = manifest.scenario.stress.control_plane;
     let mut writer = StoreWriter::new(&config.out, &meta, &deciles, signaling)?;
-    for (key, cell) in cells {
-        writer.cell(&key, &cell.to_cell_stats(&vg))?;
+
+    let cells_span = mtd_telemetry::span!("assemble.cells");
+    let mut slab = CellSlab::new(meta.groups.len(), days, vg.bins(), dg.bins());
+    let mut cells = 0;
+    for service in 0..n_services as u16 {
+        for cursor in &mut cursors {
+            let shard = cursor.shard();
+            while cursor.peek_service()? == Some(service) {
+                let spilled = cursor.next_cell()?.expect("a peeked cell");
+                let (_, bs, day) = spilled.key;
+                let group = meta
+                    .group_of_bs
+                    .get(bs as usize)
+                    .filter(|_| day < days)
+                    .ok_or_else(|| CampaignError::SpillCorrupt {
+                        shard,
+                        reason: format!(
+                            "cell key (service {service}, BS {bs}, day {day}) outside the \
+                             scenario's {n_bs} BSs and {days} days"
+                        ),
+                    })?;
+                spilled.add_to(slab.cell(*group, day))?;
+            }
+        }
+        cells += slab.drain(|group, day, cell| {
+            writer.cell(&(service, group, day), &cell.to_cell_stats(&vg))
+        })?;
     }
+    // Keys rise within a spill, so a cell left now is past the catalog.
+    for cursor in &mut cursors {
+        if let Some(service) = cursor.peek_service()? {
+            return Err(CampaignError::SpillCorrupt {
+                shard: cursor.shard(),
+                reason: format!(
+                    "cell of service {service} outside the scenario's {n_services} services"
+                ),
+            });
+        }
+    }
+    mtd_telemetry::gauge_set("campaign.cells", cells as f64);
     drop(cells_span);
 
     {
@@ -506,6 +519,50 @@ fn assemble(
     let _span = mtd_telemetry::span!("assemble.finish");
     writer.finish()?;
     Ok(())
+}
+
+/// One service's group cells, dense over (group, day), zeroed as they
+/// drain and reused service after service.
+struct CellSlab {
+    days: usize,
+    cells: Vec<ExactCell>,
+    /// Slots touched since the last drain.
+    touched: Vec<bool>,
+}
+
+impl CellSlab {
+    fn new(groups: usize, days: u32, vbins: usize, dbins: usize) -> CellSlab {
+        let slots = groups * days as usize;
+        CellSlab {
+            days: days as usize,
+            cells: vec![ExactCell::new(vbins, dbins); slots],
+            touched: vec![false; slots],
+        }
+    }
+
+    /// The cell of (`group`, `day`), marked touched.
+    fn cell(&mut self, group: u16, day: u32) -> &mut ExactCell {
+        let slot = usize::from(group) * self.days + day as usize;
+        self.touched[slot] = true;
+        &mut self.cells[slot]
+    }
+
+    /// Hands every touched cell to `write` in (group, day) order and
+    /// zeroes it, returning how many there were.
+    fn drain(
+        &mut self,
+        mut write: impl FnMut(u16, u32, &ExactCell) -> Result<(), StoreError>,
+    ) -> Result<usize, StoreError> {
+        let mut drained = 0;
+        for (slot, (cell, touched)) in self.cells.iter_mut().zip(&mut self.touched).enumerate() {
+            if std::mem::take(touched) {
+                write((slot / self.days) as u16, (slot % self.days) as u32, cell)?;
+                cell.clear();
+                drained += 1;
+            }
+        }
+        Ok(drained)
+    }
 }
 
 /// Sums each BS's rows of one plane across the spill cursors into `row`,
@@ -814,5 +871,68 @@ mod tests {
             assert!(!config.out.exists(), "{name}: no store is left behind");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn cells_out_of_key_order_are_refused_naming_their_shard() {
+        use mtd_netsim::ScenarioConfig;
+
+        let dir = std::env::temp_dir().join("mtd_campaign_runner_order_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = CampaignConfig {
+            scenario: ScenarioConfig {
+                n_bs: 12,
+                days: 2,
+                arrival_scale: 0.05,
+                ..ScenarioConfig::small_test()
+            },
+            shards: 2,
+            threads: 1,
+            out: dir.join("store.mtdstore"),
+            dir: dir.clone(),
+            kill_after: Some(1),
+            refit_window: None,
+        };
+        // Killed after the last shard: both spills durable, no store.
+        assert!(matches!(run(&config), Err(CampaignError::Killed { .. })));
+
+        // Reseal shard 1's spill with its first cell moved one service
+        // past its second, so the second cell's service comes earlier,
+        // and vouch for it in the manifest. Drained by service, the
+        // second cell would be stranded behind the first.
+        let path = config.spill_path(1);
+        let mut spill = std::fs::read(&path).unwrap();
+        let block = |spill: &[u8], at: usize| {
+            u32::from_le_bytes(spill[at..at + 4].try_into().unwrap()) as usize
+        };
+        let totals = 16 + block(&spill, 12);
+        let first_cell = totals + 4 + block(&spill, totals) + 4;
+        let second_cell = first_cell + block(&spill, first_cell - 4) + 4;
+        let second_service = u16::from_le_bytes([spill[second_cell], spill[second_cell + 1]]);
+        spill[first_cell..first_cell + 2].copy_from_slice(&(second_service + 1).to_le_bytes());
+        let n = spill.len();
+        let crc = mtd_dataset::format::crc32(&spill[..n - 4]);
+        spill[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &spill).unwrap();
+        let mut manifest = Manifest::load(&config.manifest_path()).unwrap();
+        manifest.spill_digests[1] = fnv64(&spill);
+        manifest.save(&config.manifest_path()).unwrap();
+
+        let resumed = resume(&CampaignConfig {
+            kill_after: None,
+            ..config.clone()
+        });
+        match resumed {
+            Err(CampaignError::SpillCorrupt { shard: 1, reason }) => {
+                assert!(reason.contains("out of key order"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(!config.out.exists(), "no store is left behind");
+        assert!(
+            !config.out.with_extension("tmp-partial").exists(),
+            "nor its temp file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

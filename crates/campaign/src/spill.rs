@@ -39,7 +39,8 @@
 //! The totals come first, so the assembler sums every shard's totals —
 //! and from them derives the load deciles and BS groups — before it
 //! reads a cell. The assembler streams a spill through [`SpillCursor`],
-//! one block at a time into one reused buffer: a cell's sparse entries
+//! one block at a time into one reused buffer, and drains every spill's
+//! key-ascending cells one service at a time: a cell's sparse entries
 //! add straight into its group cell ([`SpilledCell::add_to`]), and a
 //! row's into the assembler's one dense row of its plane
 //! ([`SpillCursor::add_row`]). Sparse adds make a repeated index count
@@ -367,23 +368,31 @@ pub struct SpillHeader {
 }
 
 /// A sequential reader over one spill file: adds the shard's per-BS
-/// totals up front, then yields the per-BS cells one at a time, then the
-/// minute rows and the signaling rows one at a time in ascending BS
-/// order — the memory contract the out-of-core assembler relies on. Every
-/// block is read into the cursor's one buffer. Run [`verify`] first; the
-/// cursor itself does not re-checksum.
+/// totals up front, then yields the per-BS cells one at a time in
+/// ascending key order, then the minute rows and the signaling rows one
+/// at a time in ascending BS order — the memory contract the out-of-core
+/// assembler relies on. Every block is read into the cursor's one
+/// buffer. The next cell and the next row can be read ahead
+/// ([`Self::peek_service`], [`Self::peek_bs`]), so the assembler drains
+/// all cursors one service, then one BS, at a time. A key that does not
+/// rise above the one before it is refused: a cell out of order would
+/// otherwise be stranded behind a later service. Run [`verify`] first;
+/// the cursor itself does not re-checksum.
 pub struct SpillCursor {
     reader: SpillReader,
     header: SpillHeader,
     block: Vec<u8>,
+    /// Cells read and the key of the last one.
     cells_read: usize,
+    last_key: Option<BsCellKey>,
     /// Rows read of each plane (minutes, then signaling) and the BS of
     /// the last one.
     rows_read: [usize; 2],
     last_bs: [Option<u32>; 2],
-    /// BS of the row in `block`, read ahead so callers can order cursors
-    /// by it.
-    pending: Option<u32>,
+    /// What `block` holds when it was read ahead — the key of a cell or
+    /// the BS of a row — so callers can drain cursors by it.
+    pending_cell: Option<BsCellKey>,
+    pending_row: Option<u32>,
 }
 
 impl SpillCursor {
@@ -454,9 +463,11 @@ impl SpillCursor {
             header,
             block,
             cells_read: 0,
+            last_key: None,
             rows_read: [0; 2],
             last_bs: [None; 2],
-            pending: None,
+            pending_cell: None,
+            pending_row: None,
         })
     }
 
@@ -479,12 +490,17 @@ impl SpillCursor {
         }
     }
 
-    /// Reads the next per-BS cell (ascending key order), `None` once the
-    /// cells are drained. Its sums stay in the cursor's buffer until
-    /// [`SpilledCell::add_to`] adds them.
-    pub fn next_cell(&mut self) -> Result<Option<SpilledCell<'_>>, CampaignError> {
-        if self.cells_read >= self.header.n_cells {
-            return Ok(None);
+    /// Service of the next per-BS cell, `None` once the cells are
+    /// drained. Reads the cell ahead without consuming it.
+    pub fn peek_service(&mut self) -> Result<Option<u16>, CampaignError> {
+        Ok(self.peek_cell()?.map(|(service, _, _)| service))
+    }
+
+    /// Key of the next per-BS cell, read into the buffer if it is not
+    /// there yet. A key not above the last one is corruption.
+    fn peek_cell(&mut self) -> Result<Option<BsCellKey>, CampaignError> {
+        if self.pending_cell.is_some() || self.cells_read >= self.header.n_cells {
+            return Ok(self.pending_cell);
         }
         self.reader.read_block(&mut self.block)?;
         self.cells_read += 1;
@@ -492,9 +508,26 @@ impl SpillCursor {
         let key =
             (|| -> FormatResult<BsCellKey> { Ok((r.get_u16()?, r.get_u32()?, r.get_u32()?)) })()
                 .map_err(|e| self.corrupt(e))?;
+        if self.last_key.is_some_and(|prev| key <= prev) {
+            return Err(self.corrupt(format!("cell {key:?} out of key order")));
+        }
+        self.last_key = Some(key);
+        self.pending_cell = Some(key);
+        Ok(self.pending_cell)
+    }
+
+    /// Reads the next per-BS cell (ascending key order), `None` once the
+    /// cells are drained. Its sums stay in the cursor's buffer until
+    /// [`SpilledCell::add_to`] adds them.
+    pub fn next_cell(&mut self) -> Result<Option<SpilledCell<'_>>, CampaignError> {
+        let Some(key) = self.peek_cell()? else {
+            return Ok(None);
+        };
+        self.pending_cell = None;
         Ok(Some(SpilledCell {
             key,
-            r,
+            // The sums follow the key: a u16 and two u32s.
+            r: ByteReader::new(&self.block[10..]),
             header: self.header,
             shard: self.reader.shard,
         }))
@@ -506,11 +539,13 @@ impl SpillCursor {
     pub fn peek_bs<R: PlaneRow>(&mut self) -> Result<Option<u32>, CampaignError> {
         let plane = usize::from(R::SIGNALING);
         let rows = [self.header.n_rows, self.header.n_sig_rows];
-        if self.pending.is_some() || self.rows_read[plane] >= rows[plane] {
-            return Ok(self.pending);
+        if self.pending_row.is_some() || self.rows_read[plane] >= rows[plane] {
+            return Ok(self.pending_row);
         }
         debug_assert!(
-            self.cells_read >= self.header.n_cells && self.rows_read[..plane] == rows[..plane],
+            self.cells_read >= self.header.n_cells
+                && self.pending_cell.is_none()
+                && self.rows_read[..plane] == rows[..plane],
             "rows requested before the blocks ahead of them were drained"
         );
         self.reader.read_block(&mut self.block)?;
@@ -525,13 +560,13 @@ impl SpillCursor {
         }
         self.last_bs[plane] = Some(bs);
         self.rows_read[plane] += 1;
-        self.pending = Some(bs);
-        Ok(self.pending)
+        self.pending_row = Some(bs);
+        Ok(self.pending_row)
     }
 
     /// Adds the row [`Self::peek_bs`] named into `row`.
     pub fn add_row<R: PlaneRow>(&mut self, row: &mut R) -> Result<(), CampaignError> {
-        self.pending.take().expect("a peeked row");
+        self.pending_row.take().expect("a peeked row");
         let mut r = ByteReader::new(&self.block[4..]);
         row.add_spilled(&mut r)
             .and_then(|()| {

@@ -2,8 +2,8 @@
 //!
 //! Runs a campaign at 10× the invariance battery's toy scale under the
 //! counting global allocator and pins an upper bound on peak live heap
-//! bytes. The bound (with its headroom) is echoed as `alloc_gate_bytes`
-//! in `BENCH_scale.json`; if a change makes assembly or the shard sinks
+//! bytes. The bound is echoed as `test_battery_gate_bytes` in
+//! `BENCH_scale.json`; if a change makes assembly or the shard sinks
 //! materialize whole-campaign state again, this fails long before the
 //! paper-scale bench would.
 //!
@@ -18,10 +18,11 @@ use mtd_netsim::ScenarioConfig;
 static ALLOC: mtd_telemetry::alloc::CountingAlloc = mtd_telemetry::alloc::CountingAlloc::new();
 
 /// Pinned gate: peak live heap for the 120-BS × 3-day campaign below.
-/// Measured ≈ 38 MB on the reference container; the ~2.5× headroom
-/// absorbs allocator and platform noise without masking a regression to
-/// whole-campaign materialization (which is >10× away).
-const PEAK_LIVE_BYTES_GATE: i64 = 96 * 1024 * 1024;
+/// Measured 6.0 MB: assembly holds one service's group cells at a time.
+/// Holding every (service, group, day) cell at once read 22.1 MB, so the
+/// gate trips on that map coming back while leaving ~2.7× headroom for
+/// allocator and platform noise.
+const PEAK_LIVE_BYTES_GATE: i64 = 16 * 1024 * 1024;
 
 #[test]
 fn campaign_peak_heap_stays_under_the_pinned_gate() {

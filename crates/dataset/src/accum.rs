@@ -185,6 +185,19 @@ impl ExactCell {
         }
     }
 
+    /// Zeroes every sum, keeping the cell's bins, so one allocation can
+    /// serve cell after cell.
+    pub fn clear(&mut self) {
+        self.sessions = 0;
+        self.traffic_q = 0;
+        self.hist_counts.fill(0);
+        self.hist_total = 0;
+        self.pair_vol_q.fill(0);
+        self.pair_counts.fill(0);
+        self.pair_log_q.fill(0);
+        self.pair_log_sq_q.fill(0);
+    }
+
     /// Finalizes into the float [`CellStats`] the store encodes. Every
     /// field is a deterministic function of the integer sums, so equal
     /// sums yield bit-equal stats.

@@ -1274,11 +1274,16 @@ pub fn load_auto(path: &Path) -> Result<Dataset, StoreError> {
 
 /// Verifies a dataset file's integrity without materializing the dataset.
 ///
-/// Binary: walks every chunk, checks each CRC, the footer chunk count and
-/// the whole-file CRC. JSON: checks the file parses. Returns a structured
-/// report; hard failures that prevent even walking the file are reported
-/// in `fatal` rather than as an `Err` (so the caller always gets a
-/// report for a readable file).
+/// Binary: walks the file through [`DatasetStream::open`], one chunk in
+/// memory at a time, and checks each chunk's CRC, the footer chunk count
+/// and the whole-file CRC. The report equals [`verify_bytes`]'s on the
+/// file's bytes, apart from `path`. Like the other streaming readers
+/// (`fit --from`, `query`), it has no `store.read.*` fault hook;
+/// [`load_binary`] keeps that hook. JSON: checks the file parses.
+/// Returns a structured report; hard failures that prevent even walking
+/// the file are reported in `fatal` rather than as an `Err` (so the
+/// caller always gets a report for a readable file). A file that cannot
+/// be opened or read is an `Err`.
 pub fn verify(path: &Path) -> Result<StoreReport, StoreError> {
     let _span = mtd_telemetry::span!("store.verify");
     let format = detect_format(path)?;
@@ -1292,30 +1297,45 @@ pub fn verify(path: &Path) -> Result<StoreReport, StoreError> {
             }
             report
         }
-        Format::Binary => verify_bytes(&read_file(path)?),
+        Format::Binary => walk(DatasetStream::open(path)).map_err(|e| match e {
+            // A read error mid-walk does not know the path.
+            StoreError::Io { source, .. } => io_err(path, source),
+            other => other,
+        })?,
     };
     report.path = Some(path.display().to_string());
     mtd_telemetry::count("store.verify.corrupt_chunks", report.corrupt_chunks as u64);
     Ok(report)
 }
 
-/// [`verify`] for an in-memory binary image — the workhorse behind it,
-/// exposed so integrity batteries can sweep thousands of corrupted images
-/// without touching the filesystem.
+/// [`verify`] for an in-memory binary image, exposed so integrity
+/// batteries can sweep thousands of corrupted images without touching
+/// the filesystem.
 #[must_use]
 pub fn verify_bytes(bytes: &[u8]) -> StoreReport {
-    match DatasetStream::from_reader(bytes) {
-        Ok(mut stream) => {
-            while stream.next_chunk().is_some() {}
-            stream.report
-        }
-        // Nothing to walk: a bad header or an unreadable Meta section.
+    // Reading memory raises no I/O error.
+    walk(DatasetStream::from_reader(bytes)).expect("an in-memory walk reads without I/O")
+}
+
+/// Walks a stream to its end and returns its report. A stream that did
+/// not open has nothing to walk — a bad header or an unreadable Meta
+/// section — and reports why in `fatal`; an I/O error is returned.
+fn walk<R: Read>(opened: Result<DatasetStream<R>, StoreError>) -> Result<StoreReport, StoreError> {
+    let mut stream = match opened {
+        Ok(stream) => stream,
+        Err(e @ (StoreError::Io { .. } | StoreError::NotFound(_))) => return Err(e),
         Err(e) => {
             let mut report = StoreReport::new("binary");
             report.fatal = Some(e.to_string());
-            report
+            return Ok(report);
+        }
+    };
+    while let Some(step) = stream.next_chunk() {
+        if let Err(e @ StoreError::Io { .. }) = step {
+            return Err(e);
         }
     }
+    Ok(stream.report)
 }
 
 // ---------------------------------------------------------------------------
