@@ -46,7 +46,7 @@ pub use runner::{
     resume, run, shard_range, status, CampaignConfig, CampaignReport, CampaignStatus,
 };
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The campaign's content digest for spill files and assembled stores.
 pub use mtd_telemetry::{fnv64, Fnv64};
@@ -73,11 +73,34 @@ pub enum CampaignError {
     ConfigMismatch { reason: String },
     /// A spill file recorded as complete is missing on resume/assembly.
     SpillMissing { shard: u32, path: PathBuf },
-    /// A spill file exists but fails its digest or decode.
+    /// A spill file exists but fails its decode, its CRC or its digest.
     SpillCorrupt { shard: u32, reason: String },
     /// The run was deliberately killed at a shard checkpoint (injected
     /// fault or `kill_after`); progress up to the checkpoint is durable.
     Killed { checkpoint: u64 },
+}
+
+impl CampaignError {
+    /// A filesystem failure on `path`.
+    pub(crate) fn io(path: &Path, source: std::io::Error) -> CampaignError {
+        CampaignError::Store(mtd_dataset::StoreError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
+    }
+
+    /// A filesystem failure on shard `shard`'s spill at `path`: a missing
+    /// file is [`CampaignError::SpillMissing`].
+    pub(crate) fn spill_io(shard: u32, path: &Path, source: std::io::Error) -> CampaignError {
+        if source.kind() == std::io::ErrorKind::NotFound {
+            CampaignError::SpillMissing {
+                shard,
+                path: path.to_path_buf(),
+            }
+        } else {
+            CampaignError::io(path, source)
+        }
+    }
 }
 
 impl std::fmt::Display for CampaignError {

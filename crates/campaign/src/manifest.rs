@@ -17,7 +17,7 @@
 //! assembly.
 
 use crate::CampaignError;
-use mtd_dataset::format::{crc32, ByteReader, ByteWriter, FormatResult};
+use mtd_dataset::format::{crc32, ByteReader, ByteWriter, FormatError, FormatResult};
 use mtd_netsim::ScenarioConfig;
 use std::path::Path;
 
@@ -88,7 +88,9 @@ impl Manifest {
     }
 
     /// Decodes manifest bytes. CRC failures → [`CampaignError::TornManifest`];
-    /// everything after a good CRC that still fails to parse →
+    /// everything after a good CRC that still fails to parse, or whose
+    /// counts disagree (a digest per shard done, no more shards done
+    /// than there are, assembled only once all are) →
     /// [`CampaignError::CorruptManifest`].
     pub fn decode(bytes: &[u8], path: &Path) -> Result<Manifest, CampaignError> {
         let torn = || CampaignError::TornManifest(path.to_path_buf());
@@ -121,10 +123,7 @@ impl Manifest {
             if e.kind() == std::io::ErrorKind::NotFound {
                 CampaignError::NotStarted(path.to_path_buf())
             } else {
-                CampaignError::Store(mtd_dataset::StoreError::Io {
-                    path: path.to_path_buf(),
-                    source: e,
-                })
+                CampaignError::io(path, e)
             }
         })?;
         Manifest::decode(&bytes, path)
@@ -250,16 +249,27 @@ fn parse_payload(payload: &[u8]) -> FormatResult<Manifest> {
     let scenario = get_scenario(&mut r)?;
     let shards = r.get_u32()?;
     let shards_done = r.get_u32()?;
-    let n2 = r.get_u32()? as usize;
-    let mut spill_digests = Vec::with_capacity(n2);
-    for _ in 0..n2 {
-        spill_digests.push(r.get_u64()?);
+    let n_digests = r.get_u32()? as usize;
+    // Checked before anything is allocated: a digest is 8 bytes.
+    if n_digests > r.remaining() / 8 {
+        return Err(FormatError("more spill digests than bytes to hold them"));
     }
+    let spill_digests = (0..n_digests)
+        .map(|_| r.get_u64())
+        .collect::<FormatResult<Vec<u64>>>()?;
     let assembled = r.get_u8()? != 0;
     if !r.is_exhausted() {
-        return Err(mtd_dataset::format::FormatError(
-            "trailing bytes after manifest payload",
-        ));
+        return Err(FormatError("trailing bytes after manifest payload"));
+    }
+    // Resume and assembly index the digests by shard.
+    if shards_done > shards {
+        return Err(FormatError("more shards done than the campaign has"));
+    }
+    if n_digests != shards_done as usize {
+        return Err(FormatError("spill digest count is not the shards done"));
+    }
+    if assembled && shards_done < shards {
+        return Err(FormatError("assembled before every shard is done"));
     }
     Ok(Manifest {
         scenario,
@@ -352,6 +362,48 @@ mod tests {
                     assert!(reason.contains(&format!("version {old}")), "{reason}");
                 }
                 other => panic!("v{old}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn counts_that_disagree_are_corrupt_not_trusted() {
+        // A digest count of 2³² − 1 would ask for 32 GiB of digests: it
+        // sits before the `assembled` byte and the CRC.
+        let mut huge = Manifest::new(sample().scenario, 3).encode();
+        let n = huge.len();
+        huge[n - 9..n - 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&huge[..n - 4]);
+        huge[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        // Each of the rest is encoded, so sealed, with one count off.
+        let with = |edit: fn(&mut Manifest)| {
+            let mut m = sample();
+            edit(&mut m);
+            m.encode()
+        };
+        for (bytes, reason_part) in [
+            (huge, "more spill digests than bytes"),
+            (
+                with(|m| m.spill_digests.truncate(1)),
+                "digest count is not the shards done",
+            ),
+            (
+                with(|m| {
+                    m.shards_done = 4;
+                    m.spill_digests = vec![1, 2, 3, 4];
+                }),
+                "more shards done than the campaign has",
+            ),
+            (
+                with(|m| m.assembled = true),
+                "assembled before every shard is done",
+            ),
+        ] {
+            match Manifest::decode(&bytes, Path::new("x")) {
+                Err(CampaignError::CorruptManifest { reason, .. }) => {
+                    assert!(reason.contains(reason_part), "{reason}");
+                }
+                other => panic!("{reason_part}: {other:?}"),
             }
         }
     }

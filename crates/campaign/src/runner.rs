@@ -33,7 +33,7 @@
 use crate::manifest::Manifest;
 use crate::spill::{self, PlaneRow, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
-use mtd_dataset::accum::{ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ};
+use mtd_dataset::accum::{CellSlab, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::dataset::BsGroups;
 use mtd_dataset::record::{duration_grid, volume_grid};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
@@ -219,12 +219,7 @@ fn hilbert_index(p: Position) -> u64 {
 /// [`CampaignError::AlreadyStarted`] when the directory already has a
 /// manifest — resume instead, or clear the directory.
 pub fn run(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    std::fs::create_dir_all(&config.dir).map_err(|e| {
-        CampaignError::Store(mtd_dataset::StoreError::Io {
-            path: config.dir.clone(),
-            source: e,
-        })
-    })?;
+    std::fs::create_dir_all(&config.dir).map_err(|e| CampaignError::io(&config.dir, e))?;
     let manifest_path = config.manifest_path();
     if manifest_path.exists() {
         return Err(CampaignError::AlreadyStarted(manifest_path));
@@ -237,42 +232,32 @@ pub fn run(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
 }
 
 /// Resumes a previously started campaign from its manifest. The
-/// configuration must match the manifest's bit-exact echo, and every
-/// spill the manifest claims complete must verify against its digest.
+/// configuration must match the manifest's bit-exact echo. Resume reads
+/// no spill's content: the assembly that reads each spill once checks it
+/// against the digest the manifest recorded ([`SpillCursor::finish`]),
+/// so damage inside a completed spill is refused after the remaining
+/// shards run and before any store is published.
 pub fn resume(config: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
     let mut manifest = Manifest::load(&config.manifest_path())?;
     if let Some(reason) = manifest.config_mismatch(&config.scenario, config.effective_shards()) {
         return Err(CampaignError::ConfigMismatch { reason });
     }
-    // Never trust durable state blindly: re-verify completed spills
-    // before building on them. One special case first: a
-    // zero-length spill means the process died between creating the
-    // file and writing it (the manifest update races the same window),
-    // so treat that shard — and everything after it — as not done and
-    // let `advance` re-simulate it deterministically, instead of
-    // refusing forever or assembling an empty shard.
+    // A missing spill is refused now, before any shard runs. A
+    // zero-length one means the process died between creating the file
+    // and writing it (the manifest update races the same window), so
+    // treat that shard — and everything after it — as not done and let
+    // `advance` re-simulate it deterministically, instead of refusing
+    // forever or assembling an empty shard.
     for s in 0..manifest.shards_done {
         let path = config.spill_path(s);
-        if std::fs::metadata(&path).map(|m| m.len()).ok() == Some(0) {
+        let meta = std::fs::metadata(&path).map_err(|e| CampaignError::spill_io(s, &path, e))?;
+        if meta.len() == 0 {
             manifest.shards_done = s;
             manifest.spill_digests.truncate(s as usize);
             break;
         }
-        verify_spill(&manifest, &path, s)?;
     }
     advance(config, manifest)
-}
-
-/// Checks shard `s`'s spill at `path` against the digest the manifest
-/// recorded for it.
-fn verify_spill(manifest: &Manifest, path: &Path, s: u32) -> Result<(), CampaignError> {
-    if spill::verify(path, s)? != manifest.spill_digests[s as usize] {
-        return Err(CampaignError::SpillCorrupt {
-            shard: s,
-            reason: "digest differs from manifest".to_string(),
-        });
-    }
-    Ok(())
 }
 
 /// Reads campaign progress from the manifest in `dir`.
@@ -384,7 +369,7 @@ fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
     mtd_telemetry::count("campaign.spill.fringe_rows", fringe as u64);
 }
 
-/// Streams the K verified spills into the final MTDSTORE file.
+/// Streams the K spills into the final MTDSTORE file, reading each once.
 ///
 /// The spills' per-BS totals sum to the campaign's, which fix the load
 /// deciles and BS groups, and so the store's Meta and Deciles: the
@@ -395,9 +380,13 @@ fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
 /// into the writer's one open chunk in key order before service `s + 1`
 /// is read. Cell memory is one service's group cells, bounded by
 /// realized groups × days, not stations or services. Rows sum into one
-/// reused dense row per plane. A spilled cell whose key lies outside the
-/// scenario, or out of key order, fails naming its shard; the writer's
-/// temp file is removed, so no store every reader would refuse is left.
+/// reused dense row per plane. Then each cursor's end check
+/// ([`SpillCursor::finish`]) holds its spill to its CRC and to the digest
+/// the manifest recorded, before the writer renames the store into
+/// place. A spilled cell whose key lies outside the scenario or out of
+/// key order, or a spill that fails its end check, fails naming its
+/// shard; the writer's temp file is removed, so no store every reader
+/// would refuse, or that damaged spills fed, is left.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
@@ -414,32 +403,25 @@ fn assemble(
     let (vg, dg) = (volume_grid(), duration_grid());
     let row_len = days as usize * MINUTES_PER_DAY as usize;
 
-    // Verify every spill against the manifest, then open cursors and sum
-    // the totals.
     let mut totals_q = vec![0i128; n_bs];
     let mut cursors: Vec<SpillCursor> = Vec::with_capacity(k as usize);
-    {
-        let _span = mtd_telemetry::span!("assemble.verify");
-        for s in 0..k {
-            let path = config.spill_path(s);
-            verify_spill(manifest, &path, s)?;
-            let cursor = SpillCursor::open(&path, s, &mut totals_q)?;
-            let h = cursor.header();
-            if (h.vbins, h.dbins, h.row_len) != (vg.bins(), dg.bins(), row_len) {
-                return Err(CampaignError::SpillCorrupt {
-                    shard: s,
-                    reason: format!(
-                        "{} volume bins, {} duration bins and {}-minute rows, not {}, {} and {row_len}",
-                        h.vbins,
-                        h.dbins,
-                        h.row_len,
-                        vg.bins(),
-                        dg.bins()
-                    ),
-                });
-            }
-            cursors.push(cursor);
+    for s in 0..k {
+        let cursor = SpillCursor::open(&config.spill_path(s), s, &mut totals_q)?;
+        let h = cursor.header();
+        if (h.vbins, h.dbins, h.row_len) != (vg.bins(), dg.bins(), row_len) {
+            return Err(CampaignError::SpillCorrupt {
+                shard: s,
+                reason: format!(
+                    "{} volume bins, {} duration bins and {}-minute rows, not {}, {} and {row_len}",
+                    h.vbins,
+                    h.dbins,
+                    h.row_len,
+                    vg.bins(),
+                    dg.bins()
+                ),
+            });
         }
+        cursors.push(cursor);
     }
     let grouping = BsGroups::from_totals(topology.stations(), &totals_q);
     let meta = MetaSection {
@@ -485,9 +467,10 @@ fn assemble(
                 spilled.add_to(slab.cell(*group, day))?;
             }
         }
-        cells += slab.drain(|group, day, cell| {
-            writer.cell(&(service, group, day), &cell.to_cell_stats(&vg))
-        })?;
+        for (group, day, cell) in slab.drain() {
+            writer.cell(&(service, group, day), &cell.to_cell_stats(&vg))?;
+            cells += 1;
+        }
     }
     // Keys rise within a spill, so a cell left now is past the catalog.
     for cursor in &mut cursors {
@@ -517,52 +500,12 @@ fn assemble(
         }
     }
     let _span = mtd_telemetry::span!("assemble.finish");
+    for cursor in cursors {
+        let digest = manifest.spill_digests[cursor.shard() as usize];
+        cursor.finish(digest)?;
+    }
     writer.finish()?;
     Ok(())
-}
-
-/// One service's group cells, dense over (group, day), zeroed as they
-/// drain and reused service after service.
-struct CellSlab {
-    days: usize,
-    cells: Vec<ExactCell>,
-    /// Slots touched since the last drain.
-    touched: Vec<bool>,
-}
-
-impl CellSlab {
-    fn new(groups: usize, days: u32, vbins: usize, dbins: usize) -> CellSlab {
-        let slots = groups * days as usize;
-        CellSlab {
-            days: days as usize,
-            cells: vec![ExactCell::new(vbins, dbins); slots],
-            touched: vec![false; slots],
-        }
-    }
-
-    /// The cell of (`group`, `day`), marked touched.
-    fn cell(&mut self, group: u16, day: u32) -> &mut ExactCell {
-        let slot = usize::from(group) * self.days + day as usize;
-        self.touched[slot] = true;
-        &mut self.cells[slot]
-    }
-
-    /// Hands every touched cell to `write` in (group, day) order and
-    /// zeroes it, returning how many there were.
-    fn drain(
-        &mut self,
-        mut write: impl FnMut(u16, u32, &ExactCell) -> Result<(), StoreError>,
-    ) -> Result<usize, StoreError> {
-        let mut drained = 0;
-        for (slot, (cell, touched)) in self.cells.iter_mut().zip(&mut self.touched).enumerate() {
-            if std::mem::take(touched) {
-                write((slot / self.days) as u16, (slot % self.days) as u32, cell)?;
-                cell.clear();
-                drained += 1;
-            }
-        }
-        Ok(drained)
-    }
 }
 
 /// Sums each BS's rows of one plane across the spill cursors into `row`,
@@ -603,23 +546,15 @@ fn merge_rows<R: PlaneRow>(
 
 /// Streams a file once, returning `(len, fnv64 digest)`.
 fn digest_file(path: &Path) -> Result<(u64, u64), CampaignError> {
-    let file = std::fs::File::open(path).map_err(|e| {
-        CampaignError::Store(mtd_dataset::StoreError::Io {
-            path: path.to_path_buf(),
-            source: e,
-        })
-    })?;
+    let file = std::fs::File::open(path).map_err(|e| CampaignError::io(path, e))?;
     let mut reader = std::io::BufReader::new(file);
     let mut fnv = Fnv64::new();
     let mut len = 0u64;
     let mut buf = [0u8; 64 * 1024];
     loop {
-        let n = reader.read(&mut buf).map_err(|e| {
-            CampaignError::Store(mtd_dataset::StoreError::Io {
-                path: path.to_path_buf(),
-                source: e,
-            })
-        })?;
+        let n = reader
+            .read(&mut buf)
+            .map_err(|e| CampaignError::io(path, e))?;
         if n == 0 {
             break;
         }
@@ -791,6 +726,13 @@ mod tests {
     fn spills_outside_the_scenario_are_refused_naming_their_shard() {
         use mtd_netsim::ScenarioConfig;
 
+        /// Where an edit to shard 1's spill goes: over a field of its
+        /// header or of its first cell, or in before its CRC trailer.
+        enum At {
+            Header(usize),
+            FirstCell(usize),
+            Trailer,
+        }
         let scenario = ScenarioConfig {
             n_bs: 12,
             days: 2,
@@ -798,32 +740,49 @@ mod tests {
             ..ScenarioConfig::small_test()
         };
         let services = ServiceCatalog::paper().services().len() as u16;
-        // (name, field, its offset in its block, out-of-range bytes, reason)
-        let cases: [(&str, bool, usize, Vec<u8>, &str); 3] = [
+        // (name, where, bytes, vouched for in the manifest, reason)
+        let cases: [(&str, At, Vec<u8>, bool, &str); 5] = [
             (
                 "day",
-                true,
-                6,
+                At::FirstCell(6),
                 scenario.days.to_le_bytes().to_vec(),
+                true,
                 "outside the scenario",
             ),
             (
                 "service",
-                true,
-                0,
+                At::FirstCell(0),
                 services.to_le_bytes().to_vec(),
+                true,
                 "outside the scenario",
             ),
             // The header's volume-bin count.
             (
                 "grid",
-                false,
-                0,
+                At::Header(0),
                 211u32.to_le_bytes().to_vec(),
+                true,
                 "volume bins",
             ),
+            // The first cell's session count: a well-formed spill that
+            // is not the one the shard wrote.
+            (
+                "unvouched",
+                At::FirstCell(10),
+                65_535u32.to_le_bytes().to_vec(),
+                false,
+                "differs from the manifest's",
+            ),
+            // One more 4-byte block than the header counts.
+            (
+                "extra-block",
+                At::Trailer,
+                [4, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF].to_vec(),
+                true,
+                "8 unread bytes",
+            ),
         ];
-        for (name, in_first_cell, at, bytes, reason_part) in cases {
+        for (name, at, bytes, vouched, reason_part) in cases {
             let dir = std::env::temp_dir()
                 .join("mtd_campaign_runner_key_test")
                 .join(name);
@@ -840,23 +799,31 @@ mod tests {
             // Killed after the last shard: both spills durable, no store.
             assert!(matches!(run(&config), Err(CampaignError::Killed { .. })));
 
-            // Reseal shard 1's spill with one field edited (in its header
-            // or its first cell), and vouch for it in the manifest, so
-            // only that field is wrong.
+            // Reseal shard 1's spill with the edit, and vouch for it in
+            // the manifest where the case says so, so only the edit is
+            // wrong.
             let path = config.spill_path(1);
             let mut spill = std::fs::read(&path).unwrap();
             let block = |at: usize| u32::from_le_bytes(spill[at..at + 4].try_into().unwrap());
             let totals = 16 + block(12) as usize;
             let first_cell = totals + 4 + block(totals) as usize + 4;
-            let at = at + if in_first_cell { first_cell } else { 16 };
-            spill[at..at + bytes.len()].copy_from_slice(&bytes);
-            let n = spill.len();
-            let crc = mtd_dataset::format::crc32(&spill[..n - 4]);
-            spill[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            let body = spill.len() - 4;
+            spill.truncate(body);
+            match at {
+                At::Header(at) => spill[16 + at..16 + at + bytes.len()].copy_from_slice(&bytes),
+                At::FirstCell(at) => {
+                    spill[first_cell + at..first_cell + at + bytes.len()].copy_from_slice(&bytes);
+                }
+                At::Trailer => spill.extend_from_slice(&bytes),
+            }
+            let crc = mtd_dataset::format::crc32(&spill);
+            spill.extend_from_slice(&crc.to_le_bytes());
             std::fs::write(&path, &spill).unwrap();
-            let mut manifest = Manifest::load(&config.manifest_path()).unwrap();
-            manifest.spill_digests[1] = fnv64(&spill);
-            manifest.save(&config.manifest_path()).unwrap();
+            if vouched {
+                let mut manifest = Manifest::load(&config.manifest_path()).unwrap();
+                manifest.spill_digests[1] = fnv64(&spill);
+                manifest.save(&config.manifest_path()).unwrap();
+            }
 
             let resumed = resume(&CampaignConfig {
                 kill_after: None,
@@ -869,6 +836,10 @@ mod tests {
                 other => panic!("{name}: {other:?}"),
             }
             assert!(!config.out.exists(), "{name}: no store is left behind");
+            assert!(
+                !config.out.with_extension("tmp-partial").exists(),
+                "{name}: nor its temp file"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }

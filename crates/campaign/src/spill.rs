@@ -45,6 +45,13 @@
 //! row's into the assembler's one dense row of its plane
 //! ([`SpillCursor::add_row`]). Sparse adds make a repeated index count
 //! twice, so a decoder refuses indices that do not strictly increase.
+//!
+//! That one read is also the spill's check. Every byte the cursor reads
+//! feeds the file's FNV-1a digest and its CRC, and once the blocks are
+//! drained [`SpillCursor::finish`] refuses a spill with bytes left
+//! before its trailer, a CRC that does not match, or a digest the
+//! manifest does not vouch for. The assembler runs it on every cursor
+//! before the store is renamed into place.
 
 use crate::{CampaignError, Fnv64};
 use mtd_dataset::accum::{
@@ -301,55 +308,6 @@ impl PlaneRow for SignalRowQ {
     }
 }
 
-/// Streams a spill file once end to end, returning its FNV-1a digest
-/// after verifying the trailing CRC. Constant memory; used to check a
-/// spill against the manifest before trusting it.
-pub fn verify(path: &Path, shard: u32) -> Result<u64, CampaignError> {
-    let corrupt = |reason: String| CampaignError::SpillCorrupt { shard, reason };
-    let file = std::fs::File::open(path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            CampaignError::SpillMissing {
-                shard,
-                path: path.to_path_buf(),
-            }
-        } else {
-            CampaignError::Store(mtd_dataset::StoreError::Io {
-                path: path.to_path_buf(),
-                source: e,
-            })
-        }
-    })?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut fnv = Fnv64::new();
-    let mut crc = Crc32::new();
-    // Keep a 4-byte lag so the trailing CRC is excluded from the body CRC.
-    let mut tail: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = reader
-            .read(&mut buf)
-            .map_err(|e| corrupt(format!("read failed: {e}")))?;
-        if n == 0 {
-            break;
-        }
-        fnv.update(&buf[..n]);
-        tail.extend_from_slice(&buf[..n]);
-        if tail.len() > 4 {
-            let body = tail.len() - 4;
-            crc.update(&tail[..body]);
-            tail.drain(..body);
-        }
-    }
-    if tail.len() < 4 {
-        return Err(corrupt("file shorter than its CRC trailer".to_string()));
-    }
-    let stored = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
-    if crc.finish() != stored {
-        return Err(corrupt("CRC mismatch".to_string()));
-    }
-    Ok(fnv.finish())
-}
-
 /// Decoded spill header.
 #[derive(Debug, Clone, Copy)]
 pub struct SpillHeader {
@@ -376,8 +334,9 @@ pub struct SpillHeader {
 /// ([`Self::peek_service`], [`Self::peek_bs`]), so the assembler drains
 /// all cursors one service, then one BS, at a time. A key that does not
 /// rise above the one before it is refused: a cell out of order would
-/// otherwise be stranded behind a later service. Run [`verify`] first;
-/// the cursor itself does not re-checksum.
+/// otherwise be stranded behind a later service. Until
+/// [`Self::finish`] has checked the CRC and the digest of everything
+/// read, a block has passed only its own decode checks.
 pub struct SpillCursor {
     reader: SpillReader,
     header: SpillHeader,
@@ -398,34 +357,31 @@ pub struct SpillCursor {
 impl SpillCursor {
     /// Opens a spill, decodes its header, and adds the shard's per-BS
     /// volume totals into `totals_q` (a BS id past its end is
-    /// corruption).
+    /// corruption). A missing file is [`CampaignError::SpillMissing`].
     pub fn open(
         path: &Path,
         shard: u32,
         totals_q: &mut [i128],
     ) -> Result<SpillCursor, CampaignError> {
-        let corrupt = |reason: String| CampaignError::SpillCorrupt { shard, reason };
-        let io_err = |e| {
-            CampaignError::Store(mtd_dataset::StoreError::Io {
-                path: path.to_path_buf(),
-                source: e,
-            })
-        };
-        let file = std::fs::File::open(path).map_err(io_err)?;
+        let spill_io = |e| CampaignError::spill_io(shard, path, e);
+        let file = std::fs::File::open(path).map_err(spill_io)?;
+        let len = file.metadata().map_err(spill_io)?.len();
         let mut reader = SpillReader {
-            left: file.metadata().map_err(io_err)?.len(),
             reader: std::io::BufReader::new(file),
+            left: len.saturating_sub(4),
             shard,
+            fnv: Fnv64::new(),
+            crc: Crc32::new(),
         };
 
         let mut magic = [0u8; 12];
         reader.read_exact(&mut magic)?;
         if magic[..8] != MAGIC {
-            return Err(corrupt("bad magic".to_string()));
+            return Err(reader.corrupt("bad magic"));
         }
         let version = u32::from_le_bytes(magic[8..12].try_into().expect("4 bytes"));
         if version != VERSION && version != SIGNALING_VERSION {
-            return Err(corrupt(format!("unsupported version {version}")));
+            return Err(reader.corrupt(format!("unsupported version {version}")));
         }
 
         let mut block = Vec::new();
@@ -449,13 +405,13 @@ impl SpillCursor {
             }
             Ok(header)
         })()
-        .map_err(|e| corrupt(e.to_string()))?;
+        .map_err(|e| reader.corrupt(e))?;
 
         reader.read_block(&mut block)?;
         let mut r = ByteReader::new(&block);
-        add_sparse(&mut r, totals_q).map_err(|e| corrupt(e.to_string()))?;
+        add_sparse(&mut r, totals_q).map_err(|e| reader.corrupt(e))?;
         if !r.is_exhausted() {
-            return Err(corrupt("trailing bytes in totals block".to_string()));
+            return Err(reader.corrupt("trailing bytes in totals block"));
         }
 
         Ok(SpillCursor {
@@ -483,13 +439,6 @@ impl SpillCursor {
         self.reader.shard
     }
 
-    fn corrupt(&self, reason: impl ToString) -> CampaignError {
-        CampaignError::SpillCorrupt {
-            shard: self.shard(),
-            reason: reason.to_string(),
-        }
-    }
-
     /// Service of the next per-BS cell, `None` once the cells are
     /// drained. Reads the cell ahead without consuming it.
     pub fn peek_service(&mut self) -> Result<Option<u16>, CampaignError> {
@@ -507,9 +456,11 @@ impl SpillCursor {
         let mut r = ByteReader::new(&self.block);
         let key =
             (|| -> FormatResult<BsCellKey> { Ok((r.get_u16()?, r.get_u32()?, r.get_u32()?)) })()
-                .map_err(|e| self.corrupt(e))?;
+                .map_err(|e| self.reader.corrupt(e))?;
         if self.last_key.is_some_and(|prev| key <= prev) {
-            return Err(self.corrupt(format!("cell {key:?} out of key order")));
+            return Err(self
+                .reader
+                .corrupt(format!("cell {key:?} out of key order")));
         }
         self.last_key = Some(key);
         self.pending_cell = Some(key);
@@ -551,9 +502,9 @@ impl SpillCursor {
         self.reader.read_block(&mut self.block)?;
         let bs = ByteReader::new(&self.block)
             .get_u32()
-            .map_err(|e| self.corrupt(e))?;
+            .map_err(|e| self.reader.corrupt(e))?;
         if self.last_bs[plane].is_some_and(|prev| bs <= prev) {
-            return Err(self.corrupt(format!(
+            return Err(self.reader.corrupt(format!(
                 "{} out of order",
                 ["rows", "signaling rows"][plane]
             )));
@@ -576,7 +527,33 @@ impl SpillCursor {
                     Err(FormatError("trailing bytes in row"))
                 }
             })
-            .map_err(|e| self.corrupt(e))
+            .map_err(|e| self.reader.corrupt(e))
+    }
+
+    /// Ends the read once every block is drained. Refuses the spill if
+    /// bytes are left before its CRC trailer, if the trailer is not the
+    /// CRC of what was read, or if the whole file's FNV-1a digest is not
+    /// `digest`, the one the manifest recorded for the shard.
+    pub fn finish(self, digest: u64) -> Result<(), CampaignError> {
+        let mut r = self.reader;
+        if r.left > 0 {
+            return Err(r.corrupt(format!("{} unread bytes before the CRC trailer", r.left)));
+        }
+        let mut trailer = [0u8; 4];
+        r.reader
+            .read_exact(&mut trailer)
+            .map_err(|e| r.corrupt(format!("truncated: {e}")))?;
+        r.fnv.update(&trailer);
+        if u32::from_le_bytes(trailer) != r.crc.finish() {
+            return Err(r.corrupt("CRC mismatch"));
+        }
+        let got = r.fnv.finish();
+        if got != digest {
+            return Err(r.corrupt(format!(
+                "digest {got:016x} differs from the manifest's {digest:016x}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -625,40 +602,53 @@ impl SpilledCell<'_> {
     }
 }
 
-/// The unread part of a spill file, with the count of its bytes.
+/// The unread part of a spill file. Every byte read from its body feeds
+/// the digest and the CRC; the trailer feeds only the digest, which
+/// covers the whole file.
 struct SpillReader {
     reader: std::io::BufReader<std::fs::File>,
+    /// Bytes left before the CRC trailer.
     left: u64,
     shard: u32,
+    fnv: Fnv64,
+    crc: Crc32,
 }
 
 impl SpillReader {
+    fn corrupt(&self, reason: impl ToString) -> CampaignError {
+        CampaignError::SpillCorrupt {
+            shard: self.shard,
+            reason: reason.to_string(),
+        }
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), CampaignError> {
+        self.left = self
+            .left
+            .checked_sub(buf.len() as u64)
+            .ok_or_else(|| self.corrupt("truncated before the CRC trailer"))?;
         self.reader
             .read_exact(buf)
-            .map_err(|e| CampaignError::SpillCorrupt {
-                shard: self.shard,
-                reason: format!("truncated: {e}"),
-            })?;
-        self.left = self.left.saturating_sub(buf.len() as u64);
+            .map_err(|e| self.corrupt(format!("truncated: {e}")))?;
+        self.fnv.update(buf);
+        self.crc.update(buf);
         Ok(())
     }
 
-    /// Reads one length-prefixed block into `block`. [`verify`] checks a
-    /// spill's CRC before any cursor opens it, so a declared length is
-    /// bounded only by the bytes left before the CRC trailer: a shard's
-    /// cells block grows with its load and may be as large as the file
-    /// allows.
+    /// Reads one length-prefixed block into `block`. A declared length is
+    /// bounded only by the bytes left before the CRC trailer, checked
+    /// before the buffer grows: a shard's cells block grows with its load
+    /// and may be as large as the file allows. The bytes are vouched for
+    /// only once all are read ([`SpillCursor::finish`]).
     fn read_block(&mut self, block: &mut Vec<u8>) -> Result<(), CampaignError> {
         let mut len = [0u8; 4];
         self.read_exact(&mut len)?;
-        let len = u64::from(u32::from_le_bytes(len));
-        let room = self.left.saturating_sub(4);
-        if len > room {
-            return Err(CampaignError::SpillCorrupt {
-                shard: self.shard,
-                reason: format!("block length {len} overruns the {room} bytes left"),
-            });
+        let len = u32::from_le_bytes(len);
+        if u64::from(len) > self.left {
+            return Err(self.corrupt(format!(
+                "block length {len} overruns the {} bytes left",
+                self.left
+            )));
         }
         block.resize(len as usize, 0);
         self.read_exact(block)
@@ -813,12 +803,11 @@ mod tests {
             VERSION
         );
 
-        let digest = verify(&path, 0).unwrap();
-        assert_eq!(digest, crate::fnv64(&bytes));
-
         let mut cursor = open_and_check_cells(&path, &acc);
         let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
         assert_eq!(minutes, dense_minutes(&acc));
+        // The digest of the bytes written is the one the read vouches for.
+        cursor.finish(crate::fnv64(&bytes)).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -843,7 +832,6 @@ mod tests {
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             SIGNALING_VERSION
         );
-        verify(&path, 0).unwrap();
 
         let mut cursor = open_and_check_cells(&path, &acc);
         let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
@@ -857,6 +845,7 @@ mod tests {
             .map(|(bs, row)| (*bs, row.clone()))
             .collect();
         assert_eq!(sig, want);
+        cursor.finish(crate::fnv64(&bytes)).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1093,7 +1082,6 @@ mod tests {
             let mut bad = good.clone();
             bad[b] = with_entry(&good[b], at, value_len, index);
             std::fs::write(&path, reseal(&image, &bad)).unwrap();
-            verify(&path, 4).expect("a sealed image passes its CRC");
             let result = SpillCursor::open(&path, 4, &mut [0; 3]).and_then(|mut cursor| {
                 cursor
                     .next_cell()?
@@ -1109,8 +1097,10 @@ mod tests {
                 other => panic!("block {b}, index {index}: {other:?}"),
             }
         }
-        // Unedited, the same walk succeeds.
-        std::fs::write(&path, reseal(&image, &good)).unwrap();
+        // Unedited, the same walk succeeds, and a resealed image passes
+        // the end checks.
+        let resealed = reseal(&image, &good);
+        std::fs::write(&path, &resealed).unwrap();
         let mut cursor = SpillCursor::open(&path, 4, &mut [0; 3]).unwrap();
         let mut cell = ExactCell::new(vg.bins(), dg.bins());
         cursor
@@ -1126,6 +1116,7 @@ mod tests {
             (row.counts[10], row.vol_q[10]),
             (1, mtd_dataset::accum::q_vol(3.0) as i64)
         );
+        cursor.finish(crate::fnv64(&resealed)).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1140,7 +1131,6 @@ mod tests {
             let crc = crc32(&bad[..n - 4]);
             bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
             std::fs::write(&path, &bad).unwrap();
-            verify(&path, 0).expect("a sealed image passes its CRC");
             match SpillCursor::open(&path, 0, &mut [0; 5]) {
                 Err(CampaignError::SpillCorrupt { reason, .. }) => {
                     assert_eq!(reason, format!("unsupported version {old}"));
@@ -1174,31 +1164,69 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Reads the spill at `path` end to end as the assembler does, on
+    /// `sample_acc`'s grids and rows, then runs the end checks against
+    /// `digest`.
+    fn read_through(path: &Path, shard: u32, digest: u64) -> Result<(), CampaignError> {
+        let (vg, dg) = grids();
+        let mut cursor = SpillCursor::open(path, shard, &mut [0; 5])?;
+        while let Some(cell) = cursor.next_cell()? {
+            cell.add_to(&mut ExactCell::new(vg.bins(), dg.bins()))?;
+        }
+        let mut row = MinuteRowQ::new(2 * 1440);
+        while cursor.peek_bs::<MinuteRowQ>()?.is_some() {
+            cursor.add_row(&mut row)?;
+        }
+        cursor.finish(digest)
+    }
+
     #[test]
     fn corruption_is_detected() {
         let acc = sample_acc();
         let (path, bytes) = write_spill("corruption_is_detected", &acc);
+        let refusal = |digest: u64| match read_through(&path, 3, digest) {
+            Err(CampaignError::SpillCorrupt { shard: 3, reason }) => reason,
+            other => panic!("{other:?}"),
+        };
+        read_through(&path, 3, crate::fnv64(&bytes)).expect("the bytes written pass");
 
-        // Flip one byte mid-file: CRC fails.
+        // A digest the manifest does not vouch for fails, naming it.
+        let wrong = crate::fnv64(&bytes) ^ 1;
+        assert!(refusal(wrong).contains(&format!("{wrong:016x}")));
+
+        // Flip one byte mid-file: refused.
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            verify(&path, 3),
-            Err(CampaignError::SpillCorrupt { shard: 3, .. })
-        ));
+        refusal(crate::fnv64(&bytes));
+
+        // A flipped trailer fails the CRC, even with a digest vouching
+        // for the damaged bytes.
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() ^= 0x10;
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(refusal(crate::fnv64(&bad)), "CRC mismatch");
+
+        // A block appended before the trailer, resealed and vouched for,
+        // is left unread.
+        let mut long = bytes[..bytes.len() - 4].to_vec();
+        long.extend_from_slice(&[4, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF]);
+        let crc = crc32(&long);
+        long.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &long).unwrap();
+        assert_eq!(
+            refusal(crate::fnv64(&long)),
+            "8 unread bytes before the CRC trailer"
+        );
 
         // Truncation fails too.
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        assert!(matches!(
-            verify(&path, 3),
-            Err(CampaignError::SpillCorrupt { .. })
-        ));
+        refusal(crate::fnv64(&bytes));
 
         std::fs::remove_file(&path).ok();
         assert!(matches!(
-            verify(&path, 3),
+            read_through(&path, 3, crate::fnv64(&bytes)),
             Err(CampaignError::SpillMissing { shard: 3, .. })
         ));
     }

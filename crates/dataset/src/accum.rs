@@ -21,9 +21,10 @@
 //! The paper's load deciles, and with them the (decile, region, city,
 //! RAT) groups the dataset keys its cells by, depend on those totals, so
 //! the per-BS cells are grouped only after the pass
-//! ([`ShardAccumulator::finalize_cells`]). Integer sums do not depend on
-//! how they are grouped, so this is bit-identical to accumulating each
-//! group directly.
+//! ([`ShardAccumulator::finalize_cells`]), one service at a time through
+//! a [`CellSlab`], the same code a campaign's assembler sums its spilled
+//! cells with. Integer sums do not depend on how they are grouped, so
+//! this is bit-identical to accumulating each group directly.
 //!
 //! Per-BS cells hold narrow sums (`u32` counts, `i64` sums; the bound is
 //! on [`ShardAccumulator`]) in one arena. The group cells they sum into
@@ -44,11 +45,10 @@
 //! this module, so a sharded campaign and a monolithic build are the same
 //! pipeline by construction, not by coincidence.
 
-use crate::dataset::{BsGroups, CellKey, CellMap, SignalingPlane};
+use crate::dataset::{CellMap, SignalingPlane};
 use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_netsim::engine::EngineSink;
-use mtd_netsim::geo::BaseStation;
 use mtd_netsim::ids::BsId;
 use mtd_netsim::probes::{SignalingEvent, SignalingKind};
 use mtd_netsim::session::SessionObservation;
@@ -214,6 +214,52 @@ impl ExactCell {
             pair_log_sums: self.pair_log_q.iter().map(|q| dq_log(*q)).collect(),
             pair_log_sum_sqs: self.pair_log_sq_q.iter().map(|q| dq_log(*q)).collect(),
         }
+    }
+}
+
+/// One service's group cells, dense over (group, day), reused service
+/// after service. The one place per-BS cells sum into group cells:
+/// [`ShardAccumulator::finalize_cells`] adds a build's cells into it,
+/// and a campaign's assembler its spilled cells.
+pub struct CellSlab {
+    days: usize,
+    cells: Vec<ExactCell>,
+    /// Slots touched since the last drain.
+    touched: Vec<bool>,
+}
+
+impl CellSlab {
+    /// A slab of `groups` × `days` empty cells on `vbins` histogram bins
+    /// and `dbins` duration bins.
+    #[must_use]
+    pub fn new(groups: usize, days: u32, vbins: usize, dbins: usize) -> CellSlab {
+        let slots = groups * days as usize;
+        CellSlab {
+            days: days as usize,
+            cells: vec![ExactCell::new(vbins, dbins); slots],
+            touched: vec![false; slots],
+        }
+    }
+
+    /// The cell of (`group`, `day`), zeroed when first touched since the
+    /// last drain.
+    pub fn cell(&mut self, group: u16, day: u32) -> &mut ExactCell {
+        let slot = usize::from(group) * self.days + day as usize;
+        let cell = &mut self.cells[slot];
+        if !std::mem::replace(&mut self.touched[slot], true) {
+            cell.clear();
+        }
+        cell
+    }
+
+    /// Every cell touched since the last drain, in (group, day) order.
+    /// Walk it to the end: a cell it does not reach stays touched.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u16, u32, &ExactCell)> {
+        let days = self.days;
+        let slots = self.cells.iter().zip(&mut self.touched).enumerate();
+        slots.filter_map(move |(slot, (cell, touched))| {
+            std::mem::take(touched).then_some(((slot / days) as u16, (slot % days) as u32, cell))
+        })
     }
 }
 
@@ -965,44 +1011,31 @@ impl ShardAccumulator {
         }
     }
 
-    /// Sums the per-BS cells into (service, group, day) cells, where
-    /// `group_of_bs` names each BS's group. Yields each group cell once,
-    /// in key order, and holds one at a time.
-    fn group_cells<'a>(
-        &'a self,
-        group_of_bs: &'a [u16],
-    ) -> impl Iterator<Item = (CellKey, ExactCell)> + 'a {
-        let group_key = move |id: u32| {
-            let (service, bs, day) = self.cells.keys[id as usize];
-            (service, group_of_bs[bs as usize], day)
-        };
-        let mut order: Vec<u32> = (0..self.cells.len() as u32).collect();
-        order.sort_unstable_by_key(|&id| group_key(id));
-        let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
-        let mut next = 0;
-        std::iter::from_fn(move || {
-            let key = group_key(*order.get(next)?);
-            let mut cell = ExactCell::new(vbins, dbins);
-            while let Some(&id) = order.get(next).filter(|&&id| group_key(id) == key) {
-                cell.add(&self.cells.get(id).1);
-                next += 1;
-            }
-            Some((key, cell))
-        })
-    }
-
-    /// Turns the finished accumulator into group cells: the per-BS
-    /// totals rank `stations` into load deciles and groups
-    /// ([`BsGroups::from_totals`]), then each group cell is summed from
-    /// its per-BS cells and finalized, one group cell at a time.
+    /// Sums the per-BS cells into (service, group, day) cells and
+    /// finalizes them, where `group_of_bs` names each BS's group among
+    /// `groups` (a build ranks its totals into them with
+    /// [`BsGroups::from_totals`](crate::BsGroups::from_totals)). One
+    /// service's cells at a time add into a [`CellSlab`], as a campaign's
+    /// assembler adds its spilled cells.
     #[must_use]
-    pub fn finalize_cells(&self, stations: &[BaseStation]) -> (BsGroups, CellMap) {
-        let grouping = BsGroups::from_totals(stations, &self.totals_q);
-        let cells = self
-            .group_cells(&grouping.group_of_bs)
-            .map(|(key, cell)| (key, cell.to_cell_stats(&self.volume_grid)))
-            .collect();
-        (grouping, cells)
+    pub fn finalize_cells(&self, group_of_bs: &[u16], groups: usize) -> CellMap {
+        let (vbins, dbins) = (self.volume_grid.bins(), self.duration_grid.bins());
+        let mut slab = CellSlab::new(groups, self.n_days, vbins, dbins);
+        let mut finalized = Vec::new();
+        let mut cells = self.cells().peekable();
+        while let Some(&((service, _, _), _)) = cells.peek() {
+            while let Some(((_, bs, day), cell)) = cells.next_if(|((s, _, _), _)| *s == service) {
+                slab.cell(group_of_bs[bs as usize], day).add(&cell);
+            }
+            for (group, day, cell) in slab.drain() {
+                finalized.push(((service, group, day), cell.to_cell_stats(&self.volume_grid)));
+            }
+        }
+        // Collected at once, the map is built in bulk: its nodes are full
+        // and allocated together. Inserting cell by cell left half-full
+        // nodes spread among the cells' vectors and doubled the time of
+        // every scan over the dataset's cells.
+        finalized.into_iter().collect()
     }
 
     /// Finalizes the minute rows into dense per-BS arrays for `n_bs`
@@ -1077,6 +1110,7 @@ impl EngineSink for ShardAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::CellKey;
     use crate::record::{duration_grid, volume_grid};
     use mtd_math::rng::{check_cases, vec_of};
     use mtd_netsim::ids::{BsId, Rat, ServiceId, SessionId};
@@ -1244,8 +1278,14 @@ mod tests {
                 }
             }
             let acc = accum(&observations, vgrid, n_bs, n_days);
-            let got: Vec<(CellKey, ExactCell)> = acc.group_cells(&group_of_bs).collect();
-            assert_eq!(got, expect.into_iter().collect::<Vec<_>>());
+            let expect: CellMap = expect
+                .into_iter()
+                .map(|(key, cell)| (key, cell.to_cell_stats(&vgrid)))
+                .collect();
+            assert_eq!(
+                acc.finalize_cells(&group_of_bs, usize::from(n_groups)),
+                expect
+            );
             assert_eq!(acc.totals_q(), expect_totals);
 
             // Any partition into shards, merged in any order, is the same
@@ -1429,9 +1469,9 @@ mod tests {
             float.record(o.volume_mb, o.duration_s, &dg);
         }
         let acc = accum(&observations, vg, 1, 1);
-        let cells: Vec<(CellKey, ExactCell)> = acc.group_cells(&[0]).collect();
+        let cells = acc.finalize_cells(&[0], 1);
         assert_eq!(cells.len(), 1);
-        let finalized = cells[0].1.to_cell_stats(&vg);
+        let finalized = &cells[&(0, 0, 0)];
         assert_eq!(finalized.sessions, float.sessions);
         assert_eq!(finalized.volume_hist.counts(), float.volume_hist.counts());
         assert_eq!(finalized.volume_hist.total(), float.volume_hist.total());

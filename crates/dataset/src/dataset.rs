@@ -280,7 +280,8 @@ impl Dataset {
             let _span = mtd_telemetry::span!("pass2_fill");
             engine.run_parallel(&mut acc, mtd_par::threads());
         }
-        let (grouping, cells) = acc.finalize_cells(topology.stations());
+        let grouping = BsGroups::from_totals(topology.stations(), acc.totals_q());
+        let cells = acc.finalize_cells(&grouping.group_of_bs, grouping.groups.len());
         let (minute_counts, minute_volume_mb) = acc.finalize_minutes(topology.len());
         let signaling = acc.finalize_signaling(topology.len());
         let dataset = Dataset {

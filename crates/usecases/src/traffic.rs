@@ -9,7 +9,6 @@
 //! duration, throughput — according to its own model of the world.
 
 use mtd_core::registry::ModelRegistry;
-use mtd_core::SessionGenerator;
 use mtd_math::rng::{stream_id, stream_rng};
 use mtd_netsim::arrivals::ArrivalProcess;
 use mtd_netsim::services::{LitCategory, ServiceCatalog};
@@ -360,13 +359,6 @@ pub fn per_minute_service_volume(
 pub fn is_peak_second(abs_s: f64) -> bool {
     let minute_of_day = ((abs_s / 60.0) as u32) % MINUTES_PER_DAY;
     is_peak_minute(minute_of_day)
-}
-
-/// Convenience: a model source backed by a generator (asserts the
-/// registry covers the catalog's services).
-pub fn check_model_coverage(registry: &ModelRegistry, catalog: &ServiceCatalog) -> bool {
-    let _ = SessionGenerator::new(registry);
-    registry.len() >= catalog.len()
 }
 
 #[cfg(test)]
