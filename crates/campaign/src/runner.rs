@@ -35,7 +35,7 @@ use crate::spill::{self, PlaneRow, SpillCursor};
 use crate::{fnv64, CampaignError, Fnv64};
 use mtd_dataset::accum::{CellSlab, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::dataset::BsGroups;
-use mtd_dataset::record::{duration_grid, volume_grid};
+use mtd_dataset::record::{duration_grid, volume_grid, CellStats};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
 use mtd_dataset::StoreError;
 use mtd_netsim::engine::Engine;
@@ -446,6 +446,7 @@ fn assemble(
 
     let cells_span = mtd_telemetry::span!("assemble.cells");
     let mut slab = CellSlab::new(meta.groups.len(), days, vg.bins(), dg.bins());
+    let mut stats = CellStats::new(vg, dg.bins());
     let mut cells = 0;
     for service in 0..n_services as u16 {
         for cursor in &mut cursors {
@@ -468,7 +469,8 @@ fn assemble(
             }
         }
         for (group, day, cell) in slab.drain() {
-            writer.cell(&(service, group, day), &cell.to_cell_stats(&vg))?;
+            cell.fill_cell_stats(&mut stats);
+            writer.cell(&(service, group, day), &stats)?;
             cells += 1;
         }
     }

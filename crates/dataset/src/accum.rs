@@ -47,7 +47,7 @@
 
 use crate::dataset::{CellMap, SignalingPlane};
 use crate::record::CellStats;
-use mtd_math::histogram::{LogGrid, LogHistogram};
+use mtd_math::histogram::LogGrid;
 use mtd_netsim::engine::EngineSink;
 use mtd_netsim::ids::BsId;
 use mtd_netsim::probes::{SignalingEvent, SignalingKind};
@@ -198,22 +198,50 @@ impl ExactCell {
         self.pair_log_sq_q.fill(0);
     }
 
-    /// Finalizes into the float [`CellStats`] the store encodes. Every
-    /// field is a deterministic function of the integer sums, so equal
-    /// sums yield bit-equal stats.
+    /// Finalizes into a new float [`CellStats`] on `vgrid`, through
+    /// [`Self::fill_cell_stats`].
     #[must_use]
     pub fn to_cell_stats(&self, vgrid: &LogGrid) -> CellStats {
-        let counts: Vec<f64> = self.hist_counts.iter().map(|c| *c as f64).collect();
-        CellStats {
-            sessions: self.sessions as f64,
-            traffic_mb: dq_vol(self.traffic_q),
-            volume_hist: LogHistogram::from_parts(*vgrid, counts, self.hist_total as f64)
-                .expect("counts match grid"),
-            pair_sums: self.pair_vol_q.iter().map(|q| dq_vol(*q)).collect(),
-            pair_counts: self.pair_counts.iter().map(|c| *c as f64).collect(),
-            pair_log_sums: self.pair_log_q.iter().map(|q| dq_log(*q)).collect(),
-            pair_log_sum_sqs: self.pair_log_sq_q.iter().map(|q| dq_log(*q)).collect(),
+        let mut stats = CellStats::new(*vgrid, self.pair_counts.len());
+        self.fill_cell_stats(&mut stats);
+        stats
+    }
+
+    /// Finalizes in place into `stats`, whose histogram must be on this
+    /// cell's volume bins: the float [`CellStats`] the store encodes,
+    /// reusing every buffer of `stats`. Every field is a deterministic
+    /// function of the integer sums, so equal sums yield bit-equal stats.
+    ///
+    /// # Panics
+    /// Panics when `stats`' histogram has another bin count.
+    pub fn fill_cell_stats(&self, stats: &mut CellStats) {
+        fn refill(slots: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
+            slots.clear();
+            slots.extend(values);
         }
+        stats.sessions = self.sessions as f64;
+        stats.traffic_mb = dq_vol(self.traffic_q);
+        let counts = self.hist_counts.iter().map(|c| *c as f64);
+        stats
+            .volume_hist
+            .refill(counts, self.hist_total as f64)
+            .expect("counts match grid");
+        refill(
+            &mut stats.pair_sums,
+            self.pair_vol_q.iter().map(|q| dq_vol(*q)),
+        );
+        refill(
+            &mut stats.pair_counts,
+            self.pair_counts.iter().map(|c| *c as f64),
+        );
+        refill(
+            &mut stats.pair_log_sums,
+            self.pair_log_q.iter().map(|q| dq_log(*q)),
+        );
+        refill(
+            &mut stats.pair_log_sum_sqs,
+            self.pair_log_sq_q.iter().map(|q| dq_log(*q)),
+        );
     }
 }
 
@@ -1319,6 +1347,22 @@ mod tests {
             assert_eq!(row_entries(&merged), row_entries(&acc));
             assert_eq!(merged.finalize_minutes(n_bs), acc.finalize_minutes(n_bs));
         });
+    }
+
+    #[test]
+    fn filling_a_reused_cell_stats_equals_a_fresh_conversion() {
+        let (vgrid, dgrid) = (volume_grid(), duration_grid());
+        let mut busy = ExactCell::new(vgrid.bins(), dgrid.bins());
+        for (volume, duration) in [(0.5, 30.0), (12.0, 600.0), (3_000.0, 7_200.0)] {
+            record_by_direct_formulas(&mut busy, volume, duration, &vgrid, &dgrid);
+        }
+        let mut light = ExactCell::new(vgrid.bins(), dgrid.bins());
+        record_by_direct_formulas(&mut light, 0.02, 4.0, &vgrid, &dgrid);
+        let mut stats = CellStats::new(vgrid, dgrid.bins());
+        for cell in [&busy, &light, &busy] {
+            cell.fill_cell_stats(&mut stats);
+            assert_eq!(stats, cell.to_cell_stats(&vgrid));
+        }
     }
 
     #[test]

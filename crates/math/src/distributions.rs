@@ -36,10 +36,17 @@ pub trait Distribution1D {
 
     /// Draws one sample by inverse-transform sampling.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // gen() yields [0,1); shift away from 0 to keep quantile finite.
-        let u: f64 = rng.gen::<f64>().max(1e-16);
-        self.quantile(u.min(1.0 - 1e-16))
+        self.quantile(open_unit(rng.gen::<f64>()))
     }
+}
+
+/// Moves a uniform draw from `[0, 1)` into the open interval every
+/// [`Distribution1D::quantile`] accepts, away from 0 so the quantile
+/// stays finite: the clamp [`Distribution1D::sample`] applies.
+#[inline]
+#[must_use]
+pub fn open_unit(u: f64) -> f64 {
+    u.clamp(1e-16, 1.0 - 1e-16)
 }
 
 /// Error function via the Abramowitz–Stegun 7.1.26-style rational

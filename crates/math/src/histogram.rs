@@ -172,6 +172,40 @@ impl LogHistogram {
         })
     }
 
+    /// Overwrites the per-bin weights and the total in place, keeping the
+    /// grid and the allocation: [`LogHistogram::from_parts`] for one
+    /// histogram refilled again and again. Checks what `from_parts`
+    /// checks; on an error the histogram is left empty.
+    pub fn refill<I>(&mut self, counts: I, total: f64) -> Result<()>
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let counts = counts.into_iter();
+        let (expected, got) = (self.grid.bins(), counts.len());
+        let empty = |h: &mut Self| {
+            h.counts.fill(0.0);
+            h.total = 0.0;
+        };
+        if got != expected {
+            empty(self);
+            return Err(MathError::DimensionMismatch { expected, got });
+        }
+        let mut valid = total.is_finite();
+        for (slot, c) in self.counts.iter_mut().zip(counts) {
+            valid &= c.is_finite() && c >= 0.0;
+            *slot = c;
+        }
+        if !valid {
+            empty(self);
+            return Err(MathError::InvalidParameter(
+                "histogram counts must be finite and non-negative",
+            ));
+        }
+        self.total = total;
+        Ok(())
+    }
+
     /// Adds one observation of linear-units value `x`.
     pub fn add(&mut self, x: f64) {
         self.add_weighted(x, 1.0);
@@ -567,6 +601,25 @@ mod tests {
         assert!(LogHistogram::from_parts(g, vec![-1.0; g.bins()], 0.0).is_err());
         assert!(LogHistogram::from_parts(g, vec![f64::NAN; g.bins()], 0.0).is_err());
         assert!(LogHistogram::from_parts(g, vec![0.0; g.bins()], f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn refill_matches_from_parts_and_empties_on_bad_input() {
+        let mut h = LogHistogram::new(grid());
+        h.add_weighted(7.0, 2.5);
+        let counts: Vec<f64> = (0..grid().bins()).map(|i| (i % 3) as f64).collect();
+        h.refill(counts.iter().copied(), 99.0).unwrap();
+        assert_eq!(
+            h,
+            LogHistogram::from_parts(grid(), counts.clone(), 99.0).unwrap()
+        );
+        assert!(h.refill([1.0; 3], 3.0).is_err());
+        assert_eq!(h, LogHistogram::new(grid()));
+        for (bad, total) in [(-1.0, 0.0), (f64::NAN, 0.0), (0.0, f64::INFINITY)] {
+            let mut h = LogHistogram::from_parts(grid(), counts.clone(), 99.0).unwrap();
+            assert!(h.refill(counts.iter().map(|c| c + bad), total).is_err());
+            assert_eq!(h, LogHistogram::new(grid()));
+        }
     }
 
     #[test]

@@ -267,9 +267,11 @@ impl<'a> Engine<'a> {
             let stream = station.id.rng_stream(day);
             let mut rng = stream_rng(self.config.seed ^ stream_id("engine"), stream);
             let mut counter: u64 = 0;
+            let mut exact_minutes: u64 = 0;
             let base = station.id.session_base(day);
             for minute in 0..MINUTES_PER_DAY {
-                let n = arrivals.sample_count(minute, &mut rng);
+                let (n, exact) = arrivals.sample_count_with_path(minute, &mut rng);
+                exact_minutes += u64::from(exact);
                 for _ in 0..n {
                     counter += 1;
                     self.spawn_session(
@@ -291,6 +293,9 @@ impl<'a> Engine<'a> {
                 mtd_telemetry::count("progress.done_units", u64::from(MINUTES_PER_DAY));
                 mtd_telemetry::count("progress.bs_minutes", u64::from(MINUTES_PER_DAY));
                 mtd_telemetry::count("progress.sessions", stats.sessions - day_sessions);
+                // Minutes whose arrival count needed the exact quantile
+                // rather than the bracket table alone.
+                mtd_telemetry::count("sim.arrivals.exact_minutes", exact_minutes);
                 mtd_telemetry::flush_thread();
             }
         }

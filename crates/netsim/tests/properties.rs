@@ -1,14 +1,17 @@
 //! Property-based tests for the network simulator's invariants.
 
+use mtd_math::distributions::{Distribution1D, Gaussian, Pareto};
 use mtd_math::rng::{check_cases, vec_of};
+use mtd_netsim::arrivals::{ArrivalProcess, OFFPEAK_SHAPE};
 use mtd_netsim::geo::Topology;
 use mtd_netsim::ids::{BsId, Proto, Rat, ServiceId, SessionId, UeId};
 use mtd_netsim::mobility::MobilityModel;
 use mtd_netsim::packets::{volume_fraction_in, RateProfile};
 use mtd_netsim::services::ServiceCatalog;
 use mtd_netsim::session::{fragment_session, FiveTuple, SessionSpec};
-use mtd_netsim::time::SimTime;
-use rand::Rng;
+use mtd_netsim::time::{is_peak_minute, SimTime, MINUTES_PER_DAY};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn spec(duration: f64, volume: f64) -> SessionSpec {
     SessionSpec {
@@ -153,4 +156,43 @@ fn topology_generation_total() {
             }
         }
     });
+}
+
+#[test]
+fn arrival_counts_equal_the_exact_composition() {
+    // `sample_count` decides most minutes from its bracket table; every
+    // count, and the stream left behind, must be the one the exact
+    // composition draws from a clone of the same generator: inverse
+    // transform through each mode's own quantile, the clamp at 0 by day
+    // or the cap at three day means by night, then probabilistic rounding.
+    check_cases(
+        "netsim/arrival_counts_equal_the_exact_composition",
+        48,
+        |rng| {
+            let q = rng.gen_range(0.0f64..1.0);
+            let scale = 10f64.powf(rng.gen_range(-3.0f64..0.5));
+            let process = ArrivalProcess::for_load_quantile(q, scale);
+            let mu = process.peak_mean();
+            let peak = Gaussian::new(mu, mu / 10.0).unwrap();
+            let offpeak = Pareto::new(OFFPEAK_SHAPE, process.offpeak_scale()).unwrap();
+            let mut table = SmallRng::seed_from_u64(rng.gen());
+            let mut exact = table.clone();
+            for _ in 0..4_000 {
+                let minute = rng.gen_range(0..MINUTES_PER_DAY);
+                let x = if is_peak_minute(minute) {
+                    peak.sample(&mut exact).max(0.0)
+                } else {
+                    offpeak.sample(&mut exact).min(mu * 3.0)
+                };
+                let base = x.floor();
+                let want = base as u32 + u32::from(exact.gen::<f64>() < x - base);
+                let got = process.sample_count(minute, &mut table);
+                assert_eq!(got, want, "q {q} scale {scale} minute {minute} x {x}");
+            }
+            assert_eq!(
+                table, exact,
+                "both generators drew the same number of times"
+            );
+        },
+    );
 }
