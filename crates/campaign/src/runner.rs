@@ -32,7 +32,7 @@
 
 use crate::manifest::Manifest;
 use crate::spill::{self, PlaneRow, SpillCursor};
-use crate::{fnv64, CampaignError, Fnv64};
+use crate::{CampaignError, Fnv64};
 use mtd_dataset::accum::{CellSlab, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::dataset::BsGroups;
 use mtd_dataset::record::{duration_grid, volume_grid, CellStats};
@@ -317,7 +317,7 @@ fn advance(
             sink.enable_signaling();
         }
         engine.run_shard(&mut sink, stations, config.threads);
-        let bytes = {
+        let (bytes, digest) = {
             let _span = mtd_telemetry::span!("spill.encode");
             spill::encode(&sink, vg.bins(), dg.bins())
         };
@@ -326,10 +326,6 @@ fn advance(
             let _span = mtd_telemetry::span!("spill.write");
             mtd_dataset::write_atomic(&config.spill_path(s), &bytes)?;
         }
-        let digest = {
-            let _span = mtd_telemetry::span!("spill.digest");
-            fnv64(&bytes)
-        };
         manifest.shards_done = s + 1;
         manifest.spill_digests.push(digest);
         manifest.save(&config.manifest_path())?;
@@ -338,14 +334,17 @@ fn advance(
         kill_gate(config, u64::from(s))?;
     }
 
-    // Assembly: merge spills out of core into the final store.
-    if !manifest.assembled {
-        assemble(config, &manifest, &topology, &catalog)?;
+    // Assembly: merge spills out of core into the final store, whose
+    // writer digests the bytes it writes. A store assembled by an earlier
+    // run is read back for its digest.
+    let (store_bytes, store_digest) = if manifest.assembled {
+        digest_file(&config.out)?
+    } else {
+        let written = assemble(config, &manifest, &topology, &catalog)?;
         manifest.assembled = true;
         manifest.save(&config.manifest_path())?;
-    }
-
-    let (store_bytes, store_digest) = digest_file(&config.out)?;
+        written
+    };
     Ok(CampaignReport {
         store_path: config.out.clone(),
         store_bytes,
@@ -386,13 +385,14 @@ fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
 /// place. A spilled cell whose key lies outside the scenario or out of
 /// key order, or a spill that fails its end check, fails naming its
 /// shard; the writer's temp file is removed, so no store every reader
-/// would refuse, or that damaged spills fed, is left.
+/// would refuse, or that damaged spills fed, is left. Returns the
+/// store's length and FNV-1a digest.
 fn assemble(
     config: &CampaignConfig,
     manifest: &Manifest,
     topology: &Topology,
     catalog: &ServiceCatalog,
-) -> Result<(), CampaignError> {
+) -> Result<(u64, u64), CampaignError> {
     let _span = mtd_telemetry::span!("campaign.assemble");
     let (k, n_bs, days) = (
         manifest.shards,
@@ -506,8 +506,7 @@ fn assemble(
         let digest = manifest.spill_digests[cursor.shard() as usize];
         cursor.finish(digest)?;
     }
-    writer.finish()?;
-    Ok(())
+    Ok(writer.finish()?)
 }
 
 /// Sums each BS's rows of one plane across the spill cursors into `row`,
@@ -546,7 +545,8 @@ fn merge_rows<R: PlaneRow>(
     Ok(())
 }
 
-/// Streams a file once, returning `(len, fnv64 digest)`.
+/// Streams a file once, returning `(len, fnv64 digest)`: a store
+/// assembled by an earlier run, whose writer's digest is gone.
 fn digest_file(path: &Path) -> Result<(u64, u64), CampaignError> {
     let file = std::fs::File::open(path).map_err(|e| CampaignError::io(path, e))?;
     let mut reader = std::io::BufReader::new(file);
@@ -569,6 +569,7 @@ fn digest_file(path: &Path) -> Result<(u64, u64), CampaignError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv64;
 
     #[test]
     fn shard_ranges_tile_exactly() {
@@ -705,7 +706,7 @@ mod tests {
                 segment_index: 0,
             });
             let path = dir.join(format!("stray-{shard}.mtdspill"));
-            std::fs::write(&path, spill::encode(&acc, vg.bins(), dg.bins())).unwrap();
+            std::fs::write(&path, spill::encode(&acc, vg.bins(), dg.bins()).0).unwrap();
             let mut cursor = SpillCursor::open(&path, shard, &mut totals_q).unwrap();
             while cursor.next_cell().unwrap().is_some() {}
             cursors.push(cursor);
@@ -844,6 +845,38 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn resume_after_assembly_reports_the_stores_length_and_digest() {
+        use mtd_netsim::ScenarioConfig;
+
+        let dir = std::env::temp_dir().join("mtd_campaign_runner_assembled_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = CampaignConfig {
+            scenario: ScenarioConfig {
+                n_bs: 12,
+                days: 2,
+                arrival_scale: 0.05,
+                ..ScenarioConfig::small_test()
+            },
+            shards: 3,
+            threads: 1,
+            out: dir.join("store.mtdstore"),
+            dir: dir.clone(),
+            kill_after: None,
+            refit_window: None,
+        };
+        // The first run reports what its writer wrote; the resume finds
+        // the manifest assembled and reads the store back instead.
+        let first = run(&config).unwrap();
+        assert!(status(&dir).unwrap().assembled);
+        let again = resume(&config).unwrap();
+        let bytes = std::fs::read(&config.out).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let file = (bytes.len() as u64, fnv64(&bytes));
+        assert_eq!((first.store_bytes, first.store_digest), file);
+        assert_eq!((again.store_bytes, again.store_digest), file);
     }
 
     #[test]

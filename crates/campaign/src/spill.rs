@@ -47,17 +47,18 @@
 //! twice, so a decoder refuses indices that do not strictly increase.
 //!
 //! That one read is also the spill's check. Every byte the cursor reads
-//! feeds the file's FNV-1a digest and its CRC, and once the blocks are
-//! drained [`SpillCursor::finish`] refuses a spill with bytes left
-//! before its trailer, a CRC that does not match, or a digest the
-//! manifest does not vouch for. The assembler runs it on every cursor
-//! before the store is renamed into place.
+//! feeds the file's CRC and its FNV-1a digest in one pass, as [`encode`]
+//! took them, and once the blocks are drained [`SpillCursor::finish`]
+//! refuses a spill with bytes left before its trailer, a CRC that does
+//! not match, or a digest the manifest does not vouch for. The
+//! assembler runs it on every cursor before the store is renamed into
+//! place.
 
-use crate::{CampaignError, Fnv64};
+use crate::CampaignError;
 use mtd_dataset::accum::{
     BinnedSum, BsCell, BsCellKey, ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ,
 };
-use mtd_dataset::format::{crc32, ByteReader, ByteWriter, Crc32, FormatError, FormatResult};
+use mtd_dataset::format::{ByteReader, ByteWriter, CrcFnv, FormatError, FormatResult};
 use std::io::Read;
 use std::path::Path;
 
@@ -78,10 +79,12 @@ const CELL_SUMS: [BinnedSum; 5] = [
 ];
 
 /// Encodes a shard accumulator into a complete spill file image
-/// (including the trailing CRC). Accumulators with signaling enabled
-/// encode as v4; everything else as v3.
+/// (including the trailing CRC) and returns it with the image's FNV-1a
+/// digest, the one the manifest records. One pass over the image takes
+/// both hashes. Accumulators with signaling enabled encode as v4;
+/// everything else as v3.
 #[must_use]
-pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
+pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> (Vec<u8>, u64) {
     let version = if acc.signaling.is_some() {
         SIGNALING_VERSION
     } else {
@@ -129,9 +132,13 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> Vec<u8> {
     }
 
     let mut out = w.into_bytes();
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut hash = CrcFnv::new();
+    hash.update(&out);
+    // The digest covers the whole file, trailer included.
+    let trailer = hash.crc.finish().to_le_bytes();
+    hash.fnv.update(&trailer);
+    out.extend_from_slice(&trailer);
+    (out, hash.fnv.finish())
 }
 
 /// Writes one length-prefixed block straight into `w`, patching its
@@ -370,8 +377,7 @@ impl SpillCursor {
             reader: std::io::BufReader::new(file),
             left: len.saturating_sub(4),
             shard,
-            fnv: Fnv64::new(),
-            crc: Crc32::new(),
+            hash: CrcFnv::new(),
         };
 
         let mut magic = [0u8; 12];
@@ -543,11 +549,11 @@ impl SpillCursor {
         r.reader
             .read_exact(&mut trailer)
             .map_err(|e| r.corrupt(format!("truncated: {e}")))?;
-        r.fnv.update(&trailer);
-        if u32::from_le_bytes(trailer) != r.crc.finish() {
+        if u32::from_le_bytes(trailer) != r.hash.crc.finish() {
             return Err(r.corrupt("CRC mismatch"));
         }
-        let got = r.fnv.finish();
+        r.hash.fnv.update(&trailer);
+        let got = r.hash.fnv.finish();
         if got != digest {
             return Err(r.corrupt(format!(
                 "digest {got:016x} differs from the manifest's {digest:016x}"
@@ -603,15 +609,14 @@ impl SpilledCell<'_> {
 }
 
 /// The unread part of a spill file. Every byte read from its body feeds
-/// the digest and the CRC; the trailer feeds only the digest, which
-/// covers the whole file.
+/// the CRC and the digest in one pass; the trailer is checked against
+/// the CRC, then joins the digest, which covers the whole file.
 struct SpillReader {
     reader: std::io::BufReader<std::fs::File>,
     /// Bytes left before the CRC trailer.
     left: u64,
     shard: u32,
-    fnv: Fnv64,
-    crc: Crc32,
+    hash: CrcFnv,
 }
 
 impl SpillReader {
@@ -630,8 +635,7 @@ impl SpillReader {
         self.reader
             .read_exact(buf)
             .map_err(|e| self.corrupt(format!("truncated: {e}")))?;
-        self.fnv.update(buf);
-        self.crc.update(buf);
+        self.hash.update(buf);
         Ok(())
     }
 
@@ -658,6 +662,7 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtd_dataset::format::crc32;
     use mtd_dataset::record::{duration_grid, volume_grid};
     use mtd_math::histogram::LogGrid;
     use mtd_math::rng::{check_cases, vec_of};
@@ -785,7 +790,8 @@ mod tests {
     /// its file, so no two tests may share one.
     fn write_spill(test: &str, acc: &ShardAccumulator) -> (std::path::PathBuf, Vec<u8>) {
         let (vg, dg) = grids();
-        let bytes = encode(acc, vg.bins(), dg.bins());
+        let (bytes, digest) = encode(acc, vg.bins(), dg.bins());
+        assert_eq!(digest, crate::fnv64(&bytes), "the digest is the image's");
         let dir = std::env::temp_dir().join("mtd_campaign_spill_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{test}.mtdspill"));
@@ -1014,7 +1020,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                encode(&acc, vg.bins(), dg.bins()),
+                encode(&acc, vg.bins(), dg.bins()).0,
                 reference_encode(&acc, vg.bins(), dg.bins())
             );
         });
@@ -1066,7 +1072,7 @@ mod tests {
         let (vg, dg) = grids();
         let mut acc = ShardAccumulator::new(vg, dg, 3, 1);
         acc.record(&obs(1, 2, 0, 600.0, 3.0, 60.0));
-        let image = encode(&acc, vg.bins(), dg.bins());
+        let (image, _) = encode(&acc, vg.bins(), dg.bins());
         let good = blocks(&image);
         assert_eq!(good.len(), 4, "header, totals, cell, row");
         let dir = std::env::temp_dir().join("mtd_campaign_spill_test");

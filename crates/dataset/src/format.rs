@@ -12,6 +12,7 @@
 //! stays zero-dependency. CRC-32 detects *every* single-byte error, which
 //! is what the corruption battery relies on.
 
+use mtd_telemetry::Fnv64;
 use std::fmt;
 
 /// 8-byte magic opening every binary dataset file.
@@ -116,6 +117,38 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
+}
+
+/// CRC-32 and FNV-1a 64 of the same bytes in one pass. Fed a short
+/// stride at a time, the CRC's table lookups run while FNV-1a's serial
+/// multiply chain waits, so the pair costs about what FNV-1a costs
+/// alone; strides of a few KiB lose most of that overlap. Either hash
+/// can also take bytes on its own.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrcFnv {
+    /// The CRC-32 so far.
+    pub crc: Crc32,
+    /// The FNV-1a 64 digest so far.
+    pub fnv: Fnv64,
+}
+
+impl CrcFnv {
+    /// Bytes each hash takes before the other gets its turn.
+    const STRIDE: usize = 64;
+
+    /// Both hashes fresh.
+    #[must_use]
+    pub fn new() -> CrcFnv {
+        CrcFnv::default()
+    }
+
+    /// Feeds bytes to both hashes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for stride in bytes.chunks(Self::STRIDE) {
+            self.crc.update(stride);
+            self.fnv.update(stride);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +530,8 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtd_math::rng::check_cases;
+    use rand::Rng;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -513,6 +548,25 @@ mod tests {
         c.update(&data[..10]);
         c.update(&data[10..]);
         assert_eq!(c.finish(), crc32(data));
+    }
+
+    #[test]
+    fn crc_fnv_equals_the_two_hashes_run_apart() {
+        check_cases("format/crc_fnv_equals_the_two_hashes", 24, |rng| {
+            let len = rng.gen_range(0..3 << 20);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+            let mut both = CrcFnv::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                // Chunks from 1 byte to 1 MiB, log-uniform.
+                let chunk = (1usize << rng.gen_range(0..=20)).min(rest.len());
+                let chunk = rng.gen_range(1..=chunk);
+                both.update(&rest[..chunk]);
+                rest = &rest[chunk..];
+            }
+            assert_eq!(both.crc.finish(), crc32(&bytes));
+            assert_eq!(both.fnv.finish(), mtd_telemetry::fnv64(&bytes));
+        });
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::chunk::{
 };
 use crate::dataset::{CellKey, Dataset, GroupKey, SignalingPlane};
 use crate::format::{
-    ByteReader, ByteWriter, Crc32, FormatError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
+    ByteReader, ByteWriter, Crc32, CrcFnv, FormatError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
 };
 use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
@@ -917,8 +917,11 @@ pub struct StoreWriter {
     out: Vec<u8>,
     /// Bytes already handed to `file`.
     flushed: u64,
-    /// CRC-32 of every byte so far: the footer's whole-file CRC.
-    crc: Crc32,
+    /// CRC-32 of every byte so far, the footer's whole-file CRC, and,
+    /// for a file, FNV-1a 64 of every byte handed to it, footer
+    /// included: one pass over the framed bytes takes both. A store kept
+    /// in memory takes only the CRC.
+    hash: CrcFnv,
     /// Frames written, which is also the next frame's index.
     frames: u32,
     /// The open chunk's payload, section and record count (0: none open).
@@ -962,13 +965,11 @@ impl StoreWriter {
         let mut out = MAGIC.to_vec();
         out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-        let mut crc = Crc32::new();
-        crc.update(&out);
         let mut writer = StoreWriter {
             file,
             out,
             flushed: 0,
-            crc,
+            hash: CrcFnv::new(),
             frames: 0,
             chunk: ByteWriter::new(),
             kind: SectionKind::Cells,
@@ -980,6 +981,7 @@ impl StoreWriter {
             signaling,
             rows: 0,
         };
+        writer.hash_from(0);
         writer.emit(SectionKind::Meta, &encode_meta(meta))?;
         writer.emit(SectionKind::Deciles, &encode_deciles(deciles))?;
         Ok(writer)
@@ -1027,10 +1029,12 @@ impl StoreWriter {
     }
 
     /// Writes the last chunk and the footer, then renames the file over
-    /// its destination.
-    pub fn finish(mut self) -> Result<(), StoreError> {
+    /// its destination. Returns the file's length and its FNV-1a 64
+    /// digest, taken from the bytes as they were written.
+    pub fn finish(mut self) -> Result<(u64, u64), StoreError> {
         self.close()?;
-        self.file.take().expect("a file writer").commit()
+        self.file.take().expect("a file writer").commit()?;
+        Ok((self.flushed, self.hash.fnv.finish()))
     }
 
     /// Writes the last chunk and the footer.
@@ -1043,8 +1047,10 @@ impl StoreWriter {
         );
         self.close_chunk()?;
         // The footer frame is not part of the whole-file CRC it carries.
-        let footer = footer_payload(self.frames, self.crc.finish());
+        let footer = footer_payload(self.frames, self.hash.crc.finish());
+        let start = self.out.len();
         write_frame(&mut self.out, SectionKind::Footer, self.frames, &footer);
+        self.hash.fnv.update(&self.out[start..]);
         let bytes = self.flushed + self.out.len() as u64;
         mtd_telemetry::gauge_set("store.encode.bytes", bytes as f64);
         self.drain()
@@ -1126,9 +1132,20 @@ impl StoreWriter {
         }
         let start = self.out.len();
         write_frame(&mut self.out, kind, self.frames, payload);
-        self.crc.update(&self.out[start..]);
+        self.hash_from(start);
         self.frames += 1;
         self.drain()
+    }
+
+    /// Feeds the bytes framed from `start` on to the whole-file CRC and,
+    /// for a file, to its digest.
+    fn hash_from(&mut self, start: usize) {
+        let framed = &self.out[start..];
+        if self.file.is_some() {
+            self.hash.update(framed);
+        } else {
+            self.hash.crc.update(framed);
+        }
     }
 
     /// Hands the framed bytes to the file, when there is one.
@@ -1888,12 +1905,15 @@ mod tests {
         for ds in [build_small(), build_small_v2()] {
             let path = temp_path("writer.mtdstore");
             let file = AtomicFile::create(&path).unwrap();
-            write_dataset(ds, Some(file)).unwrap().finish().unwrap();
+            let (len, digest) = write_dataset(ds, Some(file)).unwrap().finish().unwrap();
 
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
             assert!(!path.with_extension("tmp-partial").exists());
             assert_eq!(bytes, encode_binary(ds, 1));
+            // The writer's length and digest are the file's.
+            assert_eq!(len, bytes.len() as u64);
+            assert_eq!(digest, mtd_telemetry::fnv64(&bytes));
             // And it decodes like any other store.
             assert_eq!(&decode_binary(&bytes, 1).unwrap(), ds);
         }

@@ -10,6 +10,8 @@
 //!   (integrates to 1 in decades), supporting moments, CDF/quantiles,
 //!   inverse-transform sampling back to linear units, and the weighted
 //!   mixture averaging of Eq. (2).
+//! - [`InverseCdf`] — a [`BinnedPdf`]'s quantiles by bisection, for
+//!   samplers that draw from one PDF many times.
 //!
 //! The log-axis convention matches how the paper plots and models
 //! `F_s(x)`: Gaussian-like shapes *in log scale* (Eq. 3).
@@ -90,8 +92,10 @@ impl LogGrid {
     /// callers that need `log₁₀ x` anyway and should not take it twice.
     #[must_use]
     pub fn bin_of_log10(&self, u: f64) -> usize {
-        let idx = ((u - self.lo) / self.bin_width()).floor();
-        idx.clamp(0.0, (self.bins - 1) as f64) as usize
+        // `floor` then clamp, without a call to `floor`: the cast
+        // truncates, which is floor from 0 up, and saturates, taking a
+        // negative or NaN position to bin 0 and a huge one to the cap.
+        (((u - self.lo) / self.bin_width()) as usize).min(self.bins - 1)
     }
 
     /// Center of bin `i` on the `log₁₀` axis.
@@ -515,21 +519,78 @@ impl QuantileWalk<'_> {
     /// `[0, 1]`.
     pub fn at(&mut self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        let (grid, w) = (&self.pdf.grid, self.width);
         while let Some(d) = self.pdf.density.get(self.bin) {
-            let mass = d * w;
+            let mass = d * self.width;
             if self.below + mass >= p {
-                let frac = if mass > 0.0 {
-                    (p - self.below) / mass
-                } else {
-                    0.5
-                };
-                return grid.lo_log10() + (self.bin as f64 + frac) * w;
+                break;
             }
             self.below += mass;
             self.bin += 1;
         }
-        grid.hi_log10()
+        self.pdf.log10_in_bin(self.width, self.bin, self.below, p)
+    }
+}
+
+impl BinnedPdf {
+    /// The `log₁₀` point at probability `p` inside bin `bin`, whose lower
+    /// edge holds the running mass `below`: linearly interpolated, an
+    /// empty bin answering its center, and a bin past the last the top
+    /// of the grid. [`QuantileWalk`] and [`InverseCdf`] find the bin
+    /// their own ways and share this step.
+    fn log10_in_bin(&self, width: f64, bin: usize, below: f64, p: f64) -> f64 {
+        let Some(d) = self.density.get(bin) else {
+            return self.grid.hi_log10();
+        };
+        let mass = d * width;
+        let frac = if mass > 0.0 { (p - below) / mass } else { 0.5 };
+        self.grid.lo_log10() + (bin as f64 + frac) * width
+    }
+}
+
+/// Inverse-transform sampling from one [`BinnedPdf`] by bisection, for
+/// many draws at unordered probabilities. The CDF at each bin's upper
+/// edge is summed once, with a [`QuantileWalk`]'s additions in its
+/// order, so a quantile is a binary search over those sums and each
+/// answer is bit-equal to [`BinnedPdf::quantile_log10`]'s.
+#[derive(Debug, Clone)]
+pub struct InverseCdf {
+    pdf: BinnedPdf,
+    width: f64,
+    /// `upper[i]`: the walk's running mass once bin `i` is added.
+    upper: Vec<f64>,
+}
+
+impl InverseCdf {
+    /// Sums `pdf`'s CDF once.
+    #[must_use]
+    pub fn new(pdf: BinnedPdf) -> InverseCdf {
+        let width = pdf.grid.bin_width();
+        let mut below = 0.0;
+        let upper = pdf
+            .density
+            .iter()
+            .map(|d| {
+                below += d * width;
+                below
+            })
+            .collect();
+        InverseCdf { pdf, width, upper }
+    }
+
+    /// [`BinnedPdf::quantile_log10`], bit for bit.
+    #[must_use]
+    pub fn quantile_log10(&self, p: f64) -> f64 {
+        let p = p.clamp(0.0, 1.0);
+        // The walk stops in the first bin whose running mass reaches `p`
+        // (a NaN `p` reaches none); the sums never decrease.
+        let bin = self.upper.partition_point(|&mass| !(mass >= p));
+        let below = if bin == 0 { 0.0 } else { self.upper[bin - 1] };
+        self.pdf.log10_in_bin(self.width, bin, below, p)
+    }
+
+    /// [`BinnedPdf::sample`], bit for bit: the same draw from `rng`.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        10f64.powf(self.quantile_log10(rng.gen::<f64>()))
     }
 }
 

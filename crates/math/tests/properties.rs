@@ -4,13 +4,13 @@ use mtd_math::cluster::{centroid_cluster, silhouette_score, Merge};
 use mtd_math::distributions::{Distribution1D, Exponential, Gaussian, LogNormal10, Pareto};
 use mtd_math::emd::{emd_centered, emd_quantile, emd_same_grid, squared_euclidean};
 use mtd_math::fit::{fit_exponential_law, fit_power_law, PowerLawFit};
-use mtd_math::histogram::{BinnedPdf, LogGrid, LogHistogram};
+use mtd_math::histogram::{BinnedPdf, InverseCdf, LogGrid, LogHistogram};
 use mtd_math::regression::r_squared;
 use mtd_math::rng::{check_cases, vec_of};
 use mtd_math::savgol::SavitzkyGolay;
 use mtd_math::stats;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 fn grid() -> LogGrid {
     LogGrid::new(-3.0, 4.0, 350).unwrap()
@@ -379,6 +379,84 @@ fn quantile_walk_matches_per_point_scan() {
             assert_eq!(a.quantile_log10(p).to_bits(), expect, "p={p}");
             assert_eq!(walk.at(p).to_bits(), expect, "walk p={p}");
             assert_eq!(walk.at(p).to_bits(), expect, "repeated p={p}");
+        }
+    });
+}
+
+#[test]
+fn inverse_cdf_matches_the_quantile_walk() {
+    check_cases("math/inverse_cdf_matches_the_quantile_walk", 256, |rng| {
+        let grid = arb_grid(rng);
+        let pdf = arb_pdf(rng, grid);
+        let inverse = InverseCdf::new(pdf.clone());
+        // Every running sum of the walk and one ulp either side, so each
+        // bin boundary is hit from below, on and above; p = 0 and p past
+        // the rounded total (which may fall short of 1); clamped and NaN
+        // probabilities; and plain draws.
+        let w = pdf.grid().bin_width();
+        let mut ps = vec![0.0, -0.0, 1.0, -1.0, 2.0, f64::NAN, f64::INFINITY];
+        let mut below = 0.0;
+        for d in pdf.density() {
+            below += d * w;
+            ps.extend([below.next_down(), below, below.next_up()]);
+        }
+        ps.extend(vec_of(rng, 1..40, |r| r.gen::<f64>()));
+        for p in ps {
+            let walked = pdf.quantile_walk().at(p);
+            assert_eq!(
+                inverse.quantile_log10(p).to_bits(),
+                walked.to_bits(),
+                "p={p}"
+            );
+        }
+        // A draw takes the same `p` from the generator as `BinnedPdf::sample`.
+        let seed = rng.gen::<u64>();
+        let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        for _ in 0..20 {
+            assert_eq!(
+                pdf.sample(&mut a).to_bits(),
+                inverse.sample(&mut b).to_bits()
+            );
+        }
+    });
+}
+
+/// [`LogGrid::bin_of_log10`] as written with `floor` and `clamp`.
+fn floored_bin(grid: &LogGrid, u: f64) -> usize {
+    let idx = ((u - grid.lo_log10()) / grid.bin_width()).floor();
+    idx.clamp(0.0, (grid.bins() - 1) as f64) as usize
+}
+
+#[test]
+fn bin_of_log10_matches_floor_and_clamp() {
+    check_cases("math/bin_of_log10_matches_floor_and_clamp", 128, |rng| {
+        let g = if rng.gen_bool(0.25) {
+            grid()
+        } else {
+            arb_grid(rng)
+        };
+        let (lo, hi) = (g.lo_log10(), g.hi_log10());
+        let mut us = vec![
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            lo - 1.0,
+            hi + 1.0,
+            hi + 1e6,
+        ];
+        // Every bin edge, the last bin's upper edge included, and the
+        // neighbouring f64s on either side.
+        for i in 0..=g.bins() {
+            let edge = lo + i as f64 * g.bin_width();
+            us.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        us.extend(vec_of(rng, 1..40, |r| r.gen_range(lo - 2.0..hi + 2.0)));
+        for u in us {
+            assert_eq!(g.bin_of_log10(u), floored_bin(&g, u), "u={u} on {g:?}");
         }
     });
 }

@@ -39,10 +39,13 @@ impl SimTime {
             second.is_finite(),
             "SimTime::new: non-finite second ({second})"
         );
-        let extra_days = (second / f64::from(SECONDS_PER_DAY)).floor();
-        if extra_days == 0.0 {
+        // The division stays even for in-day seconds: just under 86,400
+        // it rounds to 1.0, and that second shifts the day.
+        let days = second / f64::from(SECONDS_PER_DAY);
+        if (0.0..1.0).contains(&days) {
             return SimTime { day, second };
         }
+        let extra_days = days.floor();
         let shifted = i128::from(day) + extra_days as i128;
         assert!(
             shifted >= 0,

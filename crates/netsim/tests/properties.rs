@@ -139,6 +139,46 @@ fn time_arithmetic_is_consistent() {
     });
 }
 
+/// [`SimTime::new`] as written with `floor`, for finite seconds that
+/// stay on or after day 0.
+fn floored_time(day: u32, second: f64) -> SimTime {
+    let extra_days = (second / 86_400.0).floor();
+    if extra_days == 0.0 {
+        return SimTime { day, second };
+    }
+    SimTime {
+        day: (i128::from(day) + extra_days as i128) as u32,
+        second: second - extra_days * 86_400.0,
+    }
+}
+
+#[test]
+fn sim_time_matches_the_floored_day_shift() {
+    check_cases("netsim/sim_time_matches_the_floored_day_shift", 64, |rng| {
+        let day = rng.gen_range(10u32..1_000);
+        // Zeros, the day's edges and one ulp either side of each (86,400
+        // minus one ulp divides to 1.0 and shifts the day), whole days
+        // either way, and plain draws in and out of the day.
+        let mut seconds = vec![0.0, -0.0, 86_399.999_999_999_99];
+        for k in [-3.0, -1.0, 0.0, 1.0, 2.0, 7.0] {
+            let edge: f64 = k * 86_400.0;
+            seconds.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        seconds.extend(vec_of(rng, 1..40, |r| {
+            r.gen_range(-5.0 * 86_400.0..9.0 * 86_400.0)
+        }));
+        for second in seconds {
+            let (got, want) = (SimTime::new(day, second), floored_time(day, second));
+            assert_eq!(got.day, want.day, "day {day}, second {second}");
+            assert_eq!(
+                got.second.to_bits(),
+                want.second.to_bits(),
+                "second {second}"
+            );
+        }
+    });
+}
+
 #[test]
 fn topology_generation_total() {
     check_cases("netsim/topology_generation_total", 48, |rng| {

@@ -142,8 +142,8 @@ impl SessionSource for MeasurementSource<'_> {
 /// measured `v_s(d)` pairs (monotonized, log–log interpolated) with the
 /// measured within-bin dispersion — §6.2's strategy (i) verbatim.
 pub struct EmpiricalSource {
-    /// Per service: measured volume PDF.
-    pdfs: Vec<Option<mtd_math::histogram::BinnedPdf>>,
+    /// Per service: inverse CDF of the measured volume PDF.
+    pdfs: Vec<Option<mtd_math::histogram::InverseCdf>>,
     /// Per service: monotone `(log₁₀ v, log₁₀ d)` curve from the pairs.
     curves: Vec<Vec<(f64, f64)>>,
     /// Per service: log₁₀ duration jitter derived from pair dispersion.
@@ -160,7 +160,12 @@ impl EmpiricalSource {
         let mut curves = Vec::with_capacity(n);
         let mut jitter = Vec::with_capacity(n);
         for s in 0..n as u16 {
-            pdfs.push(dataset.volume_pdf(s, &all).ok());
+            pdfs.push(
+                dataset
+                    .volume_pdf(s, &all)
+                    .ok()
+                    .map(mtd_math::histogram::InverseCdf::new),
+            );
             let pairs = dataset.duration_pairs(s, &all);
             // Build a monotone log–log curve v -> d: sort by duration and
             // enforce nondecreasing volume with a running max, so the
