@@ -27,9 +27,11 @@
 //!    manifest is *detected*, never half-trusted.
 //!
 //! Peak memory is sublinear in campaign size. A shard holds only the
-//! per-BS cells and minute rows of its own stations and of its handover
-//! fringe: the stations just outside its patch, whose number grows with
-//! the patch's perimeter, and whose rows hold only the fragments that
+//! per-BS cells and rows of its own stations and of its handover fringe:
+//! the stations just outside its patch, whose number grows with the
+//! patch's perimeter. Every row of either plane, minute rows and
+//! control-plane rows alike, starts sparse and turns dense only when its
+//! entries would outgrow a dense row, so a fringe row holds only what
 //! landed there. Merged cells are bounded by the number of realized BS
 //! groups (not stations), and assembly streams spill files through `K`
 //! sequential cursors, one cell and then one row at a time, into 64-row

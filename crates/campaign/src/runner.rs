@@ -33,7 +33,7 @@
 use crate::manifest::Manifest;
 use crate::spill::{self, PlaneRow, SpillCursor};
 use crate::{CampaignError, Fnv64};
-use mtd_dataset::accum::{CellSlab, MinuteRowQ, ShardAccumulator, SignalRowQ};
+use mtd_dataset::accum::{CellSlab, DenseRow, MinuteRowQ, ShardAccumulator, SignalRowQ};
 use mtd_dataset::dataset::BsGroups;
 use mtd_dataset::record::{duration_grid, volume_grid, CellStats};
 use mtd_dataset::store::{DecileSection, MetaSection, StoreWriter};
@@ -312,7 +312,6 @@ fn advance(
         let _span = mtd_telemetry::span!("campaign.pass2_shard");
         let stations = &shards[s as usize];
         let mut sink = ShardAccumulator::new(vg, dg, n_bs, scenario.days);
-        sink.set_own_stations(stations);
         if scenario.stress.control_plane {
             sink.enable_signaling();
         }
@@ -359,12 +358,13 @@ fn advance(
 /// counters: its per-BS cells, its minute rows, and the rows of stations
 /// outside the shard — the fringe its handovers reached.
 fn count_spill(acc: &ShardAccumulator, stations: &[BsId]) {
-    let fringe = acc
-        .minute_rows()
+    let rows = acc.minute_rows();
+    let fringe = rows
+        .iter()
         .filter(|&(bs, _)| stations.binary_search(&BsId(bs)).is_err())
         .count();
     mtd_telemetry::count("campaign.spill.cells", acc.cell_count() as u64);
-    mtd_telemetry::count("campaign.spill.rows", acc.row_count() as u64);
+    mtd_telemetry::count("campaign.spill.rows", rows.row_count() as u64);
     mtd_telemetry::count("campaign.spill.fringe_rows", fringe as u64);
 }
 

@@ -56,7 +56,8 @@
 
 use crate::CampaignError;
 use mtd_dataset::accum::{
-    BinnedSum, BsCell, BsCellKey, ExactCell, MinuteRowQ, ShardAccumulator, SignalRowQ,
+    BinnedSum, BsCell, BsCellKey, DenseRow, ExactCell, MinuteEntry, MinuteRowQ, RowIndex,
+    ShardAccumulator, SignalEntry, SignalRowQ,
 };
 use mtd_dataset::format::{ByteReader, ByteWriter, CrcFnv, FormatError, FormatResult};
 use std::io::Read;
@@ -85,7 +86,8 @@ const CELL_SUMS: [BinnedSum; 5] = [
 /// everything else as v3.
 #[must_use]
 pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> (Vec<u8>, u64) {
-    let version = if acc.signaling.is_some() {
+    let signaling = acc.signaling_rows();
+    let version = if signaling.is_some() {
         SIGNALING_VERSION
     } else {
         VERSION
@@ -102,33 +104,21 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> (Vec<u8>, u
         w.put_u32(dbins as u32);
         w.put_u32(acc.row_len() as u32);
         w.put_u32(in_key_order.len() as u32);
-        w.put_u32(acc.row_count() as u32);
-        if let Some(sig) = &acc.signaling {
-            w.put_u32(sig.len() as u32);
+        w.put_u32(acc.minute_rows().row_count() as u32);
+        if let Some(rows) = signaling {
+            w.put_u32(rows.row_count() as u32);
         }
     });
-    block(&mut w, |w| put_sparse(w, dense_entries(acc.totals_q())));
+    block(&mut w, |w| {
+        let totals = acc.totals_q().iter().enumerate();
+        put_sparse(w, totals.map(|(bs, &q)| (bs as u32, q)));
+    });
     for (key, cell) in in_key_order {
         block(&mut w, |w| put_cell(w, key, &cell));
     }
-    let mut entries = Vec::new();
-    for (bs, row) in acc.minute_rows() {
-        row.entries_into(&mut entries);
-        block(&mut w, |w| {
-            w.put_u32(bs);
-            put_sparse(w, entries.iter().map(|e| (e.minute, e.count)));
-            put_sparse(w, entries.iter().map(|e| (e.minute, e.vol_q)));
-        });
-    }
-    if let Some(sig) = &acc.signaling {
-        for (bs, row) in sig {
-            block(&mut w, |w| {
-                w.put_u32(*bs);
-                for lane in [&row.attach, &row.handover, &row.paging] {
-                    put_sparse(w, dense_entries(lane));
-                }
-            });
-        }
+    put_rows(&mut w, acc.minute_rows());
+    if let Some(rows) = signaling {
+        put_rows(&mut w, rows);
     }
 
     let mut out = w.into_bytes();
@@ -139,6 +129,17 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> (Vec<u8>, u
     hash.fnv.update(&trailer);
     out.extend_from_slice(&trailer);
     (out, hash.fnv.finish())
+}
+
+/// Writes a plane's rows, one block per touched BS in ascending order:
+/// its id, then its lanes.
+fn put_rows<R: PlaneRow>(w: &mut ByteWriter, rows: &RowIndex<R>) {
+    rows.for_each_entries(|bs, entries| {
+        block(w, |w| {
+            w.put_u32(bs);
+            R::put_entries(w, entries);
+        });
+    });
 }
 
 /// Writes one length-prefixed block straight into `w`, patching its
@@ -233,11 +234,6 @@ fn put_sparse<V: SpillValue>(w: &mut ByteWriter, entries: impl IntoIterator<Item
     w.set_u32(at, nnz);
 }
 
-/// Every entry of a dense vector, as sparse candidates.
-fn dense_entries<V: Copy>(v: &[V]) -> impl Iterator<Item = (u32, V)> + '_ {
-    v.iter().enumerate().map(|(i, &x)| (i as u32, x))
-}
-
 /// Reads a sparse vector over `len` entries, handing each
 /// `(index, value)` to `add`. Indices must be below `len` and strictly
 /// increase: a repeated one would add twice.
@@ -272,12 +268,16 @@ fn add_sparse<V: SpillValue>(r: &mut ByteReader, out: &mut [V]) -> FormatResult<
     })
 }
 
-/// A dense row of one plane, which the spilled rows of that plane add
-/// into.
-pub trait PlaneRow {
+/// A dense row of one plane, as a spill holds it: the encoder writes a
+/// row's entries as the plane's sparse lanes, and the spilled rows of
+/// the plane add into it.
+pub trait PlaneRow: DenseRow {
     /// Whether this is the signaling plane, whose rows follow the minute
     /// rows in a spill.
     const SIGNALING: bool;
+    /// Writes a row's sorted, merged entries as its sparse lanes (its
+    /// block after the BS id).
+    fn put_entries(w: &mut ByteWriter, entries: &[Self::Entry]);
     /// Adds a spilled row's sparse vectors (its block after the BS id).
     fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()>;
     /// Zeroes the row.
@@ -286,6 +286,11 @@ pub trait PlaneRow {
 
 impl PlaneRow for MinuteRowQ {
     const SIGNALING: bool = false;
+
+    fn put_entries(w: &mut ByteWriter, entries: &[MinuteEntry]) {
+        put_sparse(w, entries.iter().map(|e| (e.minute, e.count)));
+        put_sparse(w, entries.iter().map(|e| (e.minute, e.vol_q)));
+    }
 
     fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
         add_sparse(r, &mut self.counts)?;
@@ -300,6 +305,12 @@ impl PlaneRow for MinuteRowQ {
 
 impl PlaneRow for SignalRowQ {
     const SIGNALING: bool = true;
+
+    fn put_entries(w: &mut ByteWriter, entries: &[SignalEntry]) {
+        for lane in 0..3 {
+            put_sparse(w, entries.iter().map(|e| (e.minute, e.events[lane])));
+        }
+    }
 
     fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
         for lane in [&mut self.attach, &mut self.handover, &mut self.paging] {
@@ -662,6 +673,7 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtd_dataset::accum::Row;
     use mtd_dataset::format::crc32;
     use mtd_dataset::record::{duration_grid, volume_grid};
     use mtd_math::histogram::LogGrid;
@@ -670,6 +682,7 @@ mod tests {
     use mtd_netsim::probes::{SignalingEvent, SignalingKind};
     use mtd_netsim::session::SessionObservation;
     use mtd_netsim::time::SimTime;
+    use rand::rngs::SmallRng;
     use rand::Rng;
 
     fn grids() -> (LogGrid, LogGrid) {
@@ -710,12 +723,10 @@ mod tests {
         }
     }
 
-    /// Five stations over two days; stations 0 and 3 are the shard's own,
-    /// so the rest keep sparse rows.
+    /// Five stations over two days.
     fn sample_acc() -> ShardAccumulator {
         let (vg, dg) = grids();
         let mut acc = ShardAccumulator::new(vg, dg, 5, 2);
-        acc.set_own_stations(&[BsId(0), BsId(3)]);
         let mut state = 99u64;
         let mut next = move || {
             state = state
@@ -771,18 +782,17 @@ mod tests {
         rows
     }
 
-    fn dense_minutes(acc: &ShardAccumulator) -> Vec<(u32, MinuteRowQ)> {
-        let mut entries = Vec::new();
-        acc.minute_rows()
-            .map(|(bs, row)| {
-                row.entries_into(&mut entries);
-                let mut dense = MinuteRowQ::new(acc.row_len());
-                for &entry in &entries {
-                    dense.add(entry);
-                }
-                (bs, dense)
-            })
-            .collect()
+    /// Every row of a plane as a dense row of `row_len` minutes.
+    fn dense_rows<R: DenseRow>(rows: &RowIndex<R>, row_len: usize) -> Vec<(u32, R)> {
+        let mut dense = Vec::new();
+        rows.for_each_entries(|bs, entries| {
+            let mut row = R::new(row_len);
+            for &entry in entries {
+                row.add(entry);
+            }
+            dense.push((bs, row));
+        });
+        dense
     }
 
     /// Writes `acc`'s spill to a file named after the calling test: tests
@@ -811,7 +821,7 @@ mod tests {
 
         let mut cursor = open_and_check_cells(&path, &acc);
         let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
-        assert_eq!(minutes, dense_minutes(&acc));
+        assert_eq!(minutes, dense_rows(acc.minute_rows(), acc.row_len()));
         // The digest of the bytes written is the one the read vouches for.
         cursor.finish(crate::fnv64(&bytes)).unwrap();
         std::fs::remove_file(&path).ok();
@@ -841,15 +851,9 @@ mod tests {
 
         let mut cursor = open_and_check_cells(&path, &acc);
         let minutes = read_rows(&mut cursor, &MinuteRowQ::new(acc.row_len()));
-        assert_eq!(minutes, dense_minutes(&acc));
+        assert_eq!(minutes, dense_rows(acc.minute_rows(), acc.row_len()));
         let sig = read_rows(&mut cursor, &SignalRowQ::new(acc.row_len()));
-        let want: Vec<(u32, SignalRowQ)> = acc
-            .signaling
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|(bs, row)| (*bs, row.clone()))
-            .collect();
+        let want = dense_rows(acc.signaling_rows().unwrap(), acc.row_len());
         assert_eq!(sig, want);
         cursor.finish(crate::fnv64(&bytes)).unwrap();
         std::fs::remove_file(&path).ok();
@@ -894,7 +898,10 @@ mod tests {
             }
         }
 
-        let version = if acc.signaling.is_some() {
+        let signaling = acc
+            .signaling_rows()
+            .map(|rows| dense_rows(rows, acc.row_len()));
+        let version = if signaling.is_some() {
             SIGNALING_VERSION
         } else {
             VERSION
@@ -903,14 +910,14 @@ mod tests {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&version.to_le_bytes());
         let in_key_order = acc.cells();
-        let minutes = dense_minutes(acc);
+        let minutes = dense_rows(acc.minute_rows(), acc.row_len());
         let mut header = ByteWriter::new();
         header.put_u32(vbins as u32);
         header.put_u32(dbins as u32);
         header.put_u32(acc.row_len() as u32);
         header.put_u32(in_key_order.len() as u32);
         header.put_u32(minutes.len() as u32);
-        if let Some(sig) = &acc.signaling {
+        if let Some(sig) = &signaling {
             header.put_u32(sig.len() as u32);
         }
         put_block(&mut out, header.into_bytes());
@@ -938,7 +945,7 @@ mod tests {
             put_sparse_i64(&mut w, &row.vol_q);
             put_block(&mut out, w.into_bytes());
         }
-        if let Some(sig) = &acc.signaling {
+        if let Some(sig) = &signaling {
             for (bs, row) in sig {
                 let mut w = ByteWriter::new();
                 w.put_u32(*bs);
@@ -953,6 +960,12 @@ mod tests {
         out
     }
 
+    /// Whether `bs`'s row among `rows` is dense.
+    fn is_dense<R: DenseRow>(rows: &RowIndex<R>, bs: u32) -> bool {
+        rows.iter()
+            .any(|(b, row)| b == bs && matches!(row, Row::Dense(_)))
+    }
+
     #[test]
     fn encoder_matches_the_two_pass_reference() {
         let (vg, dg) = grids();
@@ -960,11 +973,6 @@ mod tests {
             let n_bs = rng.gen_range(1..9usize);
             let n_days = rng.gen_range(1..3u32);
             let mut acc = ShardAccumulator::new(vg, dg, n_bs, n_days);
-            let own: Vec<BsId> = (0..n_bs as u32)
-                .filter(|_| rng.gen_bool(0.5))
-                .map(BsId)
-                .collect();
-            acc.set_own_stations(&own);
             let signaling = rng.gen_bool(0.5);
             if signaling {
                 acc.enable_signaling();
@@ -989,25 +997,24 @@ mod tests {
                     observations.push(obs(bs, service, day, secs, volume, 60.0));
                 }
             }
-            // Now and then a fringe station gathers enough fragments to
-            // turn its row dense.
-            if rng.gen_bool(0.2) {
-                if let Some(fringe) = (0..n_bs as u32).find(|bs| !own.contains(&BsId(*bs))) {
-                    for i in 0..1100 {
-                        observations.push(obs(
-                            fringe,
-                            0,
-                            0,
-                            f64::from(i * 13 % 1440) * 60.0,
-                            2.0,
-                            9.0,
-                        ));
-                    }
+            // Now and then one station gathers enough entries of a plane
+            // to turn its row dense, beside rows that stay sparse: 1,100 a
+            // day passes the switch at any campaign length.
+            let dense_at = |rng: &mut SmallRng, p: f64| {
+                let bs = rng.gen_range(0..n_bs as u32);
+                rng.gen_bool(p).then_some(bs)
+            };
+            let spread = |i: u32| (i % n_days, f64::from(i * 13 % 1440) * 60.0);
+            let dense_minutes = dense_at(rng, 0.2);
+            if let Some(bs) = dense_minutes {
+                for (day, secs) in (0..n_days * 1100).map(spread) {
+                    observations.push(obs(bs, 0, day, secs, 2.0, 9.0));
                 }
             }
             for o in &observations {
                 acc.record(o);
             }
+            let mut dense_signaling = None;
             if signaling {
                 for _ in 0..rng.gen_range(0..120) {
                     let (bs, day) = (rng.gen_range(0..n_bs as u32), rng.gen_range(0..=n_days));
@@ -1018,6 +1025,19 @@ mod tests {
                         rng.gen_range(0..3),
                     ));
                 }
+                dense_signaling = dense_at(rng, 0.3);
+                if let Some(bs) = dense_signaling {
+                    for i in 0..n_days * 1100 {
+                        let (day, secs) = spread(i);
+                        acc.record_signaling(&sig(bs, day, secs, i));
+                    }
+                }
+            }
+            if let Some(bs) = dense_minutes {
+                assert!(is_dense(acc.minute_rows(), bs));
+            }
+            if let Some(bs) = dense_signaling {
+                assert!(is_dense(acc.signaling_rows().unwrap(), bs));
             }
             assert_eq!(
                 encode(&acc, vg.bins(), dg.bins()).0,

@@ -16,8 +16,11 @@
 use crate::pipeline::{fit_registry_with, StreamFitError};
 use crate::registry::ModelRegistry;
 use crate::volume::VolumeFitConfig;
-use mtd_dataset::{read_window, read_window_from_reader, DatasetStream, StoreReport};
+use mtd_dataset::{
+    read_window, read_window_from_reader, Dataset, DatasetStream, StoreError, StoreReport,
+};
 use mtd_math::MathError;
+use std::io::{Cursor, Read};
 use std::path::Path;
 
 /// One window's fit in a windowed re-fitting sweep.
@@ -52,24 +55,12 @@ pub fn fit_registry_windowed(
     volume_config: &VolumeFitConfig,
 ) -> Result<Vec<WindowFit>, StreamFitError> {
     let _span = mtd_telemetry::span!("fit.registry_windowed");
-    if window_days == 0 {
-        return Err(StreamFitError::Math(MathError::EmptyInput(
-            "fit_registry_windowed: window must be at least one day",
-        )));
-    }
-    let n_days = DatasetStream::open(path)?.meta().n_days;
-    let mut fits = Vec::new();
-    for (day0, day1) in window_spans(n_days, window_days) {
-        let (dataset, report) = read_window(path, day0, day1)?;
-        let registry = fit_registry_with(&dataset, volume_config)?;
-        fits.push(WindowFit {
-            day0,
-            day1,
-            registry,
-            report,
-        });
-    }
-    Ok(fits)
+    fit_windows(
+        window_days,
+        volume_config,
+        || DatasetStream::open(path),
+        |day0, day1| read_window(path, day0, day1),
+    )
 }
 
 /// [`fit_registry_windowed`] over an in-memory store image — the form
@@ -79,17 +70,31 @@ pub fn fit_registry_windowed_bytes(
     window_days: u32,
     volume_config: &VolumeFitConfig,
 ) -> Result<Vec<WindowFit>, StreamFitError> {
+    fit_windows(
+        window_days,
+        volume_config,
+        || DatasetStream::from_reader(Cursor::new(bytes)),
+        |day0, day1| read_window_from_reader(Cursor::new(bytes), day0, day1),
+    )
+}
+
+/// Refuses a zero-day window, takes the store's day count from the
+/// stream `open` returns, and fits one registry per window `read` slices.
+fn fit_windows<R: Read>(
+    window_days: u32,
+    volume_config: &VolumeFitConfig,
+    open: impl FnOnce() -> Result<DatasetStream<R>, StoreError>,
+    read: impl Fn(u32, u32) -> Result<(Dataset, StoreReport), StoreError>,
+) -> Result<Vec<WindowFit>, StreamFitError> {
     if window_days == 0 {
         return Err(StreamFitError::Math(MathError::EmptyInput(
             "fit_registry_windowed: window must be at least one day",
         )));
     }
-    let n_days = DatasetStream::from_reader(std::io::Cursor::new(bytes))?
-        .meta()
-        .n_days;
+    let n_days = open()?.meta().n_days;
     let mut fits = Vec::new();
     for (day0, day1) in window_spans(n_days, window_days) {
-        let (dataset, report) = read_window_from_reader(std::io::Cursor::new(bytes), day0, day1)?;
+        let (dataset, report) = read(day0, day1)?;
         let registry = fit_registry_with(&dataset, volume_config)?;
         fits.push(WindowFit {
             day0,

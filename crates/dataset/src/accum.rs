@@ -36,10 +36,12 @@
 //! bins it recorded into ([`BsCell::touched`]), so summing it into a
 //! group cell, or spilling it, visits about as many bins as it has
 //! observations instead of all 258 on the default grids. A station's
-//! minute row ([`MinuteRow`]) is dense only for the accumulator's own
-//! stations; a campaign shard also collects the handover fragments its
-//! sessions leave on stations outside it, and those fringe rows keep one
-//! sparse entry per fragment, sorted and merged only when read.
+//! row of either plane, minute rows and control-plane rows alike
+//! ([`Row`]), starts as sparse entries, sorted and merged only when
+//! read, and turns dense only where its buffer would outgrow a dense
+//! row. A campaign shard also collects the handover fragments its
+//! sessions leave on stations outside it, so those fringe rows stay as
+//! small as what landed there.
 //!
 //! [`Dataset::build`](crate::Dataset::build) itself accumulates through
 //! this module, so a sharded campaign and a monolithic build are the same
@@ -49,11 +51,9 @@ use crate::dataset::{CellMap, SignalingPlane};
 use crate::record::CellStats;
 use mtd_math::histogram::LogGrid;
 use mtd_netsim::engine::EngineSink;
-use mtd_netsim::ids::BsId;
 use mtd_netsim::probes::{SignalingEvent, SignalingKind};
 use mtd_netsim::session::SessionObservation;
 use mtd_netsim::time::MINUTES_PER_DAY;
-use std::collections::BTreeMap;
 
 /// Fixed-point scale for traffic volumes (MB): 2²⁰ units per MB.
 pub const Q_VOL: f64 = 1_048_576.0;
@@ -615,6 +615,26 @@ impl CellArena {
     }
 }
 
+/// What one traffic plane's per-minute rows are made of: its dense row,
+/// every minute of the campaign (`n_days × 1440`), and its sparse entry,
+/// one touched minute. [`Row`] and [`RowIndex`] hold either plane's rows
+/// through it. Both planes' dense rows take 12 bytes a minute and their
+/// entries 16, so one rule picks either plane's row form.
+pub trait DenseRow {
+    /// One touched minute: its campaign minute and the plane's sums.
+    type Entry: Copy + PartialEq + std::fmt::Debug;
+    /// An all-zero row of `row_len` minutes.
+    fn new(row_len: usize) -> Self;
+    /// The campaign minute of `entry`.
+    fn minute(entry: &Self::Entry) -> u32;
+    /// Adds `entry`'s sums into `sum`, an entry of the same minute.
+    fn merge(sum: &mut Self::Entry, entry: &Self::Entry);
+    /// Adds one entry's sums at its minute.
+    fn add(&mut self, entry: Self::Entry);
+    /// The row's touched minutes into `out` (cleared first), ascending.
+    fn entries_into(&self, out: &mut Vec<Self::Entry>);
+}
+
 /// One BS's per-minute row in fixed point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinuteRowQ {
@@ -626,27 +646,51 @@ pub struct MinuteRowQ {
 }
 
 impl MinuteRowQ {
-    /// An all-zero row of `row_len` minutes.
-    #[must_use]
-    pub fn new(row_len: usize) -> MinuteRowQ {
-        MinuteRowQ {
-            counts: vec![0; row_len],
-            vol_q: vec![0; row_len],
-        }
-    }
-
     /// The row's volumes in MB, as the store encodes them, into `out`
     /// (cleared first).
     pub fn volumes_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend(self.vol_q.iter().map(|q| dq_vol(i128::from(*q)) as f32));
     }
+}
 
-    /// Adds one entry's sessions and volume at its minute.
-    pub fn add(&mut self, entry: MinuteEntry) {
+/// A minute is touched when a session started in it.
+impl DenseRow for MinuteRowQ {
+    type Entry = MinuteEntry;
+
+    fn new(row_len: usize) -> MinuteRowQ {
+        MinuteRowQ {
+            counts: vec![0; row_len],
+            vol_q: vec![0; row_len],
+        }
+    }
+
+    fn minute(entry: &MinuteEntry) -> u32 {
+        entry.minute
+    }
+
+    fn merge(sum: &mut MinuteEntry, entry: &MinuteEntry) {
+        sum.count += entry.count;
+        sum.vol_q += entry.vol_q;
+    }
+
+    fn add(&mut self, entry: MinuteEntry) {
         let minute = entry.minute as usize;
         self.counts[minute] += entry.count;
         self.vol_q[minute] += entry.vol_q;
+    }
+
+    fn entries_into(&self, out: &mut Vec<MinuteEntry>) {
+        out.clear();
+        for (minute, &count) in self.counts.iter().enumerate() {
+            if count != 0 {
+                out.push(MinuteEntry {
+                    minute: minute as u32,
+                    count,
+                    vol_q: self.vol_q[minute],
+                });
+            }
+        }
     }
 }
 
@@ -660,75 +704,6 @@ pub struct MinuteEntry {
     pub count: u32,
     /// Traffic volume, quantized MB.
     pub vol_q: i64,
-}
-
-/// Bytes per minute of a dense row: a `u32` count and an `i64` volume.
-const DENSE_MINUTE_BYTES: usize = std::mem::size_of::<u32>() + std::mem::size_of::<i64>();
-
-/// One touched BS's minute row in fixed point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MinuteRow {
-    /// Every minute of the campaign: the row of one of the accumulator's
-    /// own stations.
-    Dense(MinuteRowQ),
-    /// One entry per recorded observation or merged minute, unsorted, a
-    /// minute possibly repeated: the row of a station outside the shard,
-    /// which holds only the handover fragments of the shard's sessions.
-    /// It turns dense once it would outgrow a dense row.
-    Sparse(Vec<MinuteEntry>),
-}
-
-impl MinuteRow {
-    /// Adds one entry to a row of `row_len` minutes.
-    fn add(&mut self, entry: MinuteEntry, row_len: usize) {
-        match self {
-            MinuteRow::Dense(row) => row.add(entry),
-            MinuteRow::Sparse(entries) => {
-                entries.push(entry);
-                if entries.len() * std::mem::size_of::<MinuteEntry>()
-                    >= row_len * DENSE_MINUTE_BYTES
-                {
-                    let mut dense = MinuteRowQ::new(row_len);
-                    for &entry in entries.iter() {
-                        dense.add(entry);
-                    }
-                    *self = MinuteRow::Dense(dense);
-                }
-            }
-        }
-    }
-
-    /// The row's touched minutes into `out` (cleared first), ascending
-    /// and each once: a dense row's minutes with a session start, or a
-    /// sparse row's entries sorted and merged. Reads each value once.
-    pub fn entries_into(&self, out: &mut Vec<MinuteEntry>) {
-        out.clear();
-        match self {
-            MinuteRow::Dense(row) => {
-                for (minute, &count) in row.counts.iter().enumerate() {
-                    if count != 0 {
-                        out.push(MinuteEntry {
-                            minute: minute as u32,
-                            count,
-                            vol_q: row.vol_q[minute],
-                        });
-                    }
-                }
-            }
-            MinuteRow::Sparse(entries) => {
-                out.extend_from_slice(entries);
-                out.sort_unstable_by_key(|entry| entry.minute);
-                out.dedup_by(|next, kept| {
-                    let same = next.minute == kept.minute;
-                    if same {
-                        kept.count += next.count;
-                        kept.vol_q += next.vol_q;
-                    }
-                    same
-                });
-            }
-        }
-    }
 }
 
 /// One BS's per-minute control-plane row: attach, handover, and paging
@@ -745,10 +720,11 @@ pub struct SignalRowQ {
     pub paging: Vec<u32>,
 }
 
-impl SignalRowQ {
-    /// An all-zero row of `row_len` minutes.
-    #[must_use]
-    pub fn new(row_len: usize) -> SignalRowQ {
+/// A minute is touched when any event fell in it.
+impl DenseRow for SignalRowQ {
+    type Entry = SignalEntry;
+
+    fn new(row_len: usize) -> SignalRowQ {
         SignalRowQ {
             attach: vec![0; row_len],
             handover: vec![0; row_len],
@@ -756,18 +732,175 @@ impl SignalRowQ {
         }
     }
 
-    /// Adds another row of the same length into this one.
-    pub fn merge(&mut self, other: &SignalRowQ) {
-        assert_eq!(self.attach.len(), other.attach.len());
-        for (a, b) in self.attach.iter_mut().zip(&other.attach) {
-            *a += b;
+    fn minute(entry: &SignalEntry) -> u32 {
+        entry.minute
+    }
+
+    fn merge(sum: &mut SignalEntry, entry: &SignalEntry) {
+        for (sum, n) in sum.events.iter_mut().zip(entry.events) {
+            *sum += n;
         }
-        for (a, b) in self.handover.iter_mut().zip(&other.handover) {
-            *a += b;
+    }
+
+    fn add(&mut self, entry: SignalEntry) {
+        let minute = entry.minute as usize;
+        let lanes = [&mut self.attach, &mut self.handover, &mut self.paging];
+        for (lane, n) in lanes.into_iter().zip(entry.events) {
+            lane[minute] += n;
         }
-        for (a, b) in self.paging.iter_mut().zip(&other.paging) {
-            *a += b;
+    }
+
+    fn entries_into(&self, out: &mut Vec<SignalEntry>) {
+        out.clear();
+        for minute in 0..self.attach.len() {
+            let events = [
+                self.attach[minute],
+                self.handover[minute],
+                self.paging[minute],
+            ];
+            if events != [0; 3] {
+                let minute = minute as u32;
+                out.push(SignalEntry { minute, events });
+            }
         }
+    }
+}
+
+/// One minute of a BS's control-plane row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignalEntry {
+    /// Campaign minute (`day × 1440 + minute of day`).
+    pub minute: u32,
+    /// The attach, handover-in and paging events that fell in it.
+    pub events: [u32; 3],
+}
+
+/// Bytes per minute of either plane's dense row: a `u32` count and an
+/// `i64` volume, or three `u32` event counts.
+const DENSE_MINUTE_BYTES: usize = 12;
+
+/// One touched BS's row of a plane. Every row starts sparse: one entry
+/// per record or merged minute, unsorted, a minute possibly repeated,
+/// sorted and merged only when read. Its buffer never grows past the
+/// bytes of a dense row: when a full buffer would have to double past
+/// them, the row turns dense instead. A row thus costs what was recorded
+/// into it, up to one dense row, whichever station it belongs to.
+#[derive(Debug)]
+pub enum Row<R: DenseRow> {
+    /// Entries as recorded.
+    Sparse(Vec<R::Entry>),
+    /// Every minute of the campaign.
+    Dense(R),
+}
+
+impl<R: DenseRow> Row<R> {
+    /// Adds one entry to a row of `row_len` minutes.
+    fn add(&mut self, entry: R::Entry, row_len: usize) {
+        match self {
+            Row::Dense(row) => row.add(entry),
+            Row::Sparse(entries) => {
+                if entries.len() == entries.capacity() {
+                    let grown = (2 * entries.len()).max(4);
+                    if grown * std::mem::size_of::<R::Entry>() > row_len * DENSE_MINUTE_BYTES {
+                        let mut dense = R::new(row_len);
+                        for &entry in entries.iter() {
+                            dense.add(entry);
+                        }
+                        dense.add(entry);
+                        *self = Row::Dense(dense);
+                        return;
+                    }
+                    entries.reserve_exact(grown - entries.len());
+                }
+                entries.push(entry);
+            }
+        }
+    }
+
+    /// The row's touched minutes into `out` (cleared first), ascending
+    /// and each once: a dense row's touched minutes, or a sparse row's
+    /// entries sorted and merged. Reads each value once.
+    pub fn entries_into(&self, out: &mut Vec<R::Entry>) {
+        match self {
+            Row::Dense(row) => row.entries_into(out),
+            Row::Sparse(entries) => {
+                out.clear();
+                out.extend_from_slice(entries);
+                out.sort_unstable_by_key(R::minute);
+                out.dedup_by(|next, kept| {
+                    let same = R::minute(next) == R::minute(kept);
+                    if same {
+                        R::merge(kept, next);
+                    }
+                    same
+                });
+            }
+        }
+    }
+}
+
+/// One plane's rows: a [`Row`] per touched BS, found through a direct
+/// index by global BS id.
+pub struct RowIndex<R: DenseRow> {
+    row_len: usize,
+    /// Index into `rows` of each global BS id's row ([`NO_CELL`] until
+    /// the BS is touched).
+    row_of_bs: Vec<u32>,
+    rows: Vec<Row<R>>,
+}
+
+impl<R: DenseRow> RowIndex<R> {
+    /// No rows yet, for `n_bs` stations and rows of `row_len` minutes.
+    fn new(n_bs: usize, row_len: usize) -> RowIndex<R> {
+        RowIndex {
+            row_len,
+            row_of_bs: vec![NO_CELL; n_bs],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Adds one entry to `bs`'s row, created sparse on first use.
+    fn add(&mut self, bs: u32, entry: R::Entry) {
+        let slot = &mut self.row_of_bs[bs as usize];
+        if *slot == NO_CELL {
+            *slot = u32::try_from(self.rows.len()).expect("fewer than 2³² rows");
+            self.rows.push(Row::Sparse(Vec::new()));
+        }
+        self.rows[*slot as usize].add(entry, self.row_len);
+    }
+
+    /// Adds every row of `other`, of the same campaign, into these.
+    fn merge(&mut self, other: &RowIndex<R>) {
+        other.for_each_entries(|bs, entries| {
+            for &entry in entries {
+                self.add(bs, entry);
+            }
+        });
+    }
+
+    /// The touched BSs' rows in ascending BS order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &Row<R>)> {
+        self.row_of_bs
+            .iter()
+            .enumerate()
+            .filter(|(_, &slot)| slot != NO_CELL)
+            .map(|(bs, &slot)| (bs as u32, &self.rows[slot as usize]))
+    }
+
+    /// Hands each touched BS's sorted, merged entries
+    /// ([`Row::entries_into`]) to `f`, in ascending BS order.
+    pub fn for_each_entries(&self, mut f: impl FnMut(u32, &[R::Entry])) {
+        let mut entries = Vec::new();
+        for (bs, row) in self.iter() {
+            row.entries_into(&mut entries);
+            f(bs, &entries);
+        }
+    }
+
+    /// The number of rows (touched BSs), counted without walking them.
+    #[must_use]
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
     }
 }
 
@@ -782,14 +915,12 @@ const NO_CELL: u32 = u32::MAX;
 /// collects handover fragments that land on neighbor stations outside
 /// its own stations (its fringe); the campaign assembler merges those
 /// cross-shard contributions with integer adds, reproducing the
-/// monolithic result exactly. Only touched BSs get a minute row, found
-/// through a direct index by BS id. The row of one of the accumulator's
-/// own stations is dense (`n_days × 1440` minutes); every station is its
-/// own unless [`Self::set_own_stations`] names fewer, as a campaign
-/// shard does, and then a fringe station's row keeps one sparse
-/// [`MinuteEntry`] per fragment. A shard's memory thus scales with its
-/// own stations plus what its handovers left on the fringe, not with
-/// `n_bs` or the fringe's width.
+/// monolithic result exactly. Each plane — the minute rows of sessions
+/// and volume, and the optional control-plane rows — keeps one [`Row`]
+/// per touched BS in a [`RowIndex`]. Every row starts sparse and turns
+/// dense by its own size, so a fringe station's row holds only what
+/// landed there, and a shard's memory scales with what it recorded, not
+/// with `n_bs` or the fringe's width.
 ///
 /// Cells are keyed (service, BS, day) and live in insertion order in one
 /// arena, found through a direct index over (BS, day) to a service slot:
@@ -813,7 +944,6 @@ pub struct ShardAccumulator {
     volume_grid: LogGrid,
     duration_grid: LogGrid,
     n_days: u32,
-    row_len: usize,
     /// Quantized volume of every observation per global BS id, past-
     /// horizon ones included: the load-decile input.
     totals_q: Vec<i128>,
@@ -821,18 +951,11 @@ pub struct ShardAccumulator {
     /// ([`NO_CELL`] when absent); rows grow as services appear.
     cell_index: Vec<Vec<u32>>,
     cells: CellArena,
-    /// Whether each global BS id is one of the accumulator's own
-    /// stations, whose minute rows are dense.
-    own: Vec<bool>,
-    /// Index into `rows` of each global BS id's minute row ([`NO_CELL`]
-    /// until the BS is touched).
-    row_of_bs: Vec<u32>,
-    rows: Vec<MinuteRow>,
-    /// Accumulated control-plane rows keyed by global BS id. `None`
-    /// means signaling collection is disabled (the default), so
+    minutes: RowIndex<MinuteRowQ>,
+    /// `None` means signaling collection is disabled (the default), so
     /// non-control-plane campaigns pay nothing and produce datasets
     /// without the plane.
-    pub signaling: Option<BTreeMap<u32, SignalRowQ>>,
+    signaling: Option<RowIndex<SignalRowQ>>,
 }
 
 impl ShardAccumulator {
@@ -849,57 +972,25 @@ impl ShardAccumulator {
             volume_grid,
             duration_grid,
             n_days,
-            row_len: (n_days * MINUTES_PER_DAY) as usize,
             totals_q: vec![0; n_bs],
             cell_index: vec![Vec::new(); n_bs * n_days as usize],
             cells: CellArena::new(volume_grid.bins(), duration_grid.bins()),
-            own: vec![true; n_bs],
-            row_of_bs: vec![NO_CELL; n_bs],
-            rows: Vec::new(),
+            minutes: RowIndex::new(n_bs, (n_days * MINUTES_PER_DAY) as usize),
             signaling: None,
         }
     }
 
-    /// Narrows the accumulator's own stations, by default all of them, to
-    /// `stations`: only their minute rows are dense. A campaign shard
-    /// names its stations here, so the rows of the fringe its handovers
-    /// reach hold only what landed there. Call before recording.
-    pub fn set_own_stations(&mut self, stations: &[BsId]) {
-        assert!(self.rows.is_empty(), "own stations are set before any row");
-        self.own.fill(false);
-        for bs in stations {
-            self.own[bs.0 as usize] = true;
-        }
-    }
-
-    /// Adds one entry to `bs`'s minute row, created on first use.
-    fn add_minute(&mut self, bs: u32, entry: MinuteEntry) {
-        let slot = &mut self.row_of_bs[bs as usize];
-        if *slot == NO_CELL {
-            *slot = u32::try_from(self.rows.len()).expect("fewer than 2³² rows");
-            self.rows.push(if self.own[bs as usize] {
-                MinuteRow::Dense(MinuteRowQ::new(self.row_len))
-            } else {
-                MinuteRow::Sparse(Vec::new())
-            });
-        }
-        self.rows[*slot as usize].add(entry, self.row_len);
-    }
-
-    /// The touched BSs' minute rows in ascending BS order.
-    pub fn minute_rows(&self) -> impl Iterator<Item = (u32, &MinuteRow)> {
-        self.row_of_bs
-            .iter()
-            .enumerate()
-            .filter(|(_, &slot)| slot != NO_CELL)
-            .map(|(bs, &slot)| (bs as u32, &self.rows[slot as usize]))
-    }
-
-    /// The number of minute rows (touched BSs), counted without walking
-    /// them.
+    /// The user plane's minute rows: session starts and volume.
     #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
+    pub fn minute_rows(&self) -> &RowIndex<MinuteRowQ> {
+        &self.minutes
+    }
+
+    /// The control plane's rows, `None` unless
+    /// [`Self::enable_signaling`] was called.
+    #[must_use]
+    pub fn signaling_rows(&self) -> Option<&RowIndex<SignalRowQ>> {
+        self.signaling.as_ref()
     }
 
     /// The id of the cell for `key`, created empty on first use.
@@ -942,7 +1033,7 @@ impl ShardAccumulator {
     /// [`Self::finalize_signaling`] returns `Some`.
     pub fn enable_signaling(&mut self) {
         if self.signaling.is_none() {
-            self.signaling = Some(BTreeMap::new());
+            self.signaling = Some(RowIndex::new(self.totals_q.len(), self.row_len()));
         }
     }
 
@@ -955,10 +1046,10 @@ impl ShardAccumulator {
         let Some(signaling) = &mut self.signaling else {
             return;
         };
-        let bs = match ev.kind {
-            SignalingKind::Attach(bs) | SignalingKind::Handover(bs) | SignalingKind::Paging(bs) => {
-                bs
-            }
+        let (bs, events) = match ev.kind {
+            SignalingKind::Attach(bs) => (bs, [1, 0, 0]),
+            SignalingKind::Handover(bs) => (bs, [0, 1, 0]),
+            SignalingKind::Paging(bs) => (bs, [0, 0, 1]),
             SignalingKind::Detach => return,
         };
         let day = ev.time.day;
@@ -966,17 +1057,8 @@ impl ShardAccumulator {
             mtd_telemetry::count("dataset.signaling.spilled", 1);
             return;
         }
-        let minute = (day * MINUTES_PER_DAY + ev.time.minute_of_day()) as usize;
-        let row_len = self.row_len;
-        let row = signaling
-            .entry(bs.0)
-            .or_insert_with(|| SignalRowQ::new(row_len));
-        match ev.kind {
-            SignalingKind::Attach(_) => row.attach[minute] += 1,
-            SignalingKind::Handover(_) => row.handover[minute] += 1,
-            SignalingKind::Paging(_) => row.paging[minute] += 1,
-            SignalingKind::Detach => unreachable!("filtered above"),
-        }
+        let minute = day * MINUTES_PER_DAY + ev.time.minute_of_day();
+        signaling.add(bs.0, SignalEntry { minute, events });
     }
 
     /// Records one observation (same attribution rules as
@@ -993,7 +1075,7 @@ impl ShardAccumulator {
             return;
         }
         let minute = day * MINUTES_PER_DAY + obs.start.minute_of_day();
-        self.add_minute(
+        self.minutes.add(
             obs.bs.0,
             MinuteEntry {
                 minute,
@@ -1019,23 +1101,10 @@ impl ShardAccumulator {
         for (a, b) in self.totals_q.iter_mut().zip(&other.totals_q) {
             *a += b;
         }
-        let mut entries = Vec::new();
-        for (bs, row) in other.minute_rows() {
-            row.entries_into(&mut entries);
-            for &entry in &entries {
-                self.add_minute(bs, entry);
-            }
-        }
-        if let Some(other_sig) = &other.signaling {
+        self.minutes.merge(&other.minutes);
+        if let Some(theirs) = &other.signaling {
             self.enable_signaling();
-            let row_len = self.row_len;
-            let signaling = self.signaling.as_mut().expect("just enabled");
-            for (bs, row) in other_sig {
-                signaling
-                    .entry(*bs)
-                    .or_insert_with(|| SignalRowQ::new(row_len))
-                    .merge(row);
-            }
+            self.signaling.as_mut().expect("just enabled").merge(theirs);
         }
     }
 
@@ -1070,17 +1139,15 @@ impl ShardAccumulator {
     /// stations (untouched BSs get zero rows).
     #[must_use]
     pub fn finalize_minutes(&self, n_bs: usize) -> (Vec<Vec<u32>>, Vec<Vec<f32>>) {
-        let mut counts = vec![vec![0u32; self.row_len]; n_bs];
-        let mut volumes = vec![vec![0.0f32; self.row_len]; n_bs];
-        let mut entries = Vec::new();
-        for (bs, row) in self.minute_rows() {
-            row.entries_into(&mut entries);
-            for entry in &entries {
+        let mut counts = vec![vec![0u32; self.row_len()]; n_bs];
+        let mut volumes = vec![vec![0.0f32; self.row_len()]; n_bs];
+        self.minutes.for_each_entries(|bs, entries| {
+            for entry in entries {
                 let (bs, minute) = (bs as usize, entry.minute as usize);
                 counts[bs][minute] = entry.count;
                 volumes[bs][minute] = dq_vol(i128::from(entry.vol_q)) as f32;
             }
-        }
+        });
         (counts, volumes)
     }
 
@@ -1090,19 +1157,23 @@ impl ShardAccumulator {
     #[must_use]
     pub fn finalize_signaling(&self, n_bs: usize) -> Option<SignalingPlane> {
         let signaling = self.signaling.as_ref()?;
-        let mut plane = SignalingPlane::zeroed(n_bs, self.row_len);
-        for (bs, row) in signaling {
-            plane.attach[*bs as usize] = row.attach.clone();
-            plane.handover[*bs as usize] = row.handover.clone();
-            plane.paging[*bs as usize] = row.paging.clone();
-        }
+        let mut plane = SignalingPlane::zeroed(n_bs, self.row_len());
+        signaling.for_each_entries(|bs, entries| {
+            for entry in entries {
+                let (bs, minute) = (bs as usize, entry.minute as usize);
+                let lanes = [&mut plane.attach, &mut plane.handover, &mut plane.paging];
+                for (lane, n) in lanes.into_iter().zip(entry.events) {
+                    lane[bs][minute] = n;
+                }
+            }
+        });
         Some(plane)
     }
 
     /// Minute-row length (`n_days × 1440`).
     #[must_use]
     pub fn row_len(&self) -> usize {
-        self.row_len
+        (self.n_days * MINUTES_PER_DAY) as usize
     }
 }
 
@@ -1118,12 +1189,11 @@ impl EngineSink for ShardAccumulator {
         self.record_signaling(ev);
     }
 
-    /// An empty accumulator for the same campaign: the same grids, own
-    /// stations and signaling switch.
+    /// An empty accumulator for the same campaign: the same grids and
+    /// signaling switch.
     fn fork(&self) -> Option<Self> {
         let (n_bs, n_days) = (self.totals_q.len(), self.n_days);
         let mut part = ShardAccumulator::new(self.volume_grid, self.duration_grid, n_bs, n_days);
-        part.own.clone_from(&self.own);
         if self.signaling.is_some() {
             part.enable_signaling();
         }
@@ -1145,6 +1215,7 @@ mod tests {
     use mtd_netsim::time::SimTime;
     use rand::rngs::SmallRng;
     use rand::Rng;
+    use std::collections::BTreeMap;
 
     fn obs(bs: u32, service: u16, day: u32, secs: f64, vol: f64, dur: f64) -> SessionObservation {
         SessionObservation {
@@ -1195,24 +1266,12 @@ mod tests {
         acc
     }
 
-    /// Every minute row as its sorted, merged entries: equal for equal
-    /// rows, dense or sparse.
-    fn row_entries(acc: &ShardAccumulator) -> Vec<(u32, Vec<MinuteEntry>)> {
-        acc.minute_rows()
-            .map(|(bs, row)| {
-                let mut entries = Vec::new();
-                row.entries_into(&mut entries);
-                (bs, entries)
-            })
-            .collect()
-    }
-
-    /// A random subset of `0..n_bs` as own stations.
-    fn own_subset(rng: &mut SmallRng, n_bs: usize) -> Vec<BsId> {
-        (0..n_bs as u32)
-            .filter(|_| rng.gen_bool(0.5))
-            .map(BsId)
-            .collect()
+    /// Every row of a plane as its sorted, merged entries: equal for
+    /// equal rows, dense or sparse.
+    fn row_entries<R: DenseRow>(rows: &RowIndex<R>) -> Vec<(u32, Vec<R::Entry>)> {
+        let mut out = Vec::new();
+        rows.for_each_entries(|bs, entries| out.push((bs, entries.to_vec())));
+        out
     }
 
     /// The integer cell formulas as first written: libm rounding through
@@ -1317,8 +1376,7 @@ mod tests {
             assert_eq!(acc.totals_q(), expect_totals);
 
             // Any partition into shards, merged in any order, is the same
-            // state: per-BS cells, totals and rows alike, whichever
-            // stations each shard holds dense rows for.
+            // state: per-BS cells, totals and rows alike.
             let parts = rng.gen_range(1..5usize);
             let part_of: Vec<usize> = observations
                 .iter()
@@ -1329,10 +1387,8 @@ mod tests {
                 order.swap(i, rng.gen_range(0..=i));
             }
             let mut merged = ShardAccumulator::new(vgrid, dgrid, n_bs, n_days);
-            merged.set_own_stations(&own_subset(rng, n_bs));
             for part in order {
                 let mut shard = ShardAccumulator::new(vgrid, dgrid, n_bs, n_days);
-                shard.set_own_stations(&own_subset(rng, n_bs));
                 for (o, _) in observations
                     .iter()
                     .zip(&part_of)
@@ -1344,7 +1400,10 @@ mod tests {
             }
             assert!(merged.cells().eq(acc.cells()));
             assert_eq!(merged.totals_q(), acc.totals_q());
-            assert_eq!(row_entries(&merged), row_entries(&acc));
+            assert_eq!(
+                row_entries(merged.minute_rows()),
+                row_entries(acc.minute_rows())
+            );
             assert_eq!(merged.finalize_minutes(n_bs), acc.finalize_minutes(n_bs));
         });
     }
@@ -1396,46 +1455,84 @@ mod tests {
         });
     }
 
-    #[test]
-    fn fringe_rows_stay_sparse_until_they_outgrow_a_dense_row() {
-        // Station 0 is the only own one; station 1 is fringe. A day has
-        // 1440 minutes, so a sparse row of 16-byte entries reaches the
-        // 12-byte-per-minute dense row at 1080 entries.
+    /// Each row's form: its sparse buffer's bytes, or `None` once dense.
+    fn buffers<R: DenseRow>(rows: &RowIndex<R>) -> Vec<Option<usize>> {
+        rows.iter()
+            .map(|(_, row)| match row {
+                Row::Sparse(entries) => Some(entries.capacity() * std::mem::size_of::<R::Entry>()),
+                Row::Dense(_) => None,
+            })
+            .collect()
+    }
+
+    /// Records entry 0 at station 0 and entries `0..1025` at station 1 of
+    /// a one-day accumulator through `record`, which returns the entry it
+    /// recorded, and checks the rows `rows` reads. A day's dense row
+    /// takes 1440 × 12 = 17,280 bytes, so a buffer of 16-byte entries
+    /// doubles up to 1,024 of them (16,384 bytes) and the 1,025th entry
+    /// turns the row dense instead.
+    fn check_row_forms<R: DenseRow>(
+        record: impl Fn(&mut ShardAccumulator, u32, u32) -> R::Entry,
+        rows: impl Fn(&ShardAccumulator) -> &RowIndex<R>,
+    ) {
         let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 1);
-        acc.set_own_stations(&[BsId(0)]);
-        let at = |bs: u32, i: u32| obs(bs, 0, 0, f64::from(i % 1440) * 60.0, 1.0, 60.0);
-        acc.record(&at(0, 0));
-        for i in 0..1079 {
-            acc.record(&at(1, i * 7));
+        acc.enable_signaling();
+        record(&mut acc, 0, 0);
+        let mut recorded = Vec::new();
+        for i in 0..1025 {
+            recorded.push(record(&mut acc, 1, i));
+            let forms = buffers(rows(&acc));
+            assert!(forms[0].is_some(), "entry {i}: {forms:?}");
+            match i {
+                0..=1022 => assert!(
+                    forms[1].is_some_and(|bytes| bytes <= 16_384),
+                    "entry {i}: {forms:?}"
+                ),
+                1023 => assert_eq!(forms[1], Some(16_384)),
+                _ => assert_eq!(forms[1], None),
+            }
         }
-        let kinds = |acc: &ShardAccumulator| -> Vec<bool> {
-            acc.minute_rows()
-                .map(|(_, row)| matches!(row, MinuteRow::Dense(_)))
-                .collect()
-        };
-        assert_eq!(kinds(&acc), [true, false]);
-        let sparse = row_entries(&acc);
-        acc.record(&at(1, 1079 * 7));
-        assert_eq!(kinds(&acc), [true, true]);
-        // Sorted, merged entries read the same either way.
-        let mut dense = row_entries(&acc);
-        let last = dense[1]
-            .1
-            .iter_mut()
-            .find(|e| e.minute == (1079 * 7) % 1440)
-            .unwrap();
-        last.count -= 1;
-        last.vol_q -= q_vol(1.0) as i64;
-        dense[1].1.retain(|e| e.count != 0);
-        assert_eq!(dense, sparse);
+        // The dense row reads as the sparse entries would have.
+        let mut sparse = Vec::new();
+        Row::<R>::Sparse(recorded).entries_into(&mut sparse);
+        assert_eq!(row_entries(rows(&acc))[1], (1, sparse));
     }
 
     #[test]
-    fn a_fork_is_empty_and_keeps_grids_own_stations_and_signaling() {
+    fn rows_start_sparse_and_turn_dense_before_outgrowing_a_dense_row() {
+        // Minutes repeat from entry 1,000 on, so entries merge.
+        let minute = |i: u32| i * 7 % 1000;
+        let secs = |i: u32| f64::from(minute(i)) * 60.0;
+        check_row_forms(
+            |acc, bs, i| {
+                acc.record(&obs(bs, 0, 0, secs(i), 1.0, 60.0));
+                MinuteEntry {
+                    minute: minute(i),
+                    count: 1,
+                    vol_q: q_vol(1.0) as i64,
+                }
+            },
+            ShardAccumulator::minute_rows,
+        );
+        check_row_forms(
+            |acc, bs, i| {
+                acc.record_signaling(&sig(bs, 0, secs(i), u64::from(i % 3)));
+                let mut events = [0; 3];
+                events[(i % 3) as usize] = 1;
+                SignalEntry {
+                    minute: minute(i),
+                    events,
+                }
+            },
+            |acc| acc.signaling_rows().expect("enabled"),
+        );
+    }
+
+    #[test]
+    fn a_fork_is_empty_and_keeps_grids_and_signaling() {
         let deep = LogGrid::new(-15.0, 4.0, 95).unwrap();
         let observations = stream(400, 4);
         let mut acc = ShardAccumulator::new(deep, duration_grid(), 4, 3);
-        acc.set_own_stations(&[BsId(1), BsId(3)]);
         acc.enable_signaling();
         for o in &observations[..200] {
             acc.record(o);
@@ -1444,15 +1541,14 @@ mod tests {
 
         let mut fork = EngineSink::fork(&acc).expect("an accumulator forks");
         assert_eq!(fork.cell_count(), 0);
-        assert_eq!(fork.row_count(), 0);
+        assert_eq!(fork.minute_rows().row_count(), 0);
         assert!(fork.totals_q().iter().all(|&q| q == 0));
-        assert_eq!(fork.signaling, Some(BTreeMap::new()));
+        assert_eq!(fork.signaling_rows().map(RowIndex::row_count), Some(0));
         assert_eq!(
             (fork.volume_grid, fork.duration_grid),
             (acc.volume_grid, acc.duration_grid)
         );
-        assert_eq!((fork.n_days, fork.row_len), (acc.n_days, acc.row_len));
-        assert_eq!(fork.own, acc.own);
+        assert_eq!(fork.n_days, acc.n_days);
 
         // The fork records like its parent, and merging it back is the
         // same as one accumulator fed everything.
@@ -1460,14 +1556,6 @@ mod tests {
             fork.record(o);
         }
         fork.record_signaling(&sig(2, 1, 90.0, 1));
-        let kinds: Vec<(u32, bool)> = fork
-            .minute_rows()
-            .map(|(bs, row)| (bs, matches!(row, MinuteRow::Dense(_))))
-            .collect();
-        assert!(
-            kinds.iter().all(|&(bs, dense)| dense == (bs % 2 == 1)),
-            "{kinds:?}"
-        );
         EngineSink::merge(&mut acc, fork);
         let mut whole = ShardAccumulator::new(deep, duration_grid(), 4, 3);
         whole.enable_signaling();
@@ -1478,11 +1566,17 @@ mod tests {
         whole.record_signaling(&sig(2, 1, 90.0, 1));
         assert!(acc.cells().eq(whole.cells()));
         assert_eq!(acc.totals_q(), whole.totals_q());
-        assert_eq!(row_entries(&acc), row_entries(&whole));
-        assert_eq!(acc.signaling, whole.signaling);
+        assert_eq!(
+            row_entries(acc.minute_rows()),
+            row_entries(whole.minute_rows())
+        );
+        assert_eq!(
+            row_entries(acc.signaling_rows().unwrap()),
+            row_entries(whole.signaling_rows().unwrap())
+        );
 
         let plain = ShardAccumulator::new(volume_grid(), duration_grid(), 2, 1);
-        assert_eq!(EngineSink::fork(&plain).unwrap().signaling, None);
+        assert!(EngineSink::fork(&plain).unwrap().signaling_rows().is_none());
     }
 
     #[test]
@@ -1537,7 +1631,7 @@ mod tests {
         let mut acc = ShardAccumulator::new(volume_grid(), duration_grid(), 1, 2);
         acc.record(&obs(0, 0, 2, 10.0, 1.0, 60.0)); // day 2 of a 2-day run
         assert_eq!(acc.cells().len(), 0);
-        assert_eq!(acc.row_count(), 0);
+        assert_eq!(acc.minute_rows().row_count(), 0);
         // The engine still served it, so it still counts toward the load.
         assert_eq!(acc.totals_q(), [q_vol(1.0)]);
     }
@@ -1603,7 +1697,11 @@ mod tests {
             for shard in shards.iter().rev() {
                 merged.merge(shard);
             }
-            assert_eq!(merged.signaling, mono.signaling, "parts={parts}");
+            assert_eq!(
+                row_entries(merged.signaling_rows().unwrap()),
+                row_entries(mono.signaling_rows().unwrap()),
+                "parts={parts}"
+            );
             assert_eq!(
                 merged.finalize_signaling(8),
                 mono.finalize_signaling(8),

@@ -180,22 +180,6 @@ impl SignalingPlane {
         };
         (sum(&self.attach), sum(&self.handover), sum(&self.paging))
     }
-
-    /// Per-minute event total across all BSs and kinds for one minute
-    /// index range, used by the breakage battery's coupling checks.
-    #[must_use]
-    pub fn minute_totals(&self) -> Vec<u64> {
-        let row_len = self.attach.first().map_or(0, Vec::len);
-        let mut totals = vec![0u64; row_len];
-        for rows in [&self.attach, &self.handover, &self.paging] {
-            for row in rows {
-                for (t, c) in totals.iter_mut().zip(row) {
-                    *t += u64::from(*c);
-                }
-            }
-        }
-        totals
-    }
 }
 
 /// Cell key: (service, group index, day).
@@ -361,12 +345,6 @@ impl Dataset {
     #[must_use]
     pub fn signaling(&self) -> Option<&SignalingPlane> {
         self.signaling.as_ref()
-    }
-
-    /// Attaches (or clears) the control-plane plane — used by the store
-    /// decoder and window slicer, which rebuild datasets field by field.
-    pub fn set_signaling(&mut self, plane: Option<SignalingPlane>) {
-        self.signaling = plane;
     }
 
     /// Service name by index.

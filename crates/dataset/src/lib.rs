@@ -36,8 +36,8 @@ pub mod shares;
 pub mod store;
 
 pub use accum::{
-    BinnedSum, BsCell, BsCellKey, ExactCell, MinuteEntry, MinuteRow, MinuteRowQ, ShardAccumulator,
-    SignalRowQ,
+    BinnedSum, BsCell, BsCellKey, DenseRow, ExactCell, MinuteEntry, MinuteRowQ, Row, RowIndex,
+    ShardAccumulator, SignalEntry, SignalRowQ,
 };
 pub use dataset::{BsGroups, CellKey, CellMap, Dataset, GroupKey, SignalingPlane, SliceFilter};
 pub use record::{CellStats, PairPoint};

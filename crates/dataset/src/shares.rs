@@ -14,7 +14,6 @@
 
 use mtd_netsim::engine::EngineSink;
 use mtd_netsim::session::SessionObservation;
-use mtd_netsim::time::MINUTES_PER_DAY;
 
 /// Per-service running moments of per-minute shares.
 #[derive(Debug, Clone)]
@@ -151,7 +150,6 @@ impl EngineSink for SharesAccumulator {
         self.bucket_traffic[s] += obs.volume_mb;
         self.total_sessions[s] += 1.0;
         self.total_traffic[s] += obs.volume_mb;
-        let _ = MINUTES_PER_DAY; // (kept for unit clarity in docs)
     }
 }
 

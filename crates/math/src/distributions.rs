@@ -460,12 +460,6 @@ impl TruncatedGaussian {
     pub fn location(&self) -> f64 {
         self.location
     }
-
-    /// Lower truncation bound.
-    #[must_use]
-    pub fn lower_bound(&self) -> f64 {
-        self.lo
-    }
 }
 
 impl Distribution1D for TruncatedGaussian {

@@ -86,18 +86,6 @@ pub fn fit_lognormal10_from_pdf(pdf: &BinnedPdf) -> Result<LogNormal10> {
     LogNormal10::new(mu, sigma.max(1e-6))
 }
 
-/// Robust base-10 log-normal fit from a binned PDF: location from the
-/// median, spread from the interquartile range (`σ = IQR/1.349` for a
-/// Gaussian). Preferred for measured traffic PDFs, whose tails carry
-/// classifier contamination and clamping artifacts that wreck a moment
-/// fit — a log-normal's *linear* mean is exponentially sensitive to σ, so
-/// a tail-inflated moment σ badly overestimates generated traffic.
-pub fn fit_lognormal10_robust_from_pdf(pdf: &BinnedPdf) -> Result<LogNormal10> {
-    let mu = pdf.quantile_log10(0.5);
-    let iqr = pdf.quantile_log10(0.75) - pdf.quantile_log10(0.25);
-    LogNormal10::new(mu, (iqr / 1.349).max(1e-6))
-}
-
 /// Fits a base-10 log-normal to raw positive samples by log-moments.
 pub fn fit_lognormal10(samples: &[f64]) -> Result<LogNormal10> {
     if samples.len() < 2 {

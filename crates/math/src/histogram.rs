@@ -109,12 +109,6 @@ impl LogGrid {
     pub fn center_linear(&self, i: usize) -> f64 {
         10f64.powf(self.center_log10(i))
     }
-
-    /// All bin centers on the `log₁₀` axis.
-    #[must_use]
-    pub fn centers_log10(&self) -> Vec<f64> {
-        (0..self.bins).map(|i| self.center_log10(i)).collect()
-    }
 }
 
 /// Weighted histogram on a [`LogGrid`].
