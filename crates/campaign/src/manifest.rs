@@ -147,62 +147,47 @@ impl Manifest {
                 self.shards
             ));
         }
-        let a = scenario_bits(&self.scenario);
-        let b = scenario_bits(scenario);
-        if a != b {
+        let echo = |s: &ScenarioConfig| {
+            let mut w = ByteWriter::new();
+            put_scenario(&mut w, s);
+            w.into_bytes()
+        };
+        if echo(&self.scenario) != echo(scenario) {
             return Some("scenario configuration differs from the manifest echo".to_string());
         }
         None
     }
 }
 
+/// Writes the scenario echo: every field that defines the campaign's
+/// output, f64s as raw bits. [`Manifest::config_mismatch`] compares two
+/// echoes, so a field written here is also checked on resume.
 fn put_scenario(w: &mut ByteWriter, s: &ScenarioConfig) {
     w.put_u64(s.n_bs as u64);
     w.put_u32(s.days);
     w.put_u64(s.seed);
-    for bits in scenario_f64_bits(s) {
-        w.put_u64(bits);
+    for x in [
+        s.arrival_scale,
+        s.p_mobile,
+        s.mean_dwell_s,
+        s.mean_trip_s,
+        s.classifier_error_rate,
+        s.timeout_split_prob,
+    ] {
+        w.put_f64(x);
     }
-    w.put_u32(s.stress.drift_window_days);
-    w.put_u8(u8::from(s.stress.control_plane));
-    for bits in stress_f64_bits(s) {
-        w.put_u64(bits);
+    let stress = &s.stress;
+    w.put_u32(stress.drift_window_days);
+    w.put_u8(u8::from(stress.control_plane));
+    for x in [
+        stress.burst_prob,
+        stress.burst_tail_index,
+        stress.burst_coupling,
+        stress.drift_mu_per_window,
+        stress.drift_sigma_per_window,
+    ] {
+        w.put_f64(x);
     }
-}
-
-fn scenario_f64_bits(s: &ScenarioConfig) -> [u64; 6] {
-    [
-        s.arrival_scale.to_bits(),
-        s.p_mobile.to_bits(),
-        s.mean_dwell_s.to_bits(),
-        s.mean_trip_s.to_bits(),
-        s.classifier_error_rate.to_bits(),
-        s.timeout_split_prob.to_bits(),
-    ]
-}
-
-fn stress_f64_bits(s: &ScenarioConfig) -> [u64; 5] {
-    [
-        s.stress.burst_prob.to_bits(),
-        s.stress.burst_tail_index.to_bits(),
-        s.stress.burst_coupling.to_bits(),
-        s.stress.drift_mu_per_window.to_bits(),
-        s.stress.drift_sigma_per_window.to_bits(),
-    ]
-}
-
-/// Everything that defines the campaign's output, as comparable bits.
-#[allow(clippy::type_complexity)]
-fn scenario_bits(s: &ScenarioConfig) -> (u64, u32, u64, [u64; 6], u32, bool, [u64; 5]) {
-    (
-        s.n_bs as u64,
-        s.days,
-        s.seed,
-        scenario_f64_bits(s),
-        s.stress.drift_window_days,
-        s.stress.control_plane,
-        stress_f64_bits(s),
-    )
 }
 
 fn get_scenario(r: &mut ByteReader) -> FormatResult<ScenarioConfig> {
@@ -413,18 +398,36 @@ mod tests {
         let m = sample();
         assert!(m.config_mismatch(&m.scenario, 3).is_none());
         assert!(m.config_mismatch(&m.scenario, 4).is_some());
-        let mut drifted = m.scenario.clone();
-        drifted.seed ^= 1;
-        assert!(m.config_mismatch(&drifted, 3).is_some());
-        // Stress fields are part of the campaign identity too: resuming
-        // a quiescent campaign as a stressed one must be a structured
-        // mismatch, not a silently different dataset.
-        let mut stressed = m.scenario.clone();
-        stressed.stress.burst_prob = 0.5;
-        assert!(m.config_mismatch(&stressed, 3).is_some());
-        let mut cp = m.scenario.clone();
-        cp.stress.control_plane = true;
-        assert!(m.config_mismatch(&cp, 3).is_some());
+        // Every echoed field is part of the campaign identity, down to an
+        // f64's last bit, stress fields included: resuming a quiescent
+        // campaign as a stressed one must be a structured mismatch, not
+        // a silently different dataset.
+        fn ulp(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() ^ 1);
+        }
+        let edits: [fn(&mut ScenarioConfig); 16] = [
+            |s| s.n_bs += 1,
+            |s| s.days += 1,
+            |s| s.seed ^= 1,
+            |s| ulp(&mut s.arrival_scale),
+            |s| ulp(&mut s.p_mobile),
+            |s| ulp(&mut s.mean_dwell_s),
+            |s| ulp(&mut s.mean_trip_s),
+            |s| ulp(&mut s.classifier_error_rate),
+            |s| ulp(&mut s.timeout_split_prob),
+            |s| s.stress.drift_window_days += 1,
+            |s| s.stress.control_plane ^= true,
+            |s| ulp(&mut s.stress.burst_prob),
+            |s| ulp(&mut s.stress.burst_tail_index),
+            |s| ulp(&mut s.stress.burst_coupling),
+            |s| ulp(&mut s.stress.drift_mu_per_window),
+            |s| ulp(&mut s.stress.drift_sigma_per_window),
+        ];
+        for (field, edit) in edits.iter().enumerate() {
+            let mut drifted = m.scenario.clone();
+            edit(&mut drifted);
+            assert!(m.config_mismatch(&drifted, 3).is_some(), "field {field}");
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! crc32 of all preceding bytes
 //! ```
 //!
-//! A sparse vector is its count of non-zero entries, then one
-//! `(u32 index, value)` pair per non-zero entry, indices strictly
+//! A sparse vector is the sparse body of the store's one vector codec
+//! ([`ByteWriter::put_sparse`]): its count of non-zero words, then one
+//! `(u32 index, word)` pair per non-zero word, indices strictly
 //! increasing; an `i128` is two 64-bit halves, high first.
 //!
 //! Shards without a signaling plane write v3 images; the version only
@@ -59,7 +60,7 @@ use mtd_dataset::accum::{
     BinnedSum, BsCell, BsCellKey, DenseRow, ExactCell, MinuteEntry, MinuteRowQ, RowIndex,
     ShardAccumulator, SignalEntry, SignalRowQ,
 };
-use mtd_dataset::format::{ByteReader, ByteWriter, CrcFnv, FormatError, FormatResult};
+use mtd_dataset::format::{ByteReader, ByteWriter, CrcFnv, FormatError, FormatResult, Word};
 use std::io::Read;
 use std::path::Path;
 
@@ -111,7 +112,7 @@ pub fn encode(acc: &ShardAccumulator, vbins: usize, dbins: usize) -> (Vec<u8>, u
     });
     block(&mut w, |w| {
         let totals = acc.totals_q().iter().enumerate();
-        put_sparse(w, totals.map(|(bs, &q)| (bs as u32, q)));
+        w.put_sparse(totals.map(|(bs, &q)| (bs as u32, q)));
     });
     for (key, cell) in in_key_order {
         block(&mut w, |w| put_cell(w, key, &cell));
@@ -163,107 +164,22 @@ fn put_cell(w: &mut ByteWriter, key: BsCellKey, cell: &BsCell) {
             .touched(sum)
             .map(|bin| (bin as u32, cell.get(sum, bin)));
         if sum.is_count() {
-            put_sparse(w, entries.map(|(bin, n)| (bin, n as u32)));
+            w.put_sparse(entries.map(|(bin, n)| (bin, n as u32)));
         } else {
-            put_sparse(w, entries);
+            w.put_sparse(entries);
         }
     }
 }
 
-/// A value of a sparse spill vector, at its width.
-trait SpillValue: Copy + Default + PartialEq {
-    fn put(self, w: &mut ByteWriter);
-    fn get(r: &mut ByteReader) -> FormatResult<Self>;
-    fn checked_add(self, add: Self) -> Option<Self>;
-}
-
-impl SpillValue for u32 {
-    fn put(self, w: &mut ByteWriter) {
-        w.put_u32(self);
-    }
-    fn get(r: &mut ByteReader) -> FormatResult<u32> {
-        r.get_u32()
-    }
-    fn checked_add(self, add: u32) -> Option<u32> {
-        u32::checked_add(self, add)
-    }
-}
-
-impl SpillValue for i64 {
-    fn put(self, w: &mut ByteWriter) {
-        w.put_u64(self as u64);
-    }
-    fn get(r: &mut ByteReader) -> FormatResult<i64> {
-        Ok(r.get_u64()? as i64)
-    }
-    fn checked_add(self, add: i64) -> Option<i64> {
-        i64::checked_add(self, add)
-    }
-}
-
-impl SpillValue for i128 {
-    fn put(self, w: &mut ByteWriter) {
-        let u = self as u128;
-        w.put_u64((u >> 64) as u64);
-        w.put_u64(u as u64);
-    }
-    fn get(r: &mut ByteReader) -> FormatResult<i128> {
-        let hi = r.get_u64()?;
-        let lo = r.get_u64()?;
-        Ok(((u128::from(hi) << 64) | u128::from(lo)) as i128)
-    }
-    fn checked_add(self, add: i128) -> Option<i128> {
-        i128::checked_add(self, add)
-    }
-}
-
-/// Writes a sparse vector from its candidate `(index, value)` entries in
-/// increasing index order: each non-zero one, after a count patched in
-/// once known, so every value is read once.
-fn put_sparse<V: SpillValue>(w: &mut ByteWriter, entries: impl IntoIterator<Item = (u32, V)>) {
-    let at = w.len();
-    w.put_u32(0);
-    let mut nnz = 0;
-    for (i, v) in entries {
-        if v != V::default() {
-            w.put_u32(i);
-            v.put(w);
-            nnz += 1;
-        }
-    }
-    w.set_u32(at, nnz);
-}
-
-/// Reads a sparse vector over `len` entries, handing each
-/// `(index, value)` to `add`. Indices must be below `len` and strictly
-/// increase: a repeated one would add twice.
-fn get_sparse<V: SpillValue>(
+/// Adds a sparse body into `out` through `checked_add`, refusing a sum
+/// that overflows.
+fn add_sparse<W: Word>(
     r: &mut ByteReader,
-    len: usize,
-    mut add: impl FnMut(usize, V) -> FormatResult<()>,
+    out: &mut [W],
+    checked_add: impl Fn(W, W) -> Option<W>,
 ) -> FormatResult<()> {
-    let nnz = r.get_u32()?;
-    let mut lowest = 0;
-    for _ in 0..nnz {
-        let i = r.get_u32()? as usize;
-        if i >= len {
-            return Err(FormatError("sparse index out of range"));
-        }
-        if i < lowest {
-            return Err(FormatError("sparse indices not increasing"));
-        }
-        lowest = i + 1;
-        add(i, V::get(r)?)?;
-    }
-    Ok(())
-}
-
-/// Adds a sparse vector into `out`, refusing a sum that overflows.
-fn add_sparse<V: SpillValue>(r: &mut ByteReader, out: &mut [V]) -> FormatResult<()> {
-    get_sparse(r, out.len(), |i, v: V| {
-        out[i] = out[i]
-            .checked_add(v)
-            .ok_or(FormatError("sparse sum overflows"))?;
+    r.get_sparse(out.len(), |i, x| {
+        out[i] = checked_add(out[i], x).ok_or(FormatError("sparse sum overflows"))?;
         Ok(())
     })
 }
@@ -288,13 +204,13 @@ impl PlaneRow for MinuteRowQ {
     const SIGNALING: bool = false;
 
     fn put_entries(w: &mut ByteWriter, entries: &[MinuteEntry]) {
-        put_sparse(w, entries.iter().map(|e| (e.minute, e.count)));
-        put_sparse(w, entries.iter().map(|e| (e.minute, e.vol_q)));
+        w.put_sparse(entries.iter().map(|e| (e.minute, e.count)));
+        w.put_sparse(entries.iter().map(|e| (e.minute, e.vol_q)));
     }
 
     fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
-        add_sparse(r, &mut self.counts)?;
-        add_sparse(r, &mut self.vol_q)
+        add_sparse(r, &mut self.counts, u32::checked_add)?;
+        add_sparse(r, &mut self.vol_q, i64::checked_add)
     }
 
     fn clear(&mut self) {
@@ -308,13 +224,13 @@ impl PlaneRow for SignalRowQ {
 
     fn put_entries(w: &mut ByteWriter, entries: &[SignalEntry]) {
         for lane in 0..3 {
-            put_sparse(w, entries.iter().map(|e| (e.minute, e.events[lane])));
+            w.put_sparse(entries.iter().map(|e| (e.minute, e.events[lane])));
         }
     }
 
     fn add_spilled(&mut self, r: &mut ByteReader) -> FormatResult<()> {
         for lane in [&mut self.attach, &mut self.handover, &mut self.paging] {
-            add_sparse(r, lane)?;
+            add_sparse(r, lane, u32::checked_add)?;
         }
         Ok(())
     }
@@ -426,7 +342,7 @@ impl SpillCursor {
 
         reader.read_block(&mut block)?;
         let mut r = ByteReader::new(&block);
-        add_sparse(&mut r, totals_q).map_err(|e| reader.corrupt(e))?;
+        add_sparse(&mut r, totals_q, i128::checked_add).map_err(|e| reader.corrupt(e))?;
         if !r.is_exhausted() {
             return Err(reader.corrupt("trailing bytes in totals block"));
         }
@@ -595,12 +511,12 @@ impl SpilledCell<'_> {
             for sum in CELL_SUMS {
                 let bins = if sum.on_volume_grid() { vbins } else { dbins };
                 if sum.is_count() {
-                    get_sparse(r, bins, |bin, n: u32| {
+                    r.get_sparse(bins, |bin, n: u32| {
                         cell.add_bin(sum, bin, i64::from(n));
                         Ok(())
                     })?;
                 } else {
-                    get_sparse(r, bins, |bin, q: i64| {
+                    r.get_sparse(bins, |bin, q: i64| {
                         cell.add_bin(sum, bin, q);
                         Ok(())
                     })?;

@@ -238,22 +238,13 @@ impl From<MathError> for StreamFitError {
 pub fn fit_registry_streamed(
     path: &Path,
 ) -> std::result::Result<(ModelRegistry, StoreReport), StreamFitError> {
-    fit_registry_streamed_with(path, &VolumeFitConfig::default())
-}
-
-/// [`fit_registry_streamed`] with explicit volume-fit tunables.
-pub fn fit_registry_streamed_with(
-    path: &Path,
-    volume_config: &VolumeFitConfig,
-) -> std::result::Result<(ModelRegistry, StoreReport), StreamFitError> {
-    let stream = DatasetStream::open(path)?;
-    fit_registry_from_stream(stream, volume_config)
+    fit_registry_from_stream(DatasetStream::open(path)?, &VolumeFitConfig::default())
 }
 
 /// Fits the registry from an already-opened [`DatasetStream`] over any
 /// reader — a campaign store still on disk, a store piped over a socket,
-/// or an in-memory image under test. The path-based entry points
-/// delegate here; the equivalence is what lets the campaign runner's
+/// or an in-memory image under test. The path-based entry point
+/// delegates here; the equivalence is what lets the campaign runner's
 /// output feed the fit without a [`Dataset`] ever materializing from a
 /// file path.
 pub fn fit_registry_from_stream<R: std::io::Read>(

@@ -3,9 +3,13 @@
 //! Everything on disk is little-endian. Floating-point values are stored
 //! as their IEEE-754 bit patterns (`to_le_bytes` of `to_bits`), so a
 //! decode → encode round trip is byte-identical — the property the store's
-//! tests pin. Vectors that are mostly zero (histogram bins, per-minute
-//! series at low load) use a per-vector sparse encoding chosen
-//! automatically when it is smaller than the dense form.
+//! tests pin. Vectors of a [`Word`] type have one codec, which the store
+//! and the campaign spills share, in three layouts: a dense body (the
+//! count, then the words), a sparse body (the count of non-zero words,
+//! then a `(u32 index, word)` pair per non-zero word, indices strictly
+//! increasing and below the length), and a tagged vector, which is either
+//! of the two, whichever is smaller. Mostly-zero vectors (histogram bins,
+//! per-minute series at low load) so cost only their non-zero words.
 //!
 //! The CRC-32 here is the standard IEEE/zlib polynomial (reflected
 //! `0xEDB88320`), implemented with a compile-time table — the workspace
@@ -174,6 +178,59 @@ impl std::error::Error for FormatError {}
 pub type FormatResult<T> = std::result::Result<T, FormatError>;
 
 // ---------------------------------------------------------------------------
+// Words
+// ---------------------------------------------------------------------------
+
+/// A fixed-width value the vectors of this format hold, stored as its
+/// bit pattern: a float by `to_bits`, so `-0.0` and NaN payloads survive.
+pub trait Word: Copy + Default {
+    /// Bytes of one stored word.
+    const WIDTH: usize;
+    /// Whether every bit is zero: the words a sparse body leaves out
+    /// (`-0.0` is not one of them).
+    fn is_zero(self) -> bool;
+    /// Appends the word little-endian; an `i128` as its two 64-bit
+    /// halves, high half first.
+    fn put(self, out: &mut Vec<u8>);
+    /// The word [`Word::put`] wrote as `bytes`, which hold `WIDTH` bytes.
+    fn get(bytes: &[u8]) -> Self;
+}
+
+/// Implements [`Word`] for a type through its bits, an unsigned integer
+/// of its width, and the two conversions. The methods are `#[inline]` so
+/// that the codec's generic loops, instantiated in the crates that call
+/// them, do not call out per word.
+macro_rules! word {
+    ($($t:ty: $bits:ty, $to:expr, $from:expr;)*) => {$(
+        impl Word for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn is_zero(self) -> bool {
+                $to(self) == 0
+            }
+            #[inline]
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&$to(self).to_le_bytes());
+            }
+            #[inline]
+            fn get(bytes: &[u8]) -> $t {
+                $from(<$bits>::from_le_bytes(bytes.try_into().expect("a word's width")))
+            }
+        }
+    )*};
+}
+
+// Swapping an `i128`'s halves puts the high one in the low bytes, which
+// little-endian order writes first.
+word! {
+    u32: u32, |v: u32| v, |b: u32| b;
+    i64: u64, |v: i64| v as u64, |b: u64| b as i64;
+    i128: u128, |v: i128| (v as u128).rotate_left(64), |b: u128| b.rotate_left(64) as i128;
+    f32: u32, f32::to_bits, f32::from_bits;
+    f64: u64, f64::to_bits, f64::from_bits;
+}
+
+// ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
@@ -245,11 +302,6 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Stores the exact IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
     /// Length-prefixed (u16) UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         debug_assert!(s.len() <= u16::MAX as usize, "string too long for format");
@@ -257,79 +309,47 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// A dense f64 vector: count then bit patterns.
-    pub fn put_f64_dense(&mut self, v: &[f64]) {
+    /// A dense body: the count, then every word.
+    pub fn put_dense<W: Word>(&mut self, v: &[W]) {
         self.put_u32(v.len() as u32);
-        for x in v {
-            self.put_f64(*x);
+        for &x in v {
+            x.put(&mut self.buf);
         }
     }
 
-    /// An f64 vector, sparse when that is smaller: tag byte (0 = dense,
-    /// 1 = sparse), length, then either all values or `(u32 index, f64)`
-    /// pairs for the non-zero entries. "Zero" means the bit pattern of
-    /// `+0.0` — a stored `-0.0` survives exactly via the sparse pairs.
-    pub fn put_f64_vec(&mut self, v: &[f64]) {
-        let nnz = v.iter().filter(|x| x.to_bits() != 0).count();
-        // Sparse entry: 4 (index) + 8 (value); dense entry: 8.
-        if nnz * 12 < v.len() * 8 {
-            self.put_u8(1);
-            self.put_u32(v.len() as u32);
-            self.put_u32(nnz as u32);
-            for (i, x) in v.iter().enumerate() {
-                if x.to_bits() != 0 {
-                    self.put_u32(i as u32);
-                    self.put_f64(*x);
-                }
-            }
-        } else {
-            self.put_u8(0);
-            self.put_f64_dense(v);
-        }
-    }
-
-    /// A u32 vector, sparse when that is smaller (same scheme as
-    /// [`ByteWriter::put_f64_vec`]).
-    pub fn put_u32_vec(&mut self, v: &[u32]) {
-        let nnz = v.iter().filter(|x| **x != 0).count();
-        if nnz * 8 < v.len() * 4 {
-            self.put_u8(1);
-            self.put_u32(v.len() as u32);
-            self.put_u32(nnz as u32);
-            for (i, x) in v.iter().enumerate() {
-                if *x != 0 {
-                    self.put_u32(i as u32);
-                    self.put_u32(*x);
-                }
-            }
-        } else {
-            self.put_u8(0);
-            self.put_u32(v.len() as u32);
-            for x in v {
-                self.put_u32(*x);
+    /// A sparse body from candidate `(index, word)` entries in strictly
+    /// increasing index order: the count of non-zero words, patched in
+    /// once known, then one `(u32 index, word)` pair per non-zero word,
+    /// so each word is read once.
+    // Inlined: the spill encoder, in another crate, calls this per cell
+    // sum, and kept out of line there the encode ran measurably slower.
+    #[inline]
+    pub fn put_sparse<W: Word>(&mut self, entries: impl IntoIterator<Item = (u32, W)>) {
+        let at = self.len();
+        self.put_u32(0);
+        let mut nnz = 0;
+        for (i, x) in entries {
+            if !x.is_zero() {
+                self.put_u32(i);
+                x.put(&mut self.buf);
+                nnz += 1;
             }
         }
+        self.set_u32(at, nnz);
     }
 
-    /// An f32 vector, sparse when that is smaller.
-    pub fn put_f32_vec(&mut self, v: &[f32]) {
-        let nnz = v.iter().filter(|x| x.to_bits() != 0).count();
-        if nnz * 8 < v.len() * 4 {
+    /// A tagged vector: tag 0 and the dense body, or, when smaller, tag 1,
+    /// the length and the sparse body. With `W`'s width `w`, that is when
+    /// `nnz·(4 + w) < len·w`.
+    pub fn put_vec<W: Word>(&mut self, v: &[W]) {
+        let nnz = v.iter().filter(|x| !x.is_zero()).count();
+        if nnz * (4 + W::WIDTH) < v.len() * W::WIDTH {
             self.put_u8(1);
             self.put_u32(v.len() as u32);
-            self.put_u32(nnz as u32);
-            for (i, x) in v.iter().enumerate() {
-                if x.to_bits() != 0 {
-                    self.put_u32(i as u32);
-                    self.put_f32(*x);
-                }
-            }
+            self.put_sparse((0..).zip(v.iter().copied()));
         } else {
             self.put_u8(0);
-            self.put_u32(v.len() as u32);
-            for x in v {
-                self.put_f32(*x);
-            }
+            self.put_dense(v);
         }
     }
 }
@@ -395,10 +415,6 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    pub fn get_f32(&mut self) -> FormatResult<f32> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> FormatResult<String> {
         let len = self.get_u16()? as usize;
@@ -406,120 +422,62 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| FormatError("invalid UTF-8 in string"))
     }
 
-    /// Checks that a declared element count fits in the remaining bytes
-    /// (at `elem_size` bytes each) before allocating for it.
-    fn checked_len(&self, count: u32, elem_size: usize) -> FormatResult<usize> {
-        let count = count as usize;
-        if count.saturating_mul(elem_size) > self.remaining() {
-            return Err(FormatError("declared count exceeds payload size"));
+    /// Counterpart of [`ByteWriter::put_dense`]: a body of `len` words,
+    /// refused if it holds another count.
+    pub fn get_dense<W: Word>(&mut self, len: usize) -> FormatResult<Vec<W>> {
+        if self.get_u32()? as usize != len {
+            return Err(FormatError("vector length mismatch"));
         }
-        Ok(count)
-    }
-
-    /// Counterpart of [`ByteWriter::put_f64_dense`].
-    pub fn get_f64_dense(&mut self) -> FormatResult<Vec<f64>> {
-        let n = self.get_u32()?;
-        let n = self.checked_len(n, 8)?;
         // One bounds check for the whole vector, then a straight-line
         // conversion loop the compiler vectorizes.
-        let bytes = self.take(n * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
+        let bytes = self.take(len * W::WIDTH)?;
+        Ok(bytes.chunks_exact(W::WIDTH).map(W::get).collect())
     }
 
-    /// Counterpart of [`ByteWriter::put_f64_vec`].
-    pub fn get_f64_vec(&mut self) -> FormatResult<Vec<f64>> {
-        match self.get_u8()? {
-            0 => self.get_f64_dense(),
-            1 => {
-                let len = self.get_u32()? as usize;
-                if len > MAX_CHUNK_PAYLOAD as usize {
-                    return Err(FormatError("sparse vector length out of range"));
-                }
-                let nnz = self.get_u32()?;
-                let nnz = self.checked_len(nnz, 12)?;
-                let mut out = vec![0.0f64; len];
-                let mut prev: Option<usize> = None;
-                for _ in 0..nnz {
-                    let i = self.get_u32()? as usize;
-                    if i >= len || prev.is_some_and(|p| i <= p) {
-                        return Err(FormatError("sparse index out of order or range"));
-                    }
-                    out[i] = self.get_f64()?;
-                    prev = Some(i);
-                }
-                Ok(out)
+    /// Reads a sparse body over `len` words, handing each `(index, word)`
+    /// to `add`. Indices must be below `len` and strictly increase: a
+    /// repeated one would add twice.
+    pub fn get_sparse<W: Word>(
+        &mut self,
+        len: usize,
+        mut add: impl FnMut(usize, W) -> FormatResult<()>,
+    ) -> FormatResult<()> {
+        let nnz = self.get_u32()?;
+        let mut lowest = 0;
+        for _ in 0..nnz {
+            let i = self.get_u32()? as usize;
+            if i >= len {
+                return Err(FormatError("sparse index out of range"));
             }
-            _ => Err(FormatError("unknown vector encoding tag")),
+            if i < lowest {
+                return Err(FormatError("sparse indices not increasing"));
+            }
+            lowest = i + 1;
+            add(i, W::get(self.take(W::WIDTH)?))?;
         }
+        Ok(())
     }
 
-    /// Counterpart of [`ByteWriter::put_u32_vec`].
-    pub fn get_u32_vec(&mut self) -> FormatResult<Vec<u32>> {
+    /// Counterpart of [`ByteWriter::put_vec`]: a vector of `len` words,
+    /// refused if it holds another length. A sparse vector's zeros take no
+    /// bytes, so its length is also refused past [`MAX_CHUNK_PAYLOAD`]
+    /// words before anything is allocated for it.
+    pub fn get_vec<W: Word>(&mut self, len: usize) -> FormatResult<Vec<W>> {
         match self.get_u8()? {
-            0 => {
-                let n = self.get_u32()?;
-                let n = self.checked_len(n, 4)?;
-                let bytes = self.take(n * 4)?;
-                Ok(bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                    .collect())
-            }
+            0 => self.get_dense(len),
             1 => {
-                let len = self.get_u32()? as usize;
-                if len > MAX_CHUNK_PAYLOAD as usize {
+                let stored = self.get_u32()?;
+                if stored > MAX_CHUNK_PAYLOAD {
                     return Err(FormatError("sparse vector length out of range"));
                 }
-                let nnz = self.get_u32()?;
-                let nnz = self.checked_len(nnz, 8)?;
-                let mut out = vec![0u32; len];
-                let mut prev: Option<usize> = None;
-                for _ in 0..nnz {
-                    let i = self.get_u32()? as usize;
-                    if i >= len || prev.is_some_and(|p| i <= p) {
-                        return Err(FormatError("sparse index out of order or range"));
-                    }
-                    out[i] = self.get_u32()?;
-                    prev = Some(i);
+                if stored as usize != len {
+                    return Err(FormatError("vector length mismatch"));
                 }
-                Ok(out)
-            }
-            _ => Err(FormatError("unknown vector encoding tag")),
-        }
-    }
-
-    /// Counterpart of [`ByteWriter::put_f32_vec`].
-    pub fn get_f32_vec(&mut self) -> FormatResult<Vec<f32>> {
-        match self.get_u8()? {
-            0 => {
-                let n = self.get_u32()?;
-                let n = self.checked_len(n, 4)?;
-                let bytes = self.take(n * 4)?;
-                Ok(bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-                    .collect())
-            }
-            1 => {
-                let len = self.get_u32()? as usize;
-                if len > MAX_CHUNK_PAYLOAD as usize {
-                    return Err(FormatError("sparse vector length out of range"));
-                }
-                let nnz = self.get_u32()?;
-                let nnz = self.checked_len(nnz, 8)?;
-                let mut out = vec![0.0f32; len];
-                let mut prev: Option<usize> = None;
-                for _ in 0..nnz {
-                    let i = self.get_u32()? as usize;
-                    if i >= len || prev.is_some_and(|p| i <= p) {
-                        return Err(FormatError("sparse index out of order or range"));
-                    }
-                    out[i] = self.get_f32()?;
-                    prev = Some(i);
-                }
+                let mut out = vec![W::default(); len];
+                self.get_sparse(len, |i, x| {
+                    out[i] = x;
+                    Ok(())
+                })?;
                 Ok(out)
             }
             _ => Err(FormatError("unknown vector encoding tag")),
@@ -590,7 +548,6 @@ mod tests {
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_f64(-0.0);
-        w.put_f32(f32::MIN_POSITIVE);
         w.put_str("naïve ☃");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -599,7 +556,6 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.get_f32().unwrap(), f32::MIN_POSITIVE);
         assert_eq!(r.get_str().unwrap(), "naïve ☃");
         assert!(r.is_exhausted());
     }
@@ -617,10 +573,10 @@ mod tests {
         let dense: Vec<f64> = (0..64).map(|i| i as f64 + 0.25).collect();
         for v in [sparse, dense, vec![], vec![0.0; 9]] {
             let mut w = ByteWriter::new();
-            w.put_f64_vec(&v);
+            w.put_vec(&v);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            let back = r.get_f64_vec().unwrap();
+            let back: Vec<f64> = r.get_vec(v.len()).unwrap();
             assert_eq!(back.len(), v.len());
             for (a, b) in back.iter().zip(&v) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -635,16 +591,249 @@ mod tests {
         sparse[1999] = 42;
         for v in [sparse, (0..50).collect::<Vec<u32>>(), vec![]] {
             let mut w = ByteWriter::new();
-            w.put_u32_vec(&v);
+            w.put_vec(&v);
             let bytes = w.into_bytes();
-            assert_eq!(ByteReader::new(&bytes).get_u32_vec().unwrap(), v);
+            assert_eq!(ByteReader::new(&bytes).get_vec::<u32>(v.len()).unwrap(), v);
         }
         let mut fs = vec![0.0f32; 300];
         fs[7] = 3.25;
         let mut w = ByteWriter::new();
-        w.put_f32_vec(&fs);
+        w.put_vec(&fs);
         let bytes = w.into_bytes();
-        assert_eq!(ByteReader::new(&bytes).get_f32_vec().unwrap(), fs);
+        assert_eq!(ByteReader::new(&bytes).get_vec::<f32>(300).unwrap(), fs);
+    }
+
+    /// The typed writers the generic ones replaced, kept as their
+    /// reference: the store's tagged `f64`, `u32` and `f32` vectors and
+    /// its dense `f64` body, and the spills' sparse `u32`, `i64` and
+    /// `i128` bodies.
+    mod typed {
+        use super::ByteWriter;
+
+        pub fn f64_dense(w: &mut ByteWriter, v: &[f64]) {
+            w.put_u32(v.len() as u32);
+            for x in v {
+                w.put_f64(*x);
+            }
+        }
+
+        pub fn f64_vec(w: &mut ByteWriter, v: &[f64]) {
+            let nnz = v.iter().filter(|x| x.to_bits() != 0).count();
+            if nnz * 12 < v.len() * 8 {
+                w.put_u8(1);
+                w.put_u32(v.len() as u32);
+                w.put_u32(nnz as u32);
+                for (i, x) in v.iter().enumerate() {
+                    if x.to_bits() != 0 {
+                        w.put_u32(i as u32);
+                        w.put_f64(*x);
+                    }
+                }
+            } else {
+                w.put_u8(0);
+                f64_dense(w, v);
+            }
+        }
+
+        pub fn u32_vec(w: &mut ByteWriter, v: &[u32]) {
+            let nnz = v.iter().filter(|x| **x != 0).count();
+            if nnz * 8 < v.len() * 4 {
+                w.put_u8(1);
+                w.put_u32(v.len() as u32);
+                w.put_u32(nnz as u32);
+                for (i, x) in v.iter().enumerate() {
+                    if *x != 0 {
+                        w.put_u32(i as u32);
+                        w.put_u32(*x);
+                    }
+                }
+            } else {
+                w.put_u8(0);
+                w.put_u32(v.len() as u32);
+                for x in v {
+                    w.put_u32(*x);
+                }
+            }
+        }
+
+        pub fn f32_vec(w: &mut ByteWriter, v: &[f32]) {
+            let nnz = v.iter().filter(|x| x.to_bits() != 0).count();
+            if nnz * 8 < v.len() * 4 {
+                w.put_u8(1);
+                w.put_u32(v.len() as u32);
+                w.put_u32(nnz as u32);
+                for (i, x) in v.iter().enumerate() {
+                    if x.to_bits() != 0 {
+                        w.put_u32(i as u32);
+                        w.put_u32(x.to_bits());
+                    }
+                }
+            } else {
+                w.put_u8(0);
+                w.put_u32(v.len() as u32);
+                for x in v {
+                    w.put_u32(x.to_bits());
+                }
+            }
+        }
+
+        pub fn sparse_u32(w: &mut ByteWriter, v: &[u32]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    w.put_u32(*x);
+                }
+            }
+        }
+
+        pub fn sparse_i64(w: &mut ByteWriter, v: &[i64]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    w.put_u64(*x as u64);
+                }
+            }
+        }
+
+        pub fn sparse_i128(w: &mut ByteWriter, v: &[i128]) {
+            w.put_u32(v.iter().filter(|x| **x != 0).count() as u32);
+            for (i, x) in v.iter().enumerate() {
+                if *x != 0 {
+                    w.put_u32(i as u32);
+                    let u = *x as u128;
+                    w.put_u64((u >> 64) as u64);
+                    w.put_u64(u as u64);
+                }
+            }
+        }
+    }
+
+    /// The bytes `put` writes into a fresh writer.
+    fn bytes_of(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put(&mut w);
+        w.into_bytes()
+    }
+
+    /// `v`'s bit patterns, so `-0.0` and NaN payloads compare exactly.
+    fn bits_of<W: Word>(v: &[W]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &x in v {
+            x.put(&mut out);
+        }
+        out
+    }
+
+    /// Writes `v` in all three generic layouts, checks each against the
+    /// typed writer of that layout where there was one, and reads each
+    /// back bit-equal. Returns whether the tagged vector chose sparse.
+    fn check_layouts<W: Word>(
+        v: &[W],
+        tagged: Option<fn(&mut ByteWriter, &[W])>,
+        dense: Option<fn(&mut ByteWriter, &[W])>,
+        sparse: Option<fn(&mut ByteWriter, &[W])>,
+    ) -> bool {
+        let layouts = [
+            (bytes_of(|w| w.put_vec(v)), tagged),
+            (bytes_of(|w| w.put_dense(v)), dense),
+            (
+                bytes_of(|w| w.put_sparse((0..).zip(v.iter().copied()))),
+                sparse,
+            ),
+        ];
+        for (bytes, reference) in &layouts {
+            if let Some(typed) = reference {
+                assert_eq!(*bytes, bytes_of(|w| typed(w, v)));
+            }
+        }
+        let mut r = ByteReader::new(&layouts[0].0);
+        assert_eq!(bits_of(&r.get_vec::<W>(v.len()).unwrap()), bits_of(v));
+        assert!(r.is_exhausted());
+        let mut r = ByteReader::new(&layouts[1].0);
+        assert_eq!(bits_of(&r.get_dense::<W>(v.len()).unwrap()), bits_of(v));
+        assert!(r.is_exhausted());
+        let mut r = ByteReader::new(&layouts[2].0);
+        let mut back = vec![W::default(); v.len()];
+        r.get_sparse(v.len(), |i, x| {
+            back[i] = x;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(bits_of(&back), bits_of(v));
+        assert!(r.is_exhausted());
+        layouts[0].0.first() == Some(&1)
+    }
+
+    #[test]
+    fn generic_codec_writes_the_typed_writers_bytes() {
+        // Per word type, how many tagged vectors went sparse and dense.
+        let mut branches = [[0usize; 2]; 5];
+        check_cases("format/generic_codec_matches_typed", 200, |rng| {
+            let len = rng.gen_range(0..400usize);
+            let density = rng.gen_range(0.0..=1.0f64);
+            let draw = |rng: &mut rand::rngs::SmallRng| -> u128 {
+                if rng.gen_bool(density) {
+                    // Now and then -0.0 or a NaN with a payload, in either
+                    // float width; otherwise any bits.
+                    match rng.gen_range(0..8) {
+                        0 => (-0.0f64).to_bits().into(),
+                        1 => (-0.0f32).to_bits().into(),
+                        2 => (f64::NAN.to_bits() | rng.gen_range(1..1u64 << 51)).into(),
+                        3 => (f32::NAN.to_bits() | rng.gen_range(1..1u32 << 22)).into(),
+                        _ => u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>()),
+                    }
+                } else {
+                    0
+                }
+            };
+            let words: Vec<u128> = (0..len).map(|_| draw(rng)).collect();
+            let sparse = [
+                check_layouts(
+                    &words.iter().map(|&b| b as u32).collect::<Vec<u32>>(),
+                    Some(typed::u32_vec),
+                    None,
+                    Some(typed::sparse_u32),
+                ),
+                check_layouts(
+                    &words.iter().map(|&b| b as i64).collect::<Vec<i64>>(),
+                    None,
+                    None,
+                    Some(typed::sparse_i64),
+                ),
+                check_layouts(
+                    &words.iter().map(|&b| b as i128).collect::<Vec<i128>>(),
+                    None,
+                    None,
+                    Some(typed::sparse_i128),
+                ),
+                check_layouts(
+                    &words
+                        .iter()
+                        .map(|&b| f32::from_bits(b as u32))
+                        .collect::<Vec<f32>>(),
+                    Some(typed::f32_vec),
+                    None,
+                    None,
+                ),
+                check_layouts(
+                    &words
+                        .iter()
+                        .map(|&b| f64::from_bits(b as u64))
+                        .collect::<Vec<f64>>(),
+                    Some(typed::f64_vec),
+                    Some(typed::f64_dense),
+                    None,
+                ),
+            ];
+            for (count, sparse) in branches.iter_mut().zip(sparse) {
+                count[usize::from(sparse)] += 1;
+            }
+        });
+        for [dense, sparse] in branches {
+            assert!(dense > 10 && sparse > 10, "{dense} dense, {sparse} sparse");
+        }
     }
 
     #[test]
@@ -658,19 +847,54 @@ mod tests {
         w.put_u32(1 << 31);
         w.put_u64(0);
         let bytes = w.into_bytes();
-        assert!(ByteReader::new(&bytes).get_f64_vec().is_err());
+        assert!(ByteReader::new(&bytes).get_vec::<f64>(1 << 31).is_err());
 
-        // Sparse vector with an out-of-range index.
+        // An empty sparse vector of 2^31 words, the length the caller
+        // expects: refused before its words are allocated.
         let mut w = ByteWriter::new();
         w.put_u8(1);
-        w.put_u32(4); // len
-        w.put_u32(1); // nnz
-        w.put_u32(9); // index 9 >= len 4
-        w.put_f64(1.0);
+        w.put_u32(1 << 31); // len
+        w.put_u32(0); // nnz
         let bytes = w.into_bytes();
-        assert!(ByteReader::new(&bytes).get_f64_vec().is_err());
+        let got = ByteReader::new(&bytes).get_vec::<f64>(1 << 31).err();
+        assert_eq!(got, Some(FormatError("sparse vector length out of range")));
+
+        // A sparse vector of length 4 with one bad index after index 2: out
+        // of range, repeated, or falling.
+        for (index, reason) in [
+            (9, "sparse index out of range"),
+            (2, "sparse indices not increasing"),
+            (1, "sparse indices not increasing"),
+        ] {
+            let mut w = ByteWriter::new();
+            w.put_u8(1);
+            w.put_u32(4); // len
+            w.put_u32(2); // nnz
+            w.put_u32(2);
+            w.put_f64(1.0);
+            w.put_u32(index);
+            w.put_f64(1.0);
+            let bytes = w.into_bytes();
+            let got = ByteReader::new(&bytes).get_vec::<f64>(4);
+            assert_eq!(got, Err(FormatError(reason)), "index {index}");
+        }
+
+        // A sparse count past the end of the payload.
+        let mut w = ByteWriter::new();
+        w.put_u8(1);
+        w.put_u32(4);
+        w.put_u32(u32::MAX);
+        let bytes = w.into_bytes();
+        let got = ByteReader::new(&bytes).get_vec::<f64>(4);
+        assert_eq!(got, Err(FormatError("payload truncated")));
+
+        // A length other than the one expected.
+        let mut w = ByteWriter::new();
+        w.put_vec(&[1.0f64, 2.0]);
+        let bytes = w.into_bytes();
+        assert!(ByteReader::new(&bytes).get_vec::<f64>(3).is_err());
 
         // Unknown tag.
-        assert!(ByteReader::new(&[9]).get_f64_vec().is_err());
+        assert!(ByteReader::new(&[9]).get_vec::<f64>(0).is_err());
     }
 }

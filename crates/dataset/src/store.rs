@@ -521,7 +521,7 @@ fn encode_deciles(deciles: &DecileSection) -> Vec<u8> {
     for d in &deciles.decile_of_bs {
         w.put_u8(*d);
     }
-    w.put_f64_dense(&deciles.bs_total_volume_mb);
+    w.put_dense(&deciles.bs_total_volume_mb);
     w.into_bytes()
 }
 
@@ -539,10 +539,7 @@ fn decode_deciles(payload: &[u8]) -> Result<DecileSection, FormatError> {
         }
         decile_of_bs.push(d);
     }
-    let bs_total_volume_mb = r.get_f64_dense()?;
-    if bs_total_volume_mb.len() != n {
-        return Err(FormatError("decile/total length mismatch"));
-    }
+    let bs_total_volume_mb = r.get_dense(n)?;
     if !r.is_exhausted() {
         return Err(FormatError("deciles has trailing bytes"));
     }
@@ -560,11 +557,11 @@ fn encode_cell(w: &mut ByteWriter, (service, group, day): &CellKey, cell: &CellS
     w.put_f64(cell.sessions);
     w.put_f64(cell.traffic_mb);
     w.put_f64(cell.volume_hist.total());
-    w.put_f64_vec(cell.volume_hist.counts());
-    w.put_f64_vec(&cell.pair_sums);
-    w.put_f64_vec(&cell.pair_counts);
-    w.put_f64_vec(&cell.pair_log_sums);
-    w.put_f64_vec(&cell.pair_log_sum_sqs);
+    w.put_vec(cell.volume_hist.counts());
+    w.put_vec(&cell.pair_sums);
+    w.put_vec(&cell.pair_counts);
+    w.put_vec(&cell.pair_log_sums);
+    w.put_vec(&cell.pair_log_sum_sqs);
 }
 
 fn decode_cells_chunk(
@@ -596,21 +593,12 @@ fn decode_cells_chunk(
         let sessions = r.get_f64()?;
         let traffic_mb = r.get_f64()?;
         let hist_total = r.get_f64()?;
-        let hist_counts = r.get_f64_vec()?;
-        if hist_counts.len() != vbins {
-            return Err(FormatError("histogram length mismatch"));
-        }
-        let volume_hist = LogHistogram::from_parts(meta.volume_grid, hist_counts, hist_total)
+        let volume_hist = LogHistogram::from_parts(meta.volume_grid, r.get_vec(vbins)?, hist_total)
             .map_err(|_| FormatError("invalid histogram contents"))?;
-        let pair_sums = r.get_f64_vec()?;
-        let pair_counts = r.get_f64_vec()?;
-        let pair_log_sums = r.get_f64_vec()?;
-        let pair_log_sum_sqs = r.get_f64_vec()?;
-        for v in [&pair_sums, &pair_counts, &pair_log_sums, &pair_log_sum_sqs] {
-            if v.len() != dbins {
-                return Err(FormatError("pair vector length mismatch"));
-            }
-        }
+        let pair_sums = r.get_vec(dbins)?;
+        let pair_counts = r.get_vec(dbins)?;
+        let pair_log_sums = r.get_vec(dbins)?;
+        let pair_log_sum_sqs = r.get_vec(dbins)?;
         out.push((
             (service, group, day),
             CellStats {
@@ -630,31 +618,40 @@ fn decode_cells_chunk(
     Ok(out)
 }
 
-fn decode_minutes_chunk(payload: &[u8], meta: &MetaSection) -> Result<MinuteBlock, FormatError> {
+/// Reads a Minutes or Signaling chunk: its header (first BS, row count,
+/// row length), checked against Meta, then each row through `row`, which
+/// gets the row length; no byte may follow. Returns the first BS.
+fn decode_rows(
+    payload: &[u8],
+    meta: &MetaSection,
+    mut row: impl FnMut(&mut ByteReader, usize) -> Result<(), FormatError>,
+) -> Result<u32, FormatError> {
     let mut r = ByteReader::new(payload);
     let first_bs = r.get_u32()?;
     let rows = r.get_u32()? as usize;
     let row_len = r.get_u32()? as usize;
     if row_len != meta.minutes_per_row() {
-        return Err(FormatError("minute row length disagrees with meta"));
+        return Err(FormatError("row length disagrees with meta"));
     }
     if (first_bs as usize).saturating_add(rows) > meta.n_bs() {
-        return Err(FormatError("minute rows out of BS range"));
+        return Err(FormatError("rows out of BS range"));
     }
-    let mut counts = Vec::with_capacity(rows);
-    let mut volumes = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let c = r.get_u32_vec()?;
-        let v = r.get_f32_vec()?;
-        if c.len() != row_len || v.len() != row_len {
-            return Err(FormatError("minute row length mismatch"));
-        }
-        counts.push(c);
-        volumes.push(v);
+        row(&mut r, row_len)?;
     }
     if !r.is_exhausted() {
-        return Err(FormatError("minutes chunk has trailing bytes"));
+        return Err(FormatError("row chunk has trailing bytes"));
     }
+    Ok(first_bs)
+}
+
+fn decode_minutes_chunk(payload: &[u8], meta: &MetaSection) -> Result<MinuteBlock, FormatError> {
+    let (mut counts, mut volumes) = (Vec::new(), Vec::new());
+    let first_bs = decode_rows(payload, meta, |r, row_len| {
+        counts.push(r.get_vec(row_len)?);
+        volumes.push(r.get_vec(row_len)?);
+        Ok(())
+    })?;
     Ok(MinuteBlock {
         first_bs,
         counts,
@@ -673,33 +670,14 @@ pub struct SignalBlock {
 }
 
 fn decode_signaling_chunk(payload: &[u8], meta: &MetaSection) -> Result<SignalBlock, FormatError> {
-    let mut r = ByteReader::new(payload);
-    let first_bs = r.get_u32()?;
-    let rows = r.get_u32()? as usize;
-    let row_len = r.get_u32()? as usize;
-    if row_len != meta.minutes_per_row() {
-        return Err(FormatError("signaling row length disagrees with meta"));
-    }
-    if (first_bs as usize).saturating_add(rows) > meta.n_bs() {
-        return Err(FormatError("signaling rows out of BS range"));
-    }
-    let mut attach = Vec::with_capacity(rows);
-    let mut handover = Vec::with_capacity(rows);
-    let mut paging = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let a = r.get_u32_vec()?;
-        let h = r.get_u32_vec()?;
-        let p = r.get_u32_vec()?;
-        if a.len() != row_len || h.len() != row_len || p.len() != row_len {
-            return Err(FormatError("signaling row length mismatch"));
+    let mut lanes: [Vec<Vec<u32>>; 3] = Default::default();
+    let first_bs = decode_rows(payload, meta, |r, row_len| {
+        for lane in &mut lanes {
+            lane.push(r.get_vec(row_len)?);
         }
-        attach.push(a);
-        handover.push(h);
-        paging.push(p);
-    }
-    if !r.is_exhausted() {
-        return Err(FormatError("signaling chunk has trailing bytes"));
-    }
+        Ok(())
+    })?;
+    let [attach, handover, paging] = lanes;
     Ok(SignalBlock {
         first_bs,
         attach,
@@ -1000,8 +978,8 @@ impl StoreWriter {
             self.n_bs
         );
         self.push(SectionKind::Minutes, self.rows, |w| {
-            w.put_u32_vec(counts);
-            w.put_f32_vec(volumes);
+            w.put_vec(counts);
+            w.put_vec(volumes);
         })?;
         self.rows += 1;
         Ok(())
@@ -1020,9 +998,9 @@ impl StoreWriter {
             "signaling row out of layout order"
         );
         self.push(SectionKind::Signaling, self.rows - self.n_bs, |w| {
-            w.put_u32_vec(attach);
-            w.put_u32_vec(handover);
-            w.put_u32_vec(paging);
+            w.put_vec(attach);
+            w.put_vec(handover);
+            w.put_vec(paging);
         })?;
         self.rows += 1;
         Ok(())
@@ -1278,14 +1256,6 @@ pub fn detect_format(path: &Path) -> Result<Format, StoreError> {
         Ok(Format::Binary)
     } else {
         Ok(Format::Json)
-    }
-}
-
-/// Loads a dataset in either format, sniffing by magic.
-pub fn load_auto(path: &Path) -> Result<Dataset, StoreError> {
-    match detect_format(path)? {
-        Format::Binary => load_binary(path),
-        Format::Json => load_json(path),
     }
 }
 
@@ -1982,12 +1952,9 @@ mod tests {
         assert_eq!(detect_format(&path).unwrap(), Format::Binary);
         let back = load_binary(&path).unwrap();
         assert_eq!(&back, ds);
-        // load_auto sniffs correctly for both formats.
-        assert_eq!(&load_auto(&path).unwrap(), ds);
         let jpath = temp_path("ds_auto.json");
         save_json(ds, &jpath).unwrap();
         assert_eq!(detect_format(&jpath).unwrap(), Format::Json);
-        assert_eq!(&load_auto(&jpath).unwrap(), ds);
         std::fs::remove_file(&jpath).ok();
         std::fs::remove_file(&path).ok();
     }
@@ -2197,6 +2164,36 @@ mod tests {
         // would keep the surviving blocks, zero-filling the gap).
         assert_eq!(recovered.minute_counts, ds.minute_counts);
         assert!(recovered.signaling().is_none());
+    }
+
+    #[test]
+    fn huge_grid_cell_vector_is_refused_before_allocating() {
+        // Meta bounds no grid's bin count: give the volume grid 2^32 - 1
+        // bins and send one cell whose histogram is an empty sparse
+        // vector of that length.
+        let bytes = encode_binary(build_small(), 1);
+        let mut meta = DatasetStream::from_reader(&bytes[..])
+            .unwrap()
+            .meta()
+            .clone();
+        meta.volume_grid = LogGrid::new(0.0, 1.0, u32::MAX as usize).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_u32(1); // cells
+        w.put_u32(u32::MAX);
+        w.put_u32(meta.duration_grid.bins() as u32);
+        w.put_u16(0); // service
+        w.put_u16(0); // group
+        w.put_u32(0); // day
+        for _ in 0..3 {
+            w.put_f64(0.0);
+        }
+        w.put_u8(1); // sparse
+        w.put_u32(u32::MAX); // len
+        w.put_u32(0); // nnz
+        assert_eq!(
+            decode_cells_chunk(w.as_bytes(), &meta).err(),
+            Some(FormatError("sparse vector length out of range"))
+        );
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //! # Dispatch
 //!
 //! [`active_tier`] picks the widest available tier once per process
-//! (cached). Set `MTD_SIMD=scalar|sse2|avx2` to override; requests for an
-//! unavailable tier degrade to the widest supported one.
+//! (cached). The tiers are bit-identical, so the choice changes only
+//! speed; tests and `kernel_bench` run a given tier through the `*_with`
+//! entry points.
 
 use std::sync::OnceLock;
 
@@ -90,27 +91,11 @@ pub fn available_tiers() -> Vec<Tier> {
     tiers
 }
 
-/// The tier batch kernels dispatch to, detected once and cached.
-///
-/// Honours the `MTD_SIMD` environment variable (`scalar`, `sse2`, `avx2`);
-/// an unavailable or unknown request degrades to the widest supported tier.
+/// The tier batch kernels dispatch to: the widest this machine runs,
+/// detected once and cached.
 pub fn active_tier() -> Tier {
     static TIER: OnceLock<Tier> = OnceLock::new();
-    *TIER.get_or_init(detect_tier)
-}
-
-fn widest_available() -> Tier {
-    *available_tiers().last().unwrap_or(&Tier::Scalar)
-}
-
-fn detect_tier() -> Tier {
-    let available = available_tiers();
-    match std::env::var("MTD_SIMD").ok().as_deref() {
-        Some("scalar") => Tier::Scalar,
-        Some("sse2") if available.contains(&Tier::Sse2) => Tier::Sse2,
-        Some("avx2") if available.contains(&Tier::Avx2) => Tier::Avx2,
-        _ => widest_available(),
-    }
+    *TIER.get_or_init(|| *available_tiers().last().unwrap_or(&Tier::Scalar))
 }
 
 // ---------------------------------------------------------------------------
