@@ -14,7 +14,7 @@ use crate::record::CellStats;
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_netsim::geo::Region;
 use mtd_netsim::ids::Rat;
-use mtd_telemetry::json::{push_num, push_str, Json};
+use mtd_telemetry::json::{push_array, push_num, push_str, Json};
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -31,18 +31,6 @@ fn push_f32(out: &mut String, v: f32) {
 
 fn push_int(out: &mut String, v: impl std::fmt::Display) {
     let _ = write!(out, "{v}");
-}
-
-/// Appends `items` as a JSON array, each one through `item`.
-fn push_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
-    out.push('[');
-    for (i, v) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item(out, v);
-    }
-    out.push(']');
 }
 
 fn push_f64_slice(out: &mut String, xs: &[f64]) {
@@ -109,9 +97,7 @@ fn push_cell(out: &mut String, key: &CellKey, stats: &CellStats) {
 }
 
 fn push_u32_rows(out: &mut String, rows: &[Vec<u32>]) {
-    push_array(out, rows, |out, row| {
-        push_array(out, row, |out, v| push_int(out, v))
-    });
+    push_array(out, rows, |out, row| push_array(out, row, push_int));
 }
 
 /// Serializes a dataset to its JSON document.
@@ -128,9 +114,9 @@ pub(crate) fn dataset_to_json(ds: &Dataset) -> String {
     out.push_str(",\"groups\":");
     push_array(&mut out, &ds.groups, push_group);
     out.push_str(",\"group_of_bs\":");
-    push_array(&mut out, &ds.group_of_bs, |out, v| push_int(out, v));
+    push_array(&mut out, &ds.group_of_bs, push_int);
     out.push_str(",\"decile_of_bs\":");
-    push_array(&mut out, &ds.decile_of_bs, |out, v| push_int(out, v));
+    push_array(&mut out, &ds.decile_of_bs, push_int);
     out.push_str(",\"bs_total_volume_mb\":");
     push_f64_slice(&mut out, &ds.bs_total_volume_mb);
     out.push_str(",\"cells\":[");

@@ -195,11 +195,24 @@ mod tests {
                 .get("seed")
                 .and_then(json::Json::as_u64)
         };
-        // Note: assigned seeds can exceed 2^53 (as_u64 returns None);
-        // only assert when both parse exactly.
-        if let (Some(sa), Some(sb)) = (seed(&a), seed(&b)) {
-            assert_ne!(sa, sb, "assigned seeds must differ");
-        }
+        let (sa, sb) = (seed(&a), seed(&b));
+        assert!(sa.is_some() && sb.is_some(), "{a:.80}\n{b:.80}");
+        assert_ne!(sa, sb, "assigned seeds must differ");
+        daemon.join();
+    }
+
+    #[test]
+    fn unseeded_replies_replay_from_their_echoed_seed() {
+        let daemon = start_daemon(2);
+        let window = r#""op":"sample","decile":7,"minute":600,"minutes":2"#;
+        let first = roundtrip(daemon.addr(), &format!("{{{window}}}"));
+        let seed = json::Json::parse(&first)
+            .unwrap()
+            .get("seed")
+            .and_then(json::Json::as_u64)
+            .expect("the echoed seed is an exact integer");
+        let again = roundtrip(daemon.addr(), &format!("{{{window},\"seed\":{seed}}}"));
+        assert_eq!(first, again, "an unseeded reply replays from its seed");
         daemon.join();
     }
 

@@ -1,16 +1,18 @@
 //! Request parsing and response rendering for the serve wire protocol.
 //!
 //! One request per line, one response per line (`\n`-delimited JSON),
-//! documented in DESIGN.md §15. Responses are rendered with a fixed
-//! field order and Rust's shortest-round-trip float formatting, so a
-//! seeded `sample` response is byte-identical across runs, platforms,
-//! and worker counts — the determinism contract clients can diff
-//! against.
+//! documented in DESIGN.md §15. Every frame is appended field by field
+//! into the caller's buffer, in a fixed field order, with the workspace's
+//! shortest round-trip number writer (`json::push_num`, the bytes of
+//! Rust's `{}`), so a seeded `sample` response is byte-identical across
+//! runs, platforms, and worker counts — the determinism contract clients
+//! can diff against.
 
-use crate::json::{num, quote, Json};
+use crate::json::{push_array, push_num, push_str, Json};
 use mtd_core::ServingPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::fmt::Write as _;
 
 /// Machine-readable error codes carried in error frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +42,9 @@ impl ErrorCode {
 /// A parsed request frame: the operation plus the echoed-back id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestFrame {
-    /// Client correlation id, echoed verbatim (any JSON scalar).
+    /// Client correlation id (any JSON scalar), rendered for the echo:
+    /// strings, booleans and `null` come back as sent, numbers as the
+    /// codec writes them (`1.0` → `1`, `1e2` → `100`).
     pub id: Option<String>,
     pub request: Request,
 }
@@ -153,181 +157,162 @@ pub fn parse_request(line: &str) -> Result<RequestFrame, (ErrorCode, String)> {
     Ok(RequestFrame { id, request })
 }
 
-/// Renders the `"id":...,` fragment (empty when the request had none).
-fn id_field(id: Option<&str>) -> String {
-    id.map(|i| format!("\"id\":{i},")).unwrap_or_default()
+/// Appends `{"ok":<ok>,` and, when the request had one, `"id":X,`.
+fn open(out: &mut String, ok: bool, id: Option<&str>) {
+    let _ = write!(out, "{{\"ok\":{ok},");
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        out.push_str(id);
+        out.push(',');
+    }
 }
 
-/// Renders an error frame.
-#[must_use]
-pub fn error_frame(id: Option<&str>, code: ErrorCode, message: &str) -> String {
-    format!(
-        "{{\"ok\":false,{}\"error\":{{\"code\":{},\"message\":{}}}}}",
-        id_field(id),
-        quote(code.as_str()),
-        quote(message)
-    )
+/// Appends `,"key":v` for each key and value.
+fn push_fields(out: &mut String, keys: &[&str], values: &[f64]) {
+    for (key, v) in keys.iter().zip(values) {
+        let _ = write!(out, ",\"{key}\":");
+        push_num(out, *v);
+    }
 }
 
-#[must_use]
-pub fn render_ping(id: Option<&str>) -> String {
-    format!("{{\"ok\":true,{}\"op\":\"ping\"}}", id_field(id))
+/// Appends an error frame.
+pub fn error_frame(out: &mut String, id: Option<&str>, code: ErrorCode, message: &str) {
+    open(out, false, id);
+    let _ = write!(
+        out,
+        "\"error\":{{\"code\":\"{}\",\"message\":",
+        code.as_str()
+    );
+    push_str(out, message);
+    out.push_str("}}");
 }
 
-#[must_use]
-pub fn render_shutdown(id: Option<&str>) -> String {
-    format!("{{\"ok\":true,{}\"op\":\"shutdown\"}}", id_field(id))
+/// Appends the ok frame of an op that carries nothing back (`ping`,
+/// `shutdown`).
+pub fn render_ack(out: &mut String, id: Option<&str>, op: &str) {
+    open(out, true, id);
+    let _ = write!(out, "\"op\":\"{op}\"}}");
 }
 
-/// Registry-level statistics: service names, shares, decile count.
-#[must_use]
-pub fn render_stats(plan: &ServingPlan, id: Option<&str>) -> String {
+/// Appends registry-level statistics: service names, shares, decile
+/// count.
+pub fn render_stats(out: &mut String, plan: &ServingPlan, id: Option<&str>) {
+    let services = &plan.registry().services;
+    open(out, true, id);
+    let (n, deciles) = (services.len(), plan.n_deciles());
+    let _ = write!(
+        out,
+        "\"op\":\"stats\",\"services\":{n},\"deciles\":{deciles},\"names\":"
+    );
+    push_array(out, services, |out, s| push_str(out, &s.name));
+    out.push_str(",\"session_shares\":");
+    push_array(out, services, |out, s| push_num(out, s.session_share));
+    out.push('}');
+}
+
+/// Appends the released per-service parameter tuples (§5.4) plus the
+/// per-decile arrival models.
+pub fn render_params(out: &mut String, plan: &ServingPlan, id: Option<&str>) {
     let registry = plan.registry();
-    let names: Vec<String> = registry.services.iter().map(|s| quote(&s.name)).collect();
-    let shares: Vec<String> = registry
-        .services
-        .iter()
-        .map(|s| num(s.session_share))
-        .collect();
-    format!(
-        "{{\"ok\":true,{}\"op\":\"stats\",\"services\":{},\"deciles\":{},\
-         \"names\":[{}],\"session_shares\":[{}]}}",
-        id_field(id),
-        registry.services.len(),
-        plan.n_deciles(),
-        names.join(","),
-        shares.join(",")
-    )
+    open(out, true, id);
+    out.push_str("\"op\":\"params\",\"services\":");
+    push_array(out, registry.services.iter().enumerate(), |out, (i, s)| {
+        let _ = write!(out, "{{\"index\":{i},\"name\":");
+        push_str(out, &s.name);
+        push_fields(out, &["mu", "sigma"], &[s.mu, s.sigma]);
+        out.push_str(",\"peaks\":");
+        push_array(out, &s.peaks, |out, p| {
+            out.push_str("{\"k\":");
+            push_num(out, p.k);
+            push_fields(out, &["mu", "sigma"], &[p.mu, p.sigma]);
+            out.push('}');
+        });
+        let values = [s.alpha, s.beta, s.session_share];
+        push_fields(out, &["alpha", "beta", "session_share"], &values);
+        out.push('}');
+    });
+    out.push_str(",\"arrivals\":");
+    let arrivals = registry.arrivals.per_decile.iter().enumerate();
+    push_array(out, arrivals, |out, (d, a)| {
+        let _ = write!(out, "{{\"decile\":{d}");
+        let values = [a.peak_mu, a.peak_sigma, a.pareto_shape, a.pareto_scale];
+        push_fields(
+            out,
+            &["peak_mu", "peak_sigma", "pareto_shape", "pareto_scale"],
+            &values,
+        );
+        out.push('}');
+    });
+    out.push('}');
 }
 
-/// The released per-service parameter tuples (§5.4) plus the per-decile
-/// arrival models.
-#[must_use]
-pub fn render_params(plan: &ServingPlan, id: Option<&str>) -> String {
-    let registry = plan.registry();
-    let services: Vec<String> = registry
-        .services
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let peaks: Vec<String> = s
-                .peaks
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"k\":{},\"mu\":{},\"sigma\":{}}}",
-                        num(p.k),
-                        num(p.mu),
-                        num(p.sigma)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"index\":{i},\"name\":{},\"mu\":{},\"sigma\":{},\"peaks\":[{}],\
-                 \"alpha\":{},\"beta\":{},\"session_share\":{}}}",
-                quote(&s.name),
-                num(s.mu),
-                num(s.sigma),
-                peaks.join(","),
-                num(s.alpha),
-                num(s.beta),
-                num(s.session_share)
-            )
-        })
-        .collect();
-    let arrivals: Vec<String> = registry
-        .arrivals
-        .per_decile
-        .iter()
-        .enumerate()
-        .map(|(d, a)| {
-            format!(
-                "{{\"decile\":{d},\"peak_mu\":{},\"peak_sigma\":{},\
-                 \"pareto_shape\":{},\"pareto_scale\":{}}}",
-                num(a.peak_mu),
-                num(a.peak_sigma),
-                num(a.pareto_shape),
-                num(a.pareto_scale)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"ok\":true,{}\"op\":\"params\",\"services\":[{}],\"arrivals\":[{}]}}",
-        id_field(id),
-        services.join(","),
-        arrivals.join(",")
-    )
-}
-
-/// Renders a `sample` response, generating the window with the given
-/// seed. `max_sessions` bounds the response (0 = unlimited); exceeding
-/// it is a `too_large` error, not a truncated stream.
+/// Generates the window with the given seed, then appends its `sample`
+/// reply and returns the number of sessions generated. `max_sessions`
+/// bounds the window (0 = unlimited): generation stops in the minute
+/// that passes it and the request gets a `too_large` error, never a
+/// truncated stream; an error appends nothing.
 pub fn render_sample(
+    out: &mut String,
     plan: &ServingPlan,
     id: Option<&str>,
     req: &SampleRequest,
     seed: u64,
     max_sessions: u64,
-) -> Result<(String, u64), (ErrorCode, String)> {
+) -> Result<u64, (ErrorCode, String)> {
+    let services = &plan.registry().services;
     let service_filter = match &req.service {
         None => None,
-        Some(name) => Some(
-            plan.registry()
-                .services
-                .iter()
-                .position(|s| s.name == *name)
-                .map(|i| i as u16)
-                .ok_or_else(|| {
-                    (
-                        ErrorCode::BadRequest,
-                        format!("unknown service `{name}` (see the stats op for names)"),
-                    )
-                })?,
-        ),
+        Some(name) => match services.iter().position(|s| s.name == *name) {
+            Some(i) => Some(i as u16),
+            None => {
+                let message = format!("unknown service `{name}` (see the stats op for names)");
+                return Err((ErrorCode::BadRequest, message));
+            }
+        },
     };
+    // The count precedes the array, so the whole window is generated
+    // before anything is appended.
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut body = String::new();
+    let mut sessions = Vec::new();
     let mut generated: u64 = 0;
-    let mut kept: u64 = 0;
     for minute in req.minute..req.minute + req.minutes {
-        for s in plan.generate_minute(req.decile, minute, &mut rng) {
-            generated += 1;
-            if max_sessions > 0 && generated > max_sessions {
-                return Err((
-                    ErrorCode::TooLarge,
-                    format!(
-                        "window generates more than {max_sessions} sessions; \
-                         request a shorter window or raise --max-sessions"
-                    ),
-                ));
-            }
-            if service_filter.is_some_and(|f| f != s.service) {
-                continue;
-            }
-            if kept > 0 {
-                body.push(',');
-            }
-            kept += 1;
-            body.push_str(&format!(
-                "{{\"start_s\":{},\"service\":{},\"volume_mb\":{},\
-                 \"duration_s\":{},\"throughput_mbps\":{}}}",
-                num(s.start_s),
-                s.service,
-                num(s.volume_mb),
-                num(s.duration_s),
-                num(s.throughput_mbps)
+        let batch = plan.generate_minute(req.decile, minute, &mut rng);
+        generated += batch.len() as u64;
+        if max_sessions > 0 && generated > max_sessions {
+            return Err((
+                ErrorCode::TooLarge,
+                format!(
+                    "window generates more than {max_sessions} sessions; \
+                     request a shorter window or raise --max-sessions"
+                ),
             ));
         }
+        sessions.extend(
+            batch
+                .into_iter()
+                .filter(|s| service_filter.is_none_or(|f| f == s.service)),
+        );
     }
-    let frame = format!(
-        "{{\"ok\":true,{}\"op\":\"sample\",\"seed\":{seed},\"decile\":{},\
-         \"minute\":{},\"minutes\":{},\"count\":{kept},\"sessions\":[{body}]}}",
-        id_field(id),
-        req.decile,
-        req.minute,
-        req.minutes
+    open(out, true, id);
+    let (decile, minute, minutes, count) = (req.decile, req.minute, req.minutes, sessions.len());
+    let _ = write!(
+        out,
+        "\"op\":\"sample\",\"seed\":{seed},\"decile\":{decile},\"minute\":{minute},\
+         \"minutes\":{minutes},\"count\":{count},\"sessions\":"
     );
-    Ok((frame, generated))
+    push_array(out, &sessions, |out, s| {
+        out.push_str("{\"start_s\":");
+        push_num(out, s.start_s);
+        let _ = write!(out, ",\"service\":{},\"volume_mb\":", s.service);
+        push_num(out, s.volume_mb);
+        out.push_str(",\"duration_s\":");
+        push_num(out, s.duration_s);
+        out.push_str(",\"throughput_mbps\":");
+        push_num(out, s.throughput_mbps);
+        out.push('}');
+    });
+    out.push('}');
+    Ok(generated)
 }
 
 #[cfg(test)]
@@ -381,6 +366,8 @@ mod tests {
             r#"{"op":"sample","decile":1,"minute":1439,"minutes":2}"#,
             r#"{"op":"sample","decile":1,"seed":-1}"#,
             r#"{"op":"sample","decile":1,"seed":1.5}"#,
+            // Parses as 2^53, which is not the seed the client sent.
+            r#"{"op":"sample","decile":1,"seed":9007199254740993}"#,
             r#"{"op":"frobnicate"}"#,
             r#"[1,2]"#,
             r#"{"op":"ping","id":[1]}"#,
@@ -396,7 +383,8 @@ mod tests {
 
     #[test]
     fn error_frames_are_structured() {
-        let frame = error_frame(Some("9"), ErrorCode::Overloaded, "queue full");
+        let mut frame = String::new();
+        error_frame(&mut frame, Some("9"), ErrorCode::Overloaded, "queue full");
         assert_eq!(
             frame,
             r#"{"ok":false,"id":9,"error":{"code":"overloaded","message":"queue full"}}"#

@@ -9,10 +9,10 @@
 //! [`ServerHandle::shutdown`]) stops the accept loop, drains the queue,
 //! finishes in-flight connections, and joins every worker.
 
-use crate::protocol::{self, ErrorCode, Request, RequestFrame};
+use crate::protocol::{self, ErrorCode, Request};
 use mtd_core::ServingPlan;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -79,6 +79,11 @@ struct Shared {
     /// explicit seeds are deterministic).
     seed_counter: AtomicU64,
 }
+
+/// Assigned seeds are the counter's low 53 bits, so the echoed seed is
+/// an exact JSON integer a client can send back (`Json::as_u64` refuses
+/// 2^53 and above). The increment is odd: the period stays 2^53.
+const SEED_MASK: u64 = (1 << 53) - 1;
 
 impl Shared {
     fn stats(&self) -> ServeStats {
@@ -222,13 +227,11 @@ fn enqueue(mut stream: TcpStream, shared: &Shared) {
         mtd_telemetry::count("serve.rejected", 1);
         // Backpressure is explicit: a structured frame, not a dropped
         // connection.
-        let frame = protocol::error_frame(
-            None,
+        send_error(
+            &mut stream,
             ErrorCode::Overloaded,
             "accept queue full; retry later",
         );
-        let _ = stream.write_all(frame.as_bytes());
-        let _ = stream.write_all(b"\n");
         return;
     }
     queue.push_back(stream);
@@ -271,22 +274,20 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut reader = BufReader::new(stream);
+    // One reply buffer for the connection: each reply is appended in
+    // place, newline included, and written with one call.
+    let mut reply = String::new();
     loop {
         let line = match read_line_capped(&mut reader, shared.config.max_line_bytes) {
             Ok(Some(line)) => line,
             Ok(None) => return, // EOF: client is done
             Err(TooLong) => {
                 shared.errors.fetch_add(1, Ordering::Relaxed);
-                let frame = protocol::error_frame(
-                    None,
-                    ErrorCode::TooLarge,
-                    &format!(
-                        "request line exceeds {} bytes",
-                        shared.config.max_line_bytes
-                    ),
+                let message = format!(
+                    "request line exceeds {} bytes",
+                    shared.config.max_line_bytes
                 );
-                let _ = writer.write_all(frame.as_bytes());
-                let _ = writer.write_all(b"\n");
+                send_error(&mut writer, ErrorCode::TooLarge, &message);
                 return; // framing is lost; drop the connection
             }
             Err(Io(_)) => return, // timeout or reset
@@ -294,68 +295,68 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if line.trim().is_empty() {
             continue;
         }
-        let mut response = handle_request(&line, shared);
-        response.push('\n');
-        if writer.write_all(response.as_bytes()).is_err() {
+        reply.clear();
+        handle_request(&line, shared, &mut reply);
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
-        let _ = writer.flush();
     }
 }
 
-/// Dispatches one request line to a response frame, updating counters.
-fn handle_request(line: &str, shared: &Shared) -> String {
+/// Writes one id-less error frame line to a connection about to close.
+fn send_error(stream: &mut TcpStream, code: ErrorCode, message: &str) {
+    let mut frame = String::new();
+    protocol::error_frame(&mut frame, None, code, message);
+    frame.push('\n');
+    let _ = stream.write_all(frame.as_bytes());
+}
+
+/// Appends the reply to one request line to `out`, updating counters. A
+/// request that fails gets only its error frame.
+fn handle_request(line: &str, shared: &Shared, out: &mut String) {
     let _span = mtd_telemetry::span!("serve.request");
-    let frame = match protocol::parse_request(line) {
-        Ok(frame) => frame,
+    let mut id = None;
+    let result = protocol::parse_request(line).and_then(|frame| {
+        id = frame.id;
+        let id = id.as_deref();
+        match frame.request {
+            Request::Ping => protocol::render_ack(out, id, "ping"),
+            Request::Stats => protocol::render_stats(out, &shared.plan, id),
+            Request::Params => protocol::render_params(out, &shared.plan, id),
+            Request::Shutdown => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                let _guard = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                shared.cv.notify_all();
+                protocol::render_ack(out, id, "shutdown");
+            }
+            Request::Sample(req) => {
+                let seed = req.seed.unwrap_or_else(|| {
+                    // SplitMix64-style increment keeps assigned seeds spread
+                    // out even though they come from a plain counter.
+                    shared
+                        .seed_counter
+                        .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
+                        & SEED_MASK
+                });
+                let max = shared.config.max_sessions;
+                let generated = protocol::render_sample(out, &shared.plan, id, &req, seed, max)?;
+                shared.sessions.fetch_add(generated, Ordering::Relaxed);
+                mtd_telemetry::count("serve.sessions", generated);
+                mtd_telemetry::observe("serve.request.sessions", generated as f64);
+            }
+        }
+        Ok(())
+    });
+    let (total, counter) = match result {
+        Ok(()) => (&shared.requests, "serve.requests"),
         Err((code, message)) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            mtd_telemetry::count("serve.errors", 1);
-            return protocol::error_frame(None, code, &message);
+            protocol::error_frame(out, id.as_deref(), code, &message);
+            (&shared.errors, "serve.errors")
         }
     };
-    let RequestFrame { id, request } = frame;
-    let id = id.as_deref();
-    let result = match request {
-        Request::Ping => Ok(protocol::render_ping(id)),
-        Request::Stats => Ok(protocol::render_stats(&shared.plan, id)),
-        Request::Params => Ok(protocol::render_params(&shared.plan, id)),
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let _guard = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            shared.cv.notify_all();
-            Ok(protocol::render_shutdown(id))
-        }
-        Request::Sample(req) => {
-            let seed = req.seed.unwrap_or_else(|| {
-                // SplitMix64-style increment keeps assigned seeds spread
-                // out even though they come from a plain counter.
-                shared
-                    .seed_counter
-                    .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            });
-            protocol::render_sample(&shared.plan, id, &req, seed, shared.config.max_sessions).map(
-                |(frame, generated)| {
-                    shared.sessions.fetch_add(generated, Ordering::Relaxed);
-                    mtd_telemetry::count("serve.sessions", generated);
-                    mtd_telemetry::observe("serve.request.sessions", generated as f64);
-                    frame
-                },
-            )
-        }
-    };
-    match result {
-        Ok(frame) => {
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            mtd_telemetry::count("serve.requests", 1);
-            frame
-        }
-        Err((code, message)) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            mtd_telemetry::count("serve.errors", 1);
-            protocol::error_frame(id, code, &message)
-        }
-    }
+    total.fetch_add(1, Ordering::Relaxed);
+    mtd_telemetry::count(counter, 1);
 }
 
 use ReadError::{Io, TooLong};
@@ -366,35 +367,45 @@ enum ReadError {
 }
 
 /// Reads one `\n`-terminated line, refusing lines longer than `cap`
-/// (protects the daemon from unbounded buffering on hostile input).
-/// Returns `Ok(None)` on clean EOF.
+/// (protects the daemon from unbounded buffering on hostile input: at
+/// most `cap + 1` bytes are read). Returns `Ok(None)` on clean EOF.
 fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> Result<Option<String>, ReadError> {
-    let mut acc: Vec<u8> = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) => return Err(Io(e)),
+    let mut line = Vec::new();
+    let limit = (cap as u64).saturating_add(1);
+    if reader
+        .take(limit)
+        .read_until(b'\n', &mut line)
+        .map_err(Io)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > cap {
+        return Err(TooLong);
+    }
+    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_are_capped_at_their_content_length() {
+        let read = |input: &[u8], cap| match read_line_capped(&mut &input[..], cap) {
+            Ok(line) => Ok(line),
+            Err(TooLong) => Err("too long"),
+            Err(Io(_)) => Err("io"),
         };
-        if buf.is_empty() {
-            return if acc.is_empty() {
-                Ok(None)
-            } else {
-                Ok(Some(String::from_utf8_lossy(&acc).into_owned()))
-            };
-        }
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            if acc.len() + pos > cap {
-                return Err(TooLong);
-            }
-            acc.extend_from_slice(&buf[..pos]);
-            reader.consume(pos + 1);
-            return Ok(Some(String::from_utf8_lossy(&acc).into_owned()));
-        }
-        let n = buf.len();
-        if acc.len() + n > cap {
-            return Err(TooLong);
-        }
-        acc.extend_from_slice(buf);
-        reader.consume(n);
+        assert_eq!(read(b"abcd\nrest", 4), Ok(Some("abcd".into())));
+        assert_eq!(read(b"abcde\n", 4), Err("too long"));
+        assert_eq!(read(b"abcde", 4), Err("too long"));
+        // A last line without its newline still counts.
+        assert_eq!(read(b"abcd", 4), Ok(Some("abcd".into())));
+        assert_eq!(read(b"\n", 0), Ok(Some(String::new())));
+        assert_eq!(read(b"", 4), Ok(None));
+        assert_eq!(read(b"ab\n", usize::MAX), Ok(Some("ab".into())));
     }
 }

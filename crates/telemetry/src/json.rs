@@ -4,9 +4,14 @@
 //! Everything JSON goes through here: the released model registry, the
 //! store's `Dataset` fallback, the serve wire protocol and the report
 //! writers (which append their strings with [`push_str`]). Objects keep
-//! their field order. Numbers are `f64`, written with Rust's
-//! shortest-round-trip `{}` formatting — never an exponent, and parsed
-//! back to the same bits — and non-finite values are written as `null`.
+//! their field order. Numbers are `f64`, written by [`push_num`] as the
+//! shortest decimal that parses back to the same bits, byte for byte what
+//! Rust's `{}` prints: never an exponent, an exact tie between two
+//! closest shortest decimals rounded up. The digits come from a Ryū
+//! kernel (Adams, PLDI 2018) with std's tie rule in place of Ryū's
+//! round-to-even. Non-finite values are written as `null`.
+
+mod shortest;
 
 use std::fmt::Write as _;
 
@@ -69,11 +74,13 @@ impl Json {
     }
 
     /// The value as an exact non-negative integer: rejects fractions,
-    /// negatives, and magnitudes above 2^53 where `f64` loses exactness.
+    /// negatives, and 2^53 and above, where a literal may already have
+    /// been rounded to a neighbouring `f64` (`9007199254740993` parses as
+    /// 2^53).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -185,14 +192,30 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` as a JSON number: shortest round-trip `{}` formatting,
-/// `null` when non-finite.
+/// Appends `v` as a JSON number: the bytes of `write!(out, "{v}")`, from
+/// the shortest-digit kernel; `null` when non-finite.
 pub fn push_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        shortest::push_shortest(out, v);
     } else {
         out.push_str("null");
     }
+}
+
+/// Appends a compact JSON array of `items`, each one appended by `item`.
+pub fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, v) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, v);
+    }
+    out.push(']');
 }
 
 /// [`push_str`] into a fresh string.
@@ -200,14 +223,6 @@ pub fn push_num(out: &mut String, v: f64) {
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     push_str(&mut out, s);
-    out
-}
-
-/// [`push_num`] into a fresh string.
-#[must_use]
-pub fn num(v: f64) -> String {
-    let mut out = String::new();
-    push_num(&mut out, v);
     out
 }
 
@@ -503,7 +518,10 @@ mod tests {
     fn u64_extraction_is_exact() {
         let u = |s: &str| Json::parse(s).unwrap().as_u64();
         assert_eq!(u("7"), Some(7));
-        assert_eq!(u("9007199254740992"), Some(9_007_199_254_740_992));
+        assert_eq!(u("9007199254740991"), Some(9_007_199_254_740_991));
+        assert_eq!(u("9007199254740992"), None);
+        // Parses as 2^53: refused rather than served as a neighbour.
+        assert_eq!(u("9007199254740993"), None);
         assert_eq!(u("-1"), None);
         assert_eq!(u("1.5"), None);
         assert_eq!(u("1e300"), None);
@@ -520,6 +538,11 @@ mod tests {
 
     #[test]
     fn floats_round_trip_bit_exactly_and_non_finite_becomes_null() {
+        let num = |v: f64| {
+            let mut out = String::new();
+            push_num(&mut out, v);
+            out
+        };
         for v in [
             0.0,
             -0.0,
