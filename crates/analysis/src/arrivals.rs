@@ -45,11 +45,6 @@ pub fn decile_arrivals(dataset: &Dataset, decile: u8) -> Result<DecileArrivals> 
     })
 }
 
-/// Builds the analysis for every decile (the full Fig 3 panel).
-pub fn all_decile_arrivals(dataset: &Dataset) -> Result<Vec<DecileArrivals>> {
-    (0..10u8).map(|d| decile_arrivals(dataset, d)).collect()
-}
-
 /// Checks the §5.1 regularity `σ ≈ μ/10` on the *measured* peak counts of
 /// a decile: returns the measured ratio `σ/μ`.
 pub fn measured_sigma_over_mu(dataset: &Dataset, decile: u8) -> Result<f64> {
@@ -92,8 +87,7 @@ mod tests {
     #[test]
     fn fitted_means_grow_across_deciles() {
         let ds = dataset();
-        let all = all_decile_arrivals(&ds).unwrap();
-        assert_eq!(all.len(), 10);
+        let all: Vec<_> = (0..10).map(|d| decile_arrivals(&ds, d).unwrap()).collect();
         assert!(all[9].model.peak_mu > all[0].model.peak_mu * 2.0);
     }
 

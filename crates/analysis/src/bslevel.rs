@@ -16,7 +16,7 @@
 //! statistics, which is exactly the complementarity claim.
 
 use mtd_core::registry::ModelRegistry;
-use mtd_core::SessionGenerator;
+use mtd_core::ServingPlan;
 use mtd_dataset::Dataset;
 use mtd_math::rng::{stream_id, stream_rng};
 use mtd_math::stats::pearson;
@@ -122,11 +122,11 @@ pub fn bs_level_comparison(
     // Model-generated: same number of days, volume attributed to the
     // session's start minute (same convention as the dataset).
     let days = horizon / MINUTES_PER_DAY as usize;
-    let generator = SessionGenerator::new(registry)?;
+    let plan = ServingPlan::compile(registry.clone())?;
     let mut rng = stream_rng(seed, stream_id("bslevel"));
     let mut model_series = vec![0.0f64; horizon];
     for d in 0..days {
-        for s in generator.generate_day(decile, &mut rng) {
+        for s in plan.generate_day(decile, &mut rng) {
             let minute = d * MINUTES_PER_DAY as usize + (s.start_s / 60.0) as usize;
             if minute < horizon {
                 model_series[minute] += s.volume_mb;

@@ -85,19 +85,6 @@ pub fn service_similarity_pooled(
 }
 
 impl SimilarityAnalysis {
-    /// All off-diagonal distances (the Fig 8 "Apps" baseline sample).
-    #[must_use]
-    pub fn offdiagonal_distances(&self) -> Vec<f64> {
-        let n = self.matrix.len();
-        let mut out = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                out.push(self.matrix[i][j]);
-            }
-        }
-        out
-    }
-
     /// Index of a service by name.
     #[must_use]
     pub fn index_of(&self, name: &str) -> Option<usize> {
@@ -148,13 +135,6 @@ mod tests {
             a.matrix[dz][sp],
             a.matrix[dz][fb]
         );
-    }
-
-    #[test]
-    fn offdiagonal_count() {
-        let a = analysis();
-        let n = a.names.len();
-        assert_eq!(a.offdiagonal_distances().len(), n * (n - 1) / 2);
     }
 
     #[test]

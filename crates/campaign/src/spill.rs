@@ -1,5 +1,5 @@
 //! Per-shard spill files: the durable form of a campaign shard's
-//! [`ShardAccumulator`](mtd_dataset::ShardAccumulator).
+//! [`ShardAccumulator`].
 //!
 //! Everything is stored in the fixed-point integer domain — dequantizing
 //! happens exactly once, at store assembly — so a spill round-trip is

@@ -3,7 +3,7 @@
 use crate::args::Flags;
 use mtd_core::pipeline::{fit_registry, fit_registry_streamed};
 use mtd_core::registry::ModelRegistry;
-use mtd_core::SessionGenerator;
+use mtd_core::ServingPlan;
 use mtd_dataset::store::{self, Format};
 use mtd_dataset::{Dataset, SliceFilter};
 use mtd_netsim::engine::{Engine, EngineSink};
@@ -421,7 +421,7 @@ fn generate(argv: &[String]) -> Result<(), String> {
     let days: u32 = flags.num_or("days", 1)?;
     let seed: u64 = flags.num_or("seed", 42)?;
 
-    let generator = SessionGenerator::new(&registry).map_err(|e| e.to_string())?;
+    let plan = ServingPlan::compile(registry).map_err(|e| e.to_string())?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut out = sink(flags.opt("out"))?;
     writeln!(
@@ -433,12 +433,12 @@ fn generate(argv: &[String]) -> Result<(), String> {
     {
         let _span = mtd_telemetry::span!("cli.generate");
         for day in 0..days {
-            for s in generator.generate_day(decile, &mut rng) {
+            for s in plan.generate_day(decile, &mut rng) {
                 writeln!(
                     out,
                     "{day},{:.2},{},{:.6},{:.2},{:.6}",
                     s.start_s,
-                    registry.services[s.service as usize].name,
+                    plan.registry().services[s.service as usize].name,
                     s.volume_mb,
                     s.duration_s,
                     s.throughput_mbps

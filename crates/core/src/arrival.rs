@@ -113,9 +113,9 @@ impl ArrivalModel {
         self.peak_mu * 3.0
     }
 
-    /// Builds the calibrated continuous count samplers once; prefer this
-    /// over repeated [`ArrivalModel::sample_count`] in hot loops, since
-    /// the truncated-distribution calibration solves a bisection.
+    /// Builds the calibrated continuous count samplers once: the
+    /// truncated-distribution calibration solves a bisection, so hoist
+    /// one sampler out of any loop that draws many counts.
     #[must_use]
     pub fn sampler(&self) -> ArrivalSampler {
         // Counts cannot be negative, so the peak draw conditions the
@@ -148,14 +148,6 @@ impl ArrivalModel {
             ),
         };
         ArrivalSampler { peak, offpeak }
-    }
-
-    /// Draws a per-minute arrival count for the peak or off-peak regime;
-    /// probabilistic rounding preserves means. Calibrates a fresh
-    /// [`ArrivalSampler`] per call — hoist one via
-    /// [`ArrivalModel::sampler`] when drawing many counts.
-    pub fn sample_count<R: Rng + ?Sized>(&self, peak: bool, rng: &mut R) -> u32 {
-        self.sampler().sample_count(peak, rng)
     }
 }
 
@@ -341,15 +333,16 @@ mod tests {
             pareto_shape: PARETO_SHAPE,
             pareto_scale: 0.6,
         };
+        let sampler = m.sampler();
         let mut rng = SmallRng::seed_from_u64(2);
         let n = 50_000;
         let peak_mean: f64 = (0..n)
-            .map(|_| f64::from(m.sample_count(true, &mut rng)))
+            .map(|_| f64::from(sampler.sample_count(true, &mut rng)))
             .sum::<f64>()
             / n as f64;
         assert!((peak_mean - 12.0).abs() < 0.1, "peak mean {peak_mean}");
         let off_mean: f64 = (0..n)
-            .map(|_| f64::from(m.sample_count(false, &mut rng)))
+            .map(|_| f64::from(sampler.sample_count(false, &mut rng)))
             .sum::<f64>()
             / n as f64;
         assert!(off_mean < peak_mean / 4.0, "off mean {off_mean}");

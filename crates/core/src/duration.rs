@@ -34,29 +34,6 @@ pub fn fit_duration_power_law(pairs: &[PairPoint]) -> Result<PowerLawFit> {
     fit_power_law(&ds, &vs, Some(&ws))
 }
 
-/// Classification of a fitted exponent (§5.3 discussion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThroughputScaling {
-    /// `β > 1`: mean throughput grows with session duration.
-    SuperLinear,
-    /// `β ≈ 1`: duration-independent throughput.
-    Linear,
-    /// `β < 1`: instantaneous demand decays for longer sessions.
-    SubLinear,
-}
-
-/// Classifies an exponent with a ±5% linear band.
-#[must_use]
-pub fn classify_beta(beta: f64) -> ThroughputScaling {
-    if beta > 1.05 {
-        ThroughputScaling::SuperLinear
-    } else if beta < 0.95 {
-        ThroughputScaling::SubLinear
-    } else {
-        ThroughputScaling::Linear
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +90,5 @@ mod tests {
         }];
         assert!(fit_duration_power_law(&pairs).is_err());
         assert!(fit_duration_power_law(&[]).is_err());
-    }
-
-    #[test]
-    fn beta_classification() {
-        assert_eq!(classify_beta(1.8), ThroughputScaling::SuperLinear);
-        assert_eq!(classify_beta(1.0), ThroughputScaling::Linear);
-        assert_eq!(classify_beta(0.3), ThroughputScaling::SubLinear);
     }
 }

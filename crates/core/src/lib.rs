@@ -17,29 +17,26 @@
 //!   persistence.
 //! - [`pipeline`] — fits the full registry from a measurement
 //!   [`mtd_dataset::Dataset`].
-//! - [`throughput`] — the derived per-session throughput distribution
-//!   (§1's third session-level feature).
-//! - [`generator`] — synthesizes session-level traffic from the models
-//!   (§5.4 usage: volume from `F̂_s`, duration via `v⁻¹`, throughput as
-//!   their ratio), the capability the §6 use cases build on.
+//! - [`plan`] — compiles a registry into a [`ServingPlan`] that
+//!   synthesizes session-level traffic from the models (§5.4 usage:
+//!   volume from `F̂_s`, duration via `v⁻¹`, throughput as their ratio);
+//!   the CLI's `generate`, the serve daemon and the BS-level analysis
+//!   sample from it.
 
 // `!(x > 0.0)` deliberately rejects NaN along with non-positive values.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod arrival;
 pub mod duration;
-pub mod generator;
 pub mod model;
 pub mod pipeline;
 pub mod plan;
 pub mod refit;
 pub mod registry;
-pub mod throughput;
 pub mod validation;
 pub mod volume;
 
 pub use arrival::{ArrivalModel, ArrivalModelSet, ServiceBreakdown};
-pub use generator::{GeneratedSession, SessionGenerator};
 pub use model::{ModelQuality, PeakComponent, ServiceModel};
-pub use plan::ServingPlan;
+pub use plan::{GeneratedSession, ServingPlan};
 pub use registry::ModelRegistry;

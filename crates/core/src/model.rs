@@ -161,12 +161,6 @@ impl ServiceModel {
         BinnedPdf::from_fn(grid, |u| self.pdf_log10(u))
     }
 
-    /// The power-law mean volume at duration `d` (MB).
-    #[must_use]
-    pub fn volume_at(&self, duration_s: f64) -> f64 {
-        self.alpha * duration_s.powf(self.beta)
-    }
-
     /// The §5.4 inverse map `v⁻¹`: duration whose mean volume is `v`,
     /// clamped to the measured duration support (1 s .. 4 h; §4.2 reports
     /// per-BS sessions lasting "from seconds to hours").
@@ -368,7 +362,7 @@ mod tests {
     #[test]
     fn duration_inverse_roundtrips() {
         let m = netflix_like();
-        let v = m.volume_at(600.0);
+        let v = m.alpha * 600f64.powf(m.beta);
         assert!((m.duration_for(v) - 600.0).abs() < 1e-6);
     }
 

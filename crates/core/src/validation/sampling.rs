@@ -22,7 +22,7 @@ use mtd_math::distributions::{
     Distribution1D, Gaussian, LogNormal10, Pareto, TruncatedGaussian, TruncatedPareto,
 };
 use mtd_math::emd::emd_same_grid;
-use mtd_math::gof::{emd_to_quantile, kolmogorov_sf, ks_statistic_from_cdf, ks_statistic_sorted};
+use mtd_math::gof::{emd_to_quantile, ks_p_value, ks_statistic_from_cdf, ks_statistic_sorted};
 use mtd_math::histogram::{LogGrid, LogHistogram};
 use mtd_math::rng::{stream_id, stream_rng};
 use mtd_math::stats::percentile_sorted;
@@ -214,8 +214,7 @@ fn ks_check_values(name: &str, left: &[f64], cdf: &[f64], slack: f64) -> Samplin
 }
 
 fn ks_check_from_statistic(name: &str, d: f64, n: usize, slack: f64) -> SamplingCheck {
-    let sqrt_n = (n as f64).sqrt();
-    let p = kolmogorov_sf((sqrt_n + 0.12 + 0.11 / sqrt_n) * d);
+    let p = ks_p_value(d, n);
     check(
         name.to_string(),
         d,
@@ -361,7 +360,7 @@ fn emd_check(
 
 /// Per-decile §5.1 arrival moment matching through the *count* sampler
 /// (continuous draw + probabilistic rounding), i.e. the exact path
-/// [`crate::SessionGenerator`] consumes.
+/// [`crate::ServingPlan`] consumes.
 fn arrival_checks(registry: &ModelRegistry, seed: u64, n: usize, checks: &mut Vec<SamplingCheck>) {
     let _span = mtd_telemetry::span!("arrivals");
     let tol = MEAN_TOL * noise_scale(DESIGN_SAMPLES, n);

@@ -28,8 +28,11 @@
 //! `mtd-traffic selftest`.
 
 // ---------------------------------------------------------------------------
-// Seeding primitives (mirror mtd_math::rng; this crate sits below it).
+// Seeding primitives: site labels and seeds come from the telemetry
+// crate's FNV-1a and SplitMix64 mixer, as `mtd_math::rng`'s streams do.
 // ---------------------------------------------------------------------------
+
+use mtd_telemetry::derive_seed;
 
 /// FNV-1a 64-bit hash of a site name.
 #[must_use]
@@ -37,24 +40,12 @@ pub fn site_id(name: &str) -> u64 {
     mtd_telemetry::fnv64(name.as_bytes())
 }
 
-/// SplitMix64 finalizer (same constants as `mtd_math::rng::derive_seed`):
-/// derives an independent stream seed from `(master, stream)`.
-#[must_use]
-pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One SplitMix64 step: advances `state` and returns the next raw u64.
 #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
 fn splitmix_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // SplitMix64's output function is the seed mixer at stream 0.
+    derive_seed(*state, 0)
 }
 
 /// Maps a raw u64 to a uniform f64 in `[0, 1)` (53-bit mantissa).
@@ -230,7 +221,8 @@ impl FaultPlan {
 /// The built-in plan roster cycled by `mtd-traffic selftest --plans N`:
 /// plan `i` uses spec `roster()[i % len]` under seed
 /// `derive_seed(master, i)`. Covers every site alone plus mixed storms;
-/// excludes the `skip_atomic` mutation site (see [`STORE_GROUP`] note).
+/// excludes the `store.write.skip_atomic` mutation site, which breaks the
+/// store's atomic-rename guarantee and is never part of a group.
 #[must_use]
 pub fn roster() -> &'static [&'static str] {
     &[
@@ -760,12 +752,8 @@ mod tests {
     }
 
     #[test]
-    fn seeding_matches_mtd_math_constants() {
-        // Pinned values so a drift from mtd_math::rng's constants (which
-        // this crate mirrors to stay std-only) is caught immediately.
+    fn site_ids_are_fnv1a() {
         assert_eq!(site_id(""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(derive_seed(1, 2), derive_seed(2, 1));
-        assert_eq!(derive_seed(5, 9), derive_seed(5, 9));
     }
 
     #[cfg(feature = "fault-inject")]

@@ -75,32 +75,6 @@ fn quantile_integral(a: &BinnedPdf, b: &BinnedPdf, shift_a: f64, shift_b: f64) -
     Ok(acc / n as f64)
 }
 
-/// EMD between two equal-weight sample sets (for tests and raw-session
-/// comparisons): sorts both and integrates the quantile difference.
-pub fn emd_samples(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.is_empty() || ys.is_empty() {
-        return Err(MathError::EmptyInput("emd_samples"));
-    }
-    let mut xs: Vec<f64> = xs.to_vec();
-    let mut ys: Vec<f64> = ys.to_vec();
-    xs.sort_by(|a, b| a.total_cmp(b));
-    ys.sort_by(|a, b| a.total_cmp(b));
-    let n = QUANTILE_POINTS;
-    let q = |v: &[f64], p: f64| -> f64 {
-        let pos = p * (v.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    };
-    let mut acc = 0.0;
-    for i in 0..n {
-        let p = (i as f64 + 0.5) / n as f64;
-        acc += (q(&xs, p) - q(&ys, p)).abs();
-    }
-    Ok(acc / n as f64)
-}
-
 /// Kolmogorov–Smirnov distance between two PDFs on the same grid:
 /// `sup_x |CDF_F(x) − CDF_G(x)|`. A location-free companion to EMD —
 /// sensitive to the worst local mismatch where EMD integrates it away.
@@ -117,22 +91,6 @@ pub fn ks_same_grid(a: &BinnedPdf, b: &BinnedPdf) -> Result<f64> {
         .zip(&cb)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max))
-}
-
-/// Squared Euclidean distance between two value vectors — the SED used for
-/// duration–volume pairs `v_s(d)` in Fig 8 (computed on `log₁₀` volumes by
-/// the callers so magnitudes are comparable across services).
-pub fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(MathError::DimensionMismatch {
-            expected: a.len(),
-            got: b.len(),
-        });
-    }
-    if a.is_empty() {
-        return Err(MathError::EmptyInput("squared_euclidean"));
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum())
 }
 
 #[cfg(test)]
@@ -187,14 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn emd_samples_matches_analytic_shift() {
-        let xs: Vec<f64> = (0..1000).map(|i| f64::from(i) / 100.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x + 3.0).collect();
-        let d = emd_samples(&xs, &ys).unwrap();
-        assert!((d - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ks_bounds_and_identity() {
         let a = pdf(0.5, 0.3);
         let b = pdf(2.0, 0.3);
@@ -206,13 +156,6 @@ mod tests {
         let d2 = ks_same_grid(&b, &a).unwrap();
         assert!(d1 <= 1.0 + 1e-12);
         assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sed_basic_and_errors() {
-        assert_eq!(squared_euclidean(&[1.0, 2.0], &[1.0, 4.0]).unwrap(), 4.0);
-        assert!(squared_euclidean(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(squared_euclidean(&[], &[]).is_err());
     }
 
     #[test]

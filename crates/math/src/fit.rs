@@ -1,16 +1,13 @@
 //! Model fitting for every distribution family the paper uses.
 //!
-//! - Gaussian moment fits (peak-hour arrivals, §5.1), including weighted
-//!   variants that operate on binned data.
-//! - Pareto maximum-likelihood fit with optionally *fixed shape* — §5.1
-//!   fixes `b = 1.765` and fits only the scale across BS deciles.
+//! - Gaussian moment fit (peak-hour arrivals, §5.1).
 //! - Base-10 log-normal moment fit from a [`BinnedPdf`] — step 1 of the
 //!   §5.2 mixture algorithm.
 //! - Negative-exponential ranking law (Fig 4), linearized on a log axis.
 //! - Power law `v(d) = α·d^β` via Levenberg–Marquardt with a log–log OLS
 //!   warm start (§5.3).
 
-use crate::distributions::{Gaussian, LogNormal10, Pareto};
+use crate::distributions::{Gaussian, LogNormal10};
 use crate::histogram::BinnedPdf;
 use crate::regression::{ols_line, r_squared, weighted_r_squared};
 use crate::{MathError, Result};
@@ -26,81 +23,12 @@ pub fn fit_gaussian(samples: &[f64]) -> Result<Gaussian> {
     Gaussian::new(mean, var.sqrt().max(1e-12))
 }
 
-/// Fits a Gaussian to binned/weighted data `(values, weights)`.
-pub fn fit_gaussian_weighted(values: &[f64], weights: &[f64]) -> Result<Gaussian> {
-    if values.len() != weights.len() {
-        return Err(MathError::DimensionMismatch {
-            expected: values.len(),
-            got: weights.len(),
-        });
-    }
-    let wsum: f64 = weights.iter().sum();
-    if wsum <= 0.0 {
-        return Err(MathError::InvalidParameter(
-            "fit_gaussian_weighted: zero total weight",
-        ));
-    }
-    let mean = values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / wsum;
-    let var = values
-        .iter()
-        .zip(weights)
-        .map(|(v, w)| w * (v - mean).powi(2))
-        .sum::<f64>()
-        / wsum;
-    Gaussian::new(mean, var.sqrt().max(1e-12))
-}
-
-/// Fits a Pareto by maximum likelihood. `fixed_shape = Some(b)` pins the
-/// shape (the paper's `b = 1.765`) and estimates only the scale; otherwise
-/// the shape MLE `n / Σ ln(xᵢ/s)` is used. The scale MLE is `min xᵢ`.
-pub fn fit_pareto(samples: &[f64], fixed_shape: Option<f64>) -> Result<Pareto> {
-    if samples.is_empty() {
-        return Err(MathError::EmptyInput("fit_pareto"));
-    }
-    let scale = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    if !(scale > 0.0) {
-        return Err(MathError::InvalidParameter(
-            "fit_pareto requires positive samples",
-        ));
-    }
-    let shape = match fixed_shape {
-        Some(b) => b,
-        None => {
-            let log_sum: f64 = samples.iter().map(|x| (x / scale).ln()).sum();
-            if log_sum <= 0.0 {
-                // All samples equal: degenerate; use a large shape.
-                1e6
-            } else {
-                samples.len() as f64 / log_sum
-            }
-        }
-    };
-    Pareto::new(shape, scale)
-}
-
 /// Fits a base-10 log-normal to a binned volume PDF by matching the first
 /// two moments on the `log₁₀` axis — the "main component" fit of §5.2.
 pub fn fit_lognormal10_from_pdf(pdf: &BinnedPdf) -> Result<LogNormal10> {
     let mu = pdf.mean_log10();
     let sigma = pdf.var_log10().sqrt();
     LogNormal10::new(mu, sigma.max(1e-6))
-}
-
-/// Fits a base-10 log-normal to raw positive samples by log-moments.
-pub fn fit_lognormal10(samples: &[f64]) -> Result<LogNormal10> {
-    if samples.len() < 2 {
-        return Err(MathError::EmptyInput("fit_lognormal10 needs >= 2 samples"));
-    }
-    if samples.iter().any(|x| *x <= 0.0) {
-        return Err(MathError::InvalidParameter(
-            "fit_lognormal10 requires positive samples",
-        ));
-    }
-    let logs: Vec<f64> = samples.iter().map(|x| x.log10()).collect();
-    let n = logs.len() as f64;
-    let mu = logs.iter().sum::<f64>() / n;
-    let var = logs.iter().map(|u| (u - mu).powi(2)).sum::<f64>() / n;
-    LogNormal10::new(mu, var.sqrt().max(1e-9))
 }
 
 /// Result of the negative-exponential ranking-law fit of Fig 4:
@@ -296,34 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_weighted_fit_on_binned_data() {
-        // Two symmetric bins around 10.
-        let fit = fit_gaussian_weighted(&[8.0, 12.0], &[1.0, 1.0]).unwrap();
-        assert!((fit.mean() - 10.0).abs() < 1e-12);
-        assert!((fit.std() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pareto_mle_recovers_shape_and_scale() {
-        let truth = Pareto::new(1.765, 2.5).unwrap();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let samples: Vec<f64> = (0..100_000).map(|_| truth.sample(&mut rng)).collect();
-        let fit = fit_pareto(&samples, None).unwrap();
-        assert!((fit.shape() - 1.765).abs() < 0.03, "shape {}", fit.shape());
-        assert!((fit.scale() - 2.5).abs() < 0.01, "scale {}", fit.scale());
-    }
-
-    #[test]
-    fn pareto_fixed_shape_estimates_scale_only() {
-        let truth = Pareto::new(1.765, 4.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let samples: Vec<f64> = (0..10_000).map(|_| truth.sample(&mut rng)).collect();
-        let fit = fit_pareto(&samples, Some(1.765)).unwrap();
-        assert_eq!(fit.shape(), 1.765);
-        assert!((fit.scale() - 4.0).abs() < 0.01);
-    }
-
-    #[test]
     fn lognormal_fit_from_pdf_matches_truth() {
         let truth = LogNormal10::new(1.6, 0.45).unwrap();
         let mut h = LogHistogram::new(LogGrid::new(-3.0, 5.0, 800).unwrap());
@@ -334,16 +234,6 @@ mod tests {
         let fit = fit_lognormal10_from_pdf(&h.to_pdf().unwrap()).unwrap();
         assert!((fit.mu() - 1.6).abs() < 0.02, "mu {}", fit.mu());
         assert!((fit.sigma() - 0.45).abs() < 0.02, "sigma {}", fit.sigma());
-    }
-
-    #[test]
-    fn lognormal_fit_from_samples() {
-        let truth = LogNormal10::new(-0.5, 0.3).unwrap();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let samples: Vec<f64> = (0..50_000).map(|_| truth.sample(&mut rng)).collect();
-        let fit = fit_lognormal10(&samples).unwrap();
-        assert!((fit.mu() + 0.5).abs() < 0.01);
-        assert!((fit.sigma() - 0.3).abs() < 0.01);
     }
 
     #[test]

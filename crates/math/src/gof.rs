@@ -2,24 +2,13 @@
 //!
 //! The §5.4 model assessment compares fitted models against measured
 //! PDFs; this module supplies the sample-vs-analytic half of that story:
-//! one-sample Kolmogorov–Smirnov tests against an arbitrary CDF and an
+//! one-sample Kolmogorov–Smirnov distances against an arbitrary CDF (with
+//! the Kolmogorov survival function for their p-values) and an
 //! earth-mover distance against an arbitrary quantile function. Both are
 //! exact functions of the sorted sample, so seeded draws give bit-stable
 //! statistics — the property the sampling-fidelity battery builds on.
 
 use crate::{MathError, Result};
-
-/// Outcome of a one-sample Kolmogorov–Smirnov test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsTest {
-    /// The KS distance `D = sup |F_n(x) − F(x)|`.
-    pub statistic: f64,
-    /// Asymptotic p-value of `D` under the null (sample drawn from `F`),
-    /// with Stephens' finite-`n` correction.
-    pub p_value: f64,
-    /// Sample size.
-    pub n: usize,
-}
 
 /// KS distance of an **ascending-sorted** sample against a CDF.
 pub fn ks_statistic_sorted(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> Result<f64> {
@@ -75,24 +64,6 @@ pub fn ks_statistic_from_cdf(left: &[f64], cdf: &[f64]) -> Result<f64> {
     Ok(d)
 }
 
-/// One-sample KS test of `samples` against the continuous CDF `cdf`
-/// (sorts a copy; see [`ks_statistic_sorted`] to skip the sort).
-pub fn ks_test(samples: &[f64], cdf: impl Fn(f64) -> f64) -> Result<KsTest> {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let statistic = ks_statistic_sorted(&sorted, cdf)?;
-    let n = sorted.len();
-    // Stephens (1970): the asymptotic Kolmogorov law applied at
-    // (√n + 0.12 + 0.11/√n)·D is accurate down to n ≈ 5.
-    let sqrt_n = (n as f64).sqrt();
-    let p_value = kolmogorov_sf((sqrt_n + 0.12 + 0.11 / sqrt_n) * statistic);
-    Ok(KsTest {
-        statistic,
-        p_value,
-        n,
-    })
-}
-
 /// Survival function of the Kolmogorov distribution:
 /// `P(K > x) = 2 Σ_{k≥1} (−1)^{k−1} exp(−2k²x²)`.
 #[must_use]
@@ -113,6 +84,15 @@ pub fn kolmogorov_sf(x: f64) -> f64 {
     (2.0 * acc).clamp(0.0, 1.0)
 }
 
+/// Asymptotic p-value of a KS distance `d` over `n` draws under the null
+/// (sample drawn from the tested CDF). Stephens (1970): the Kolmogorov law
+/// applied at `(√n + 0.12 + 0.11/√n)·d` is accurate down to `n ≈ 5`.
+#[must_use]
+pub fn ks_p_value(d: f64, n: usize) -> f64 {
+    let sqrt_n = (n as f64).sqrt();
+    kolmogorov_sf((sqrt_n + 0.12 + 0.11 / sqrt_n) * d)
+}
+
 /// Earth-mover (Wasserstein-1) distance between a sample and an analytic
 /// distribution given by its quantile function, via the quantile-coupling
 /// form `W₁ ≈ (1/n) Σ |x_(i) − Q((i−½)/n)|` on the sorted sample.
@@ -129,33 +109,6 @@ pub fn emd_to_quantile(samples: &[f64], quantile: impl Fn(f64) -> f64) -> Result
     let mut acc = 0.0;
     for (i, &x) in sorted.iter().enumerate() {
         let q = quantile((i as f64 + 0.5) / n);
-        if !q.is_finite() {
-            return Err(MathError::InvalidParameter(
-                "emd: quantile returned non-finite",
-            ));
-        }
-        acc += (x - q).abs();
-    }
-    Ok(acc / n)
-}
-
-/// [`emd_to_quantile`] for an **ascending-sorted** sample with precomputed
-/// quantile values `quantile_values[i] = Q((i+½)/n)`.
-///
-/// Same validation and accumulation order as the closure variant, so the
-/// two agree bit-for-bit on identical quantile values.
-pub fn emd_to_quantile_values(sorted: &[f64], quantile_values: &[f64]) -> Result<f64> {
-    if sorted.is_empty() {
-        return Err(MathError::EmptyInput("emd_to_quantile_values"));
-    }
-    if sorted.len() != quantile_values.len() {
-        return Err(MathError::InvalidParameter(
-            "emd: sample/quantile length mismatch",
-        ));
-    }
-    let n = sorted.len() as f64;
-    let mut acc = 0.0;
-    for (&x, &q) in sorted.iter().zip(quantile_values) {
         if !q.is_finite() {
             return Err(MathError::InvalidParameter(
                 "emd: quantile returned non-finite",
@@ -191,22 +144,22 @@ mod tests {
 
     #[test]
     fn ks_accepts_matching_distribution() {
-        let (g, xs) = gaussian_sample(20_000, 1);
-        let t = ks_test(&xs, |x| g.cdf(x)).unwrap();
-        assert!(
-            t.statistic < 2.3 / (t.n as f64).sqrt(),
-            "D = {}",
-            t.statistic
-        );
-        assert!(t.p_value > 1e-4, "p = {}", t.p_value);
+        let (g, mut xs) = gaussian_sample(20_000, 1);
+        xs.sort_by(f64::total_cmp);
+        let d = ks_statistic_sorted(&xs, |x| g.cdf(x)).unwrap();
+        assert!(d < 2.3 / (xs.len() as f64).sqrt(), "D = {d}");
+        let p = ks_p_value(d, xs.len());
+        assert!(p > 1e-4, "p = {p}");
     }
 
     #[test]
     fn ks_rejects_shifted_distribution() {
-        let (_, xs) = gaussian_sample(20_000, 2);
+        let (_, mut xs) = gaussian_sample(20_000, 2);
+        xs.sort_by(f64::total_cmp);
         let shifted = Gaussian::new(2.3, 1.5).unwrap();
-        let t = ks_test(&xs, |x| shifted.cdf(x)).unwrap();
-        assert!(t.p_value < 1e-6, "p = {}", t.p_value);
+        let d = ks_statistic_sorted(&xs, |x| shifted.cdf(x)).unwrap();
+        let p = ks_p_value(d, xs.len());
+        assert!(p < 1e-6, "p = {p}");
     }
 
     #[test]
@@ -234,38 +187,24 @@ mod tests {
     #[test]
     fn empty_inputs_error() {
         assert!(ks_statistic_sorted(&[], |_| 0.5).is_err());
-        assert!(ks_test(&[], |_| 0.5).is_err());
         assert!(emd_to_quantile(&[], |_| 0.0).is_err());
         assert!(ks_statistic_from_cdf(&[], &[]).is_err());
         assert!(ks_statistic_from_cdf(&[0.5], &[0.5, 0.6]).is_err());
-        assert!(emd_to_quantile_values(&[], &[]).is_err());
-        assert!(emd_to_quantile_values(&[1.0], &[]).is_err());
     }
 
     #[test]
-    fn precomputed_value_variants_match_closure_variants_bitwise() {
-        let (g, xs) = gaussian_sample(5_000, 7);
-        let mut sorted = xs.clone();
+    fn precomputed_value_variant_matches_closure_variant_bitwise() {
+        let (g, mut sorted) = gaussian_sample(5_000, 7);
         sorted.sort_by(f64::total_cmp);
-
         let cdf_values: Vec<f64> = sorted.iter().map(|&x| g.cdf(x)).collect();
         let from_closure = ks_statistic_sorted(&sorted, |x| g.cdf(x)).unwrap();
         let from_values = ks_statistic_from_cdf(&cdf_values, &cdf_values).unwrap();
-        assert_eq!(from_values.to_bits(), from_closure.to_bits());
-
-        let n = sorted.len() as f64;
-        let q_values: Vec<f64> = (0..sorted.len())
-            .map(|i| g.quantile((i as f64 + 0.5) / n))
-            .collect();
-        let from_closure = emd_to_quantile(&xs, |p| g.quantile(p)).unwrap();
-        let from_values = emd_to_quantile_values(&sorted, &q_values).unwrap();
         assert_eq!(from_values.to_bits(), from_closure.to_bits());
     }
 
     #[test]
     fn non_finite_precomputed_values_error() {
         assert!(ks_statistic_from_cdf(&[0.5, 0.6], &[0.5, f64::NAN]).is_err());
-        assert!(emd_to_quantile_values(&[1.0, 2.0], &[0.5, f64::INFINITY]).is_err());
     }
 
     #[test]

@@ -105,34 +105,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix–vector product.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != v.len() {
-            return Err(MathError::DimensionMismatch {
-                expected: self.cols,
-                got: v.len(),
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            out[i] = (0..self.cols).map(|j| self[(i, j)] * v[j]).sum();
-        }
-        Ok(out)
-    }
-
-    /// Adds `lambda` to each diagonal entry (LM damping). Square only.
-    pub fn add_diagonal(&mut self, lambda: f64) -> Result<()> {
-        if self.rows != self.cols {
-            return Err(MathError::InvalidParameter(
-                "add_diagonal on non-square matrix",
-            ));
-        }
-        for i in 0..self.rows {
-            self[(i, i)] += lambda;
-        }
-        Ok(())
-    }
-
     /// Solves `A x = b` via LU decomposition with partial pivoting.
     ///
     /// `A` (self) must be square; consumed by value because the
@@ -255,16 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_basic() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0, 2.0]]).unwrap();
-        assert_eq!(a.matvec(&[3.0, 5.0, 7.0]).unwrap(), vec![17.0]);
-    }
-
-    #[test]
     fn dimension_mismatch_errors() {
         let a = Matrix::zeros(2, 3);
-        assert!(a.matvec(&[1.0]).is_err());
         let b = Matrix::zeros(2, 2);
+        assert!(a.matmul(&b).is_err());
         assert!(b.clone().solve(&[1.0]).is_err());
     }
 }

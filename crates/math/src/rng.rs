@@ -6,22 +6,12 @@
 //! mobility, per-experiment replications) are decorrelated but reproducible.
 //! [`check_cases`] runs the workspace's property tests on the same seeds.
 
+use mtd_telemetry::derive_seed;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Derives a child seed from a master seed and a stream label.
-///
-/// Uses the SplitMix64 finalizer, which is a bijective avalanche mixer, so
-/// distinct `(seed, stream)` pairs map to well-spread child seeds.
-#[must_use]
-pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Creates a [`SmallRng`] for a named sub-stream of a master seed.
+/// Creates a [`SmallRng`] for a named sub-stream of a master seed, seeded
+/// through [`mtd_telemetry::derive_seed`].
 #[must_use]
 pub fn stream_rng(master: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(master, stream))
@@ -72,17 +62,6 @@ pub fn vec_of<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn derive_seed_is_deterministic() {
-        assert_eq!(derive_seed(42, 7), derive_seed(42, 7));
-    }
-
-    #[test]
-    fn derive_seed_separates_streams() {
-        assert_ne!(derive_seed(42, 1), derive_seed(42, 2));
-        assert_ne!(derive_seed(1, 42), derive_seed(2, 42));
-    }
 
     #[test]
     fn stream_rng_reproducible() {

@@ -1,8 +1,8 @@
-//! Descriptive statistics: moments, coefficient of variation, percentiles,
-//! and their weighted counterparts.
+//! Descriptive statistics: moments, percentiles, box summaries and
+//! Pearson correlation.
 //!
-//! These are the estimators behind Table 1 (shares ± CV) and the §5.4
-//! quality metrics.
+//! These are the estimators behind the §5.4 quality metrics and the
+//! analysis and use-case reports.
 
 use crate::{MathError, Result};
 
@@ -20,58 +20,9 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     Ok(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`); errors when `n < 2`.
-pub fn sample_variance(xs: &[f64]) -> Result<f64> {
-    if xs.len() < 2 {
-        return Err(MathError::EmptyInput("sample_variance needs n >= 2"));
-    }
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 pub fn std_dev(xs: &[f64]) -> Result<f64> {
     Ok(variance(xs)?.sqrt())
-}
-
-/// Fisher skewness `E[(x-μ)³]/σ³`; 0 for symmetric data.
-pub fn skewness(xs: &[f64]) -> Result<f64> {
-    let m = mean(xs)?;
-    let sd = std_dev(xs)?;
-    if sd == 0.0 {
-        return Ok(0.0);
-    }
-    let n = xs.len() as f64;
-    Ok(xs.iter().map(|x| ((x - m) / sd).powi(3)).sum::<f64>() / n)
-}
-
-/// Coefficient of variation `σ/μ` (the "CV" columns of Table 1).
-///
-/// Errors when the mean is zero (CV undefined).
-pub fn coefficient_of_variation(xs: &[f64]) -> Result<f64> {
-    let m = mean(xs)?;
-    if m == 0.0 {
-        return Err(MathError::InvalidParameter("CV undefined for zero mean"));
-    }
-    Ok(std_dev(xs)? / m.abs())
-}
-
-/// Weighted mean `Σwᵢxᵢ / Σwᵢ`.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(MathError::EmptyInput("weighted_mean"));
-    }
-    if xs.len() != ws.len() {
-        return Err(MathError::DimensionMismatch {
-            expected: xs.len(),
-            got: ws.len(),
-        });
-    }
-    let wsum: f64 = ws.iter().sum();
-    if wsum <= 0.0 {
-        return Err(MathError::InvalidParameter("weights must sum to > 0"));
-    }
-    Ok(xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / wsum)
 }
 
 /// Percentile via linear interpolation on the sorted sample
@@ -190,47 +141,12 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs).unwrap(), 2.5);
         assert!((variance(&xs).unwrap() - 1.25).abs() < 1e-12);
-        assert!((sample_variance(&xs).unwrap() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_error() {
         assert!(mean(&[]).is_err());
         assert!(percentile(&[], 0.5).is_err());
-        assert!(weighted_mean(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn skewness_symmetric_is_zero() {
-        let xs = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(skewness(&xs).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn skewness_right_tail_positive() {
-        let xs = [1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&xs).unwrap() > 1.0);
-    }
-
-    #[test]
-    fn cv_matches_definition() {
-        let xs = [2.0, 4.0];
-        // mean 3, pop std 1 => CV = 1/3
-        assert!((coefficient_of_variation(&xs).unwrap() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_reduces_to_mean_for_equal_weights() {
-        let xs = [1.0, 2.0, 3.0];
-        let ws = [5.0, 5.0, 5.0];
-        assert!((weighted_mean(&xs, &ws).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_respects_weights() {
-        let xs = [0.0, 10.0];
-        let ws = [1.0, 3.0];
-        assert!((weighted_mean(&xs, &ws).unwrap() - 7.5).abs() < 1e-12);
     }
 
     #[test]

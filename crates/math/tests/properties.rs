@@ -2,7 +2,7 @@
 
 use mtd_math::cluster::{centroid_cluster, silhouette_score, Merge};
 use mtd_math::distributions::{Distribution1D, Exponential, Gaussian, LogNormal10, Pareto};
-use mtd_math::emd::{emd_centered, emd_quantile, emd_same_grid, squared_euclidean};
+use mtd_math::emd::{emd_centered, emd_quantile, emd_same_grid};
 use mtd_math::fit::{fit_exponential_law, fit_power_law, PowerLawFit};
 use mtd_math::histogram::{BinnedPdf, InverseCdf, LogGrid, LogHistogram};
 use mtd_math::regression::r_squared;
@@ -208,16 +208,6 @@ fn percentile_within_range() {
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-    });
-}
-
-#[test]
-fn sed_nonnegative_and_zero_iff_equal() {
-    check_cases("math/sed_nonnegative_and_zero_iff_equal", 64, |rng| {
-        let a = vec_of(rng, 1..20, |r| r.gen_range(-10.0f64..10.0));
-        assert_eq!(squared_euclidean(&a, &a).unwrap(), 0.0);
-        let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-        assert!(squared_euclidean(&a, &b).unwrap() > 0.0);
     });
 }
 

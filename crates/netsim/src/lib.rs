@@ -30,11 +30,9 @@ pub mod arrivals;
 pub mod classifier;
 pub mod config;
 pub mod engine;
-pub mod flows;
 pub mod geo;
 pub mod ids;
 pub mod mobility;
-pub mod packets;
 pub mod probes;
 pub mod scenarios;
 pub mod services;

@@ -6,7 +6,6 @@ use mtd_netsim::arrivals::{ArrivalProcess, OFFPEAK_SHAPE};
 use mtd_netsim::geo::Topology;
 use mtd_netsim::ids::{BsId, Proto, Rat, ServiceId, SessionId, UeId};
 use mtd_netsim::mobility::MobilityModel;
-use mtd_netsim::packets::{volume_fraction_in, RateProfile};
 use mtd_netsim::services::ServiceCatalog;
 use mtd_netsim::session::{fragment_session, FiveTuple, SessionSpec};
 use mtd_netsim::time::{is_peak_minute, SimTime, MINUTES_PER_DAY};
@@ -96,31 +95,6 @@ fn catalog_sessions_are_valid() {
             let d = profile.duration_for_volume(v, rng);
             assert!((1e-3..=1e4).contains(&v));
             assert!((1.0..=14_400.0).contains(&d));
-        }
-    });
-}
-
-#[test]
-fn profile_volume_fractions_are_a_measure() {
-    check_cases("netsim/profile_volume_fractions_are_a_measure", 48, |rng| {
-        let a = rng.gen_range(0.0f64..1.0);
-        let b = rng.gen_range(0.0f64..1.0);
-        let c = rng.gen_range(0.0f64..1.0);
-        let mut ts = [a, b, c];
-        ts.sort_by(f64::total_cmp);
-        let [t0, t1, t2] = ts;
-        for profile in [
-            RateProfile::Constant,
-            RateProfile::OnOff { duty_cycle: 0.4 },
-            RateProfile::FrontLoaded {
-                burst_volume_fraction: 0.3,
-                burst_time_fraction: 0.1,
-            },
-        ] {
-            let whole = volume_fraction_in(profile, t0, t2);
-            let parts = volume_fraction_in(profile, t0, t1) + volume_fraction_in(profile, t1, t2);
-            assert!((whole - parts).abs() < 1e-9, "{profile:?}");
-            assert!((-1e-12..=1.0 + 1e-12).contains(&whole));
         }
     });
 }

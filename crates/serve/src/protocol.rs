@@ -8,7 +8,7 @@
 //! runs, platforms, and worker counts — the determinism contract clients
 //! can diff against.
 
-use crate::json::{push_array, push_num, push_str, Json};
+use crate::json::{push_array, push_num, push_str, Json, EXACT_INT_BOUND};
 use mtd_core::ServingPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -44,7 +44,9 @@ impl ErrorCode {
 pub struct RequestFrame {
     /// Client correlation id (any JSON scalar), rendered for the echo:
     /// strings, booleans and `null` come back as sent, numbers as the
-    /// codec writes them (`1.0` → `1`, `1e2` → `100`).
+    /// codec writes them (`1.0` → `1`, `1e2` → `100`). A number of
+    /// magnitude 2^53 or more is refused, since it may not be the
+    /// integer the client sent.
     pub id: Option<String>,
     pub request: Request,
 }
@@ -87,6 +89,13 @@ pub fn parse_request(line: &str) -> Result<RequestFrame, (ErrorCode, String)> {
     }
     let id = match v.get("id") {
         None => None,
+        // Every f64 this large is an integer the literal may have been
+        // rounded to, so echoing it could not match the client's id.
+        Some(Json::Num(n)) if n.abs() >= EXACT_INT_BOUND => {
+            return Err(bad(
+                "a numeric id must be below 2^53 in magnitude; send larger ids as strings".into(),
+            ))
+        }
         Some(j @ (Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_))) => Some(j.render()),
         Some(_) => return Err(bad("id must be a JSON scalar".into())),
     };
@@ -329,6 +338,12 @@ mod tests {
         assert_eq!(f.id.as_deref(), Some("7"));
         let f = parse_request(r#"{"id":"abc","op":"shutdown"}"#).unwrap();
         assert_eq!(f.id.as_deref(), Some("\"abc\""));
+        // Numeric ids below 2^53 in magnitude, the largest included,
+        // come back as sent.
+        for id in ["9007199254740991", "-9007199254740991", "0.5"] {
+            let f = parse_request(&format!(r#"{{"id":{id},"op":"ping"}}"#)).unwrap();
+            assert_eq!(f.id.as_deref(), Some(id));
+        }
         let f = parse_request(
             r#"{"op":"sample","decile":3,"minute":600,"minutes":2,"seed":42,"service":"Web"}"#,
         )
@@ -371,6 +386,11 @@ mod tests {
             r#"{"op":"frobnicate"}"#,
             r#"[1,2]"#,
             r#"{"op":"ping","id":[1]}"#,
+            // Ids of 2^53 and above may have been rounded on parsing.
+            r#"{"op":"ping","id":9007199254740992}"#,
+            r#"{"op":"ping","id":-9007199254740992}"#,
+            r#"{"op":"ping","id":12345678901234567891}"#,
+            r#"{"op":"ping","id":1e300}"#,
             "not json",
         ] {
             let err = parse_request(bad);

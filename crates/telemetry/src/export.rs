@@ -7,6 +7,7 @@
 use crate::histogram::LogBinHistogram;
 use crate::json;
 use crate::registry::{Key, Snapshot};
+use crate::ticker::Ticker;
 use std::io::{self, Write};
 
 fn push_str_field(line: &mut String, key: &str, value: &str) {
@@ -171,65 +172,39 @@ pub fn dump_to_path(snapshot: &Snapshot, path: &str) -> io::Result<()> {
 /// reader can tell a live trail from a final dump), flushes, snapshots,
 /// and atomically-enough rewrites `path` (`File::create` + full write).
 /// Started by the CLI's `--metrics-interval <secs>` flag.
-pub struct MetricsStream {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+pub struct MetricsStream(Ticker);
 
 impl MetricsStream {
     /// Spawns the streamer; `interval_s` is clamped to at least 0.1s.
+    /// The first failed write stops it.
     #[must_use]
     pub fn start(path: &str, interval_s: f64) -> MetricsStream {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let interval = interval_s.max(0.1);
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop_flag = std::sync::Arc::clone(&stop);
         let path = path.to_string();
-        let handle = std::thread::Builder::new()
-            .name("mtd-metrics-stream".into())
-            .spawn(move || {
-                let started = std::time::Instant::now();
-                let mut tick: u64 = 0;
-                let mut next_emit = interval;
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    let now = started.elapsed().as_secs_f64();
-                    if now < next_emit {
-                        continue;
-                    }
-                    tick += 1;
-                    crate::gauge_set("metrics.tick", tick as f64);
-                    crate::gauge_set("metrics.elapsed_s", now);
-                    let snap = crate::snapshot();
-                    if let Err(e) = dump_to_path(&snap, &path) {
+        let mut tick: u64 = 0;
+        MetricsStream(Ticker::start(
+            "mtd-metrics-stream",
+            interval_s,
+            move |now| {
+                tick += 1;
+                crate::gauge_set("metrics.tick", tick as f64);
+                crate::gauge_set("metrics.elapsed_s", now);
+                let snap = crate::snapshot();
+                match dump_to_path(&snap, &path) {
+                    Ok(()) => true,
+                    Err(e) => {
                         eprintln!("[telemetry] metrics stream write failed: {e}");
-                        return;
+                        false
                     }
-                    next_emit = now + interval;
                 }
-            })
-            .ok();
-        MetricsStream { stop, handle }
+            },
+        ))
     }
 
     /// Stops the streamer thread and waits for it to exit. The final
     /// snapshot dump (if any) is the caller's responsibility — the CLI
     /// always writes one on clean exit.
-    pub fn finish(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsStream {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn finish(self) {
+        drop(self.0);
     }
 }
 

@@ -2,6 +2,9 @@
 //! stream labels, store and spill digests, the stress threshold pin and
 //! the chaos stage digests. Not cryptographic; corruption past it is
 //! caught by the store and manifest CRCs.
+//!
+//! Beside it sits the workspace's one seed mixer, [`derive_seed`], which
+//! turns a master seed and such a label hash into a child seed.
 
 /// Streaming FNV-1a 64-bit hasher.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +51,18 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Derives a child seed from a master seed and a stream label.
+///
+/// Uses the SplitMix64 finalizer, which is a bijective avalanche mixer, so
+/// distinct `(seed, stream)` pairs map to well-spread child seeds.
+#[must_use]
+pub fn derive_seed(master: u64, stream: u64) -> u64 {
+    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,5 +83,18 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finish(), fnv64(data));
+    }
+
+    #[test]
+    fn derive_seed_is_splitmix64() {
+        // Stream 1 of master 0 is SplitMix64's first output from state 0.
+        assert_eq!(derive_seed(0, 1), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(derive_seed(42, 7), 0x53ad_348a_f3dd_af4b);
+    }
+
+    #[test]
+    fn derive_seed_separates_streams() {
+        assert_ne!(derive_seed(42, 1), derive_seed(42, 2));
+        assert_ne!(derive_seed(1, 42), derive_seed(2, 42));
     }
 }

@@ -16,41 +16,12 @@
 //! netsim counts one unit per simulated base-station minute; the fit
 //! pipeline counts one unit per fitted model. The ETA and rate math live
 //! in [`EtaEstimator`] / [`HeartbeatState`], which take time as plain
-//! seconds from an injectable [`Clock`] so the math is testable without
-//! sleeping.
+//! seconds so the math is testable without sleeping.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 use crate::registry::Snapshot;
-
-/// Monotonic-seconds source; injectable so ETA math is testable.
-pub trait Clock: Send {
-    fn now_s(&self) -> f64;
-}
-
-/// Real clock: seconds since construction.
-pub struct MonotonicClock(Instant);
-
-impl MonotonicClock {
-    #[must_use]
-    pub fn new() -> MonotonicClock {
-        MonotonicClock(Instant::now())
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now_s(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-}
+use crate::ticker::Ticker;
 
 /// Current pipeline stage label shown on the heartbeat line.
 static STAGE: Mutex<Option<String>> = Mutex::new(None);
@@ -270,58 +241,24 @@ pub fn fmt_duration(seconds: f64) -> String {
 
 /// A running heartbeat printer; stop it with [`Heartbeat::finish`] (or
 /// drop it). Started by the CLI's `--heartbeat <secs>` flag.
-pub struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+pub struct Heartbeat(Ticker);
 
 /// Spawns a thread that prints one [`render`]ed line to stderr every
 /// `interval_s` seconds (minimum 0.1s).
 #[must_use]
 pub fn start(interval_s: f64) -> Heartbeat {
-    let interval = interval_s.max(0.1);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("mtd-heartbeat".into())
-        .spawn(move || {
-            let clock = MonotonicClock::new();
-            let mut state = HeartbeatState::new();
-            let mut next_emit = interval;
-            // Poll the stop flag often so `finish` never waits a full
-            // interval, but only snapshot/print on the interval.
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(50));
-                let now = clock.now_s();
-                if now >= next_emit {
-                    let snap = crate::snapshot();
-                    let tick = state.tick(now, &snap);
-                    eprintln!("{}", render(&tick));
-                    next_emit = now + interval;
-                }
-            }
-        })
-        .ok();
-    Heartbeat { stop, handle }
+    let mut state = HeartbeatState::new();
+    Heartbeat(Ticker::start("mtd-heartbeat", interval_s, move |now| {
+        let snap = crate::snapshot();
+        eprintln!("{}", render(&state.tick(now, &snap)));
+        true
+    }))
 }
 
 impl Heartbeat {
     /// Stops the printer thread and waits for it to exit.
-    pub fn finish(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn finish(self) {
+        drop(self.0);
     }
 }
 

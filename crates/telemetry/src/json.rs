@@ -20,6 +20,11 @@ use std::fmt::Write as _;
 /// `[[[[…` into an error before recursion can exhaust the stack.
 pub const MAX_DEPTH: usize = 64;
 
+/// 2^53: below it in magnitude every integer is its own `f64`; from it on
+/// a parsed integer literal may already have been rounded to a
+/// neighbour (`9007199254740993` parses as 2^53).
+pub const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -74,13 +79,11 @@ impl Json {
     }
 
     /// The value as an exact non-negative integer: rejects fractions,
-    /// negatives, and 2^53 and above, where a literal may already have
-    /// been rounded to a neighbouring `f64` (`9007199254740993` parses as
-    /// 2^53).
+    /// negatives, and [`EXACT_INT_BOUND`] and above.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_BOUND => {
                 Some(*n as u64)
             }
             _ => None,

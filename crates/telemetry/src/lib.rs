@@ -6,7 +6,7 @@
 //!
 //! ## Model
 //!
-//! * **Spans** — [`span`] (or the [`span!`] macro) returns a guard that
+//! * **Spans** — [`span()`] (or the [`span!`] macro) returns a guard that
 //!   records wall time from a monotonic clock when dropped. Spans nest:
 //!   a thread-local stack turns `span("fit")` + `span("volume_mixture")`
 //!   into the hierarchical path `fit/volume_mixture`.
@@ -18,7 +18,7 @@
 //!   support exact merging and quantile estimates.
 //!
 //! All recordings land in **thread-local buffers** that are merged into
-//! the global [`Registry`] under a single mutex — either when a buffer
+//! the global registry under a single mutex — either when a buffer
 //! gets large, when a thread exits, or at [`snapshot`] time — so parallel
 //! simulation workers never contend on a hot lock.
 //!
@@ -39,7 +39,8 @@
 //!
 //! Because every crate already depends on this one, it also holds the
 //! workspace's single [`json`] codec (value type, depth-capped parser,
-//! writer) and its one content hash, FNV-1a ([`Fnv64`], [`fnv64`]).
+//! writer), its one content hash, FNV-1a ([`Fnv64`], [`fnv64`]), and its
+//! one seed mixer, SplitMix64's finalizer ([`derive_seed`]).
 //!
 //! ## mtd-prof (profiling / runtime observability)
 //!
@@ -73,8 +74,9 @@ pub mod prof;
 mod progress;
 mod registry;
 mod span;
+mod ticker;
 
-pub use fnv::{fnv64, Fnv64};
+pub use fnv::{derive_seed, fnv64, Fnv64};
 pub use histogram::LogBinHistogram;
 pub use progress::{progress_args, set_quiet, Verbosity};
 pub use registry::{
@@ -111,7 +113,7 @@ pub fn enable_from_env() -> Option<String> {
     Some(value)
 }
 
-/// Opens a span guard for `name`; sugar for [`span`] that reads like the
+/// Opens a span guard for `name`; sugar for [`span()`] that reads like the
 /// statement it is.
 ///
 /// ```

@@ -1,6 +1,6 @@
 //! mtd-prof — a scope-stack sampling profiler (DESIGN.md §12).
 //!
-//! Instrumented scopes ([`scope`], and every [`crate::span`] when the
+//! Instrumented scopes ([`scope`], and every [`crate::span()`] when the
 //! `prof` cargo feature is on) push an interned name id onto a lock-free
 //! per-thread stack. While a [`Profiler`] runs, a background sampler
 //! thread snapshots every registered stack at a fixed rate; on

@@ -93,18 +93,6 @@ impl LiteratureModel {
             LitCategory::MovieStreaming => &self.movie_streaming,
         }
     }
-
-    /// Draws a category according to the model's shares.
-    pub fn sample_category<R: Rng + ?Sized>(&self, rng: &mut R) -> LitCategory {
-        let u: f64 = rng.gen();
-        if u < self.shares.0 {
-            LitCategory::InteractiveWeb
-        } else if u < self.shares.0 + self.shares.1 {
-            LitCategory::CasualStreaming
-        } else {
-            LitCategory::MovieStreaming
-        }
-    }
 }
 
 /// Aggregates a service catalog's Table 1 session shares into the three
@@ -157,23 +145,6 @@ mod tests {
         let web = mean(LitCategory::InteractiveWeb, &mut rng);
         let movie = mean(LitCategory::MovieStreaming, &mut rng);
         assert!(movie > 20.0 * web, "movie {movie} vs web {web}");
-    }
-
-    #[test]
-    fn category_sampling_follows_shares() {
-        let m = LiteratureModel::standard();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 50_000;
-        let mut counts = [0usize; 3];
-        for _ in 0..n {
-            match m.sample_category(&mut rng) {
-                LitCategory::InteractiveWeb => counts[0] += 1,
-                LitCategory::CasualStreaming => counts[1] += 1,
-                LitCategory::MovieStreaming => counts[2] += 1,
-            }
-        }
-        assert!((counts[0] as f64 / n as f64 - 0.50).abs() < 0.01);
-        assert!((counts[2] as f64 / n as f64 - 0.0789).abs() < 0.005);
     }
 
     #[test]

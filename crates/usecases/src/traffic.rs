@@ -12,7 +12,7 @@ use mtd_core::registry::ModelRegistry;
 use mtd_math::rng::{stream_id, stream_rng};
 use mtd_netsim::arrivals::ArrivalProcess;
 use mtd_netsim::services::{LitCategory, ServiceCatalog};
-use mtd_netsim::time::{is_peak_minute, MINUTES_PER_DAY};
+use mtd_netsim::time::MINUTES_PER_DAY;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -358,14 +358,6 @@ pub fn per_minute_service_volume(
     out
 }
 
-/// Whether an absolute second falls into the §6.1 peak window
-/// (08:00–22:00 of its day).
-#[must_use]
-pub fn is_peak_second(abs_s: f64) -> bool {
-    let minute_of_day = ((abs_s / 60.0) as u32) % MINUTES_PER_DAY;
-    is_peak_minute(minute_of_day)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,12 +464,5 @@ mod tests {
         let b = scaled.draw(&arrival, &mut r2);
         assert!((b.throughput_mbps - 2.0 * a.throughput_mbps).abs() < 1e-9);
         assert_eq!(a.duration_s, b.duration_s);
-    }
-
-    #[test]
-    fn peak_second_helper() {
-        assert!(!is_peak_second(3.0 * 3600.0));
-        assert!(is_peak_second(12.0 * 3600.0));
-        assert!(is_peak_second(86_400.0 + 12.0 * 3600.0));
     }
 }

@@ -38,8 +38,8 @@ fn main() {
 
     // 3. Generate a synthetic day of session-level traffic at a busy BS.
     let mut rng = SmallRng::seed_from_u64(42);
-    let generator = SessionGenerator::new(&registry).expect("generator");
-    let day = generator.generate_day(9, &mut rng);
+    let plan = ServingPlan::compile(registry.clone()).expect("plan");
+    let day = plan.generate_day(9, &mut rng);
     let volume: f64 = day.iter().map(|s| s.volume_mb).sum();
     let peak_sessions = day
         .iter()

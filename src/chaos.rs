@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use mtd_core::pipeline::fit_registry_pooled;
 use mtd_core::volume::VolumeFitConfig;
-use mtd_core::SessionGenerator;
+use mtd_core::ServingPlan;
 use mtd_dataset::{store, Dataset};
 use mtd_fault::FaultPlan;
 use mtd_netsim::engine::Engine;
@@ -194,8 +194,8 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
     };
     let d_registry = digest_registry(&registry);
 
-    let generator = match SessionGenerator::new(&registry) {
-        Ok(g) => g,
+    let plan = match ServingPlan::compile(registry) {
+        Ok(p) => p,
         Err(e) => {
             return RunOutcome::Detected {
                 stage: "sample",
@@ -204,7 +204,7 @@ fn run_pipeline_inner(threads: usize, dir: &Path) -> RunOutcome {
         }
     };
     let mut rng = SmallRng::seed_from_u64(SAMPLE_SEED);
-    let day = generator.generate_day(SAMPLE_DECILE, &mut rng);
+    let day = plan.generate_day(SAMPLE_DECILE, &mut rng);
     let d_sessions = digest_sessions(&day);
 
     let bin_path = binary_path(dir);
@@ -590,7 +590,7 @@ pub fn roster_plans(master_seed: u64, n: usize) -> Vec<FaultPlan> {
     (0..n)
         .map(|i| {
             let spec = roster[i % roster.len()];
-            let seed = mtd_fault::derive_seed(master_seed, i as u64);
+            let seed = mtd_telemetry::derive_seed(master_seed, i as u64);
             FaultPlan::parse(spec, seed).expect("roster specs always parse")
         })
         .collect()

@@ -44,8 +44,8 @@
 //! // 3. Generate synthetic session-level traffic from the models.
 //! use rand::SeedableRng;
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-//! let generator = SessionGenerator::new(&registry).expect("generator");
-//! let day = generator.generate_day(9, &mut rng);
+//! let plan = ServingPlan::compile(registry).expect("plan");
+//! let day = plan.generate_day(9, &mut rng);
 //! assert!(!day.is_empty());
 //! ```
 
@@ -63,7 +63,7 @@ pub use mtd_usecases as usecases;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use mtd_core::pipeline::{fit_registry, fit_registry_with};
-    pub use mtd_core::{GeneratedSession, ModelRegistry, ServiceModel, SessionGenerator};
+    pub use mtd_core::{GeneratedSession, ModelRegistry, ServiceModel, ServingPlan};
     pub use mtd_dataset::{Dataset, SliceFilter};
     pub use mtd_netsim::geo::Topology;
     pub use mtd_netsim::services::{ServiceCatalog, ServiceClass};

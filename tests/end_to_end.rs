@@ -2,7 +2,6 @@
 //! fitted models recover the ground truth that generated the data.
 
 use mobile_traffic_dists::math::emd::emd_same_grid;
-use mobile_traffic_dists::models::generator::SessionGenerator;
 use mobile_traffic_dists::netsim::services::ServiceClass;
 use mobile_traffic_dists::prelude::*;
 use rand::rngs::SmallRng;
@@ -106,10 +105,10 @@ fn generated_traffic_reproduces_measured_volume_distribution() {
 #[test]
 fn generator_produces_decile_scaled_bimodal_traffic() {
     let (_, _, registry) = pipeline();
-    let generator = SessionGenerator::new(&registry).expect("generator");
+    let plan = ServingPlan::compile(registry).expect("plan");
     let mut rng = SmallRng::seed_from_u64(3);
-    let quiet = generator.generate_day(0, &mut rng);
-    let busy = generator.generate_day(9, &mut rng);
+    let quiet = plan.generate_day(0, &mut rng);
+    let busy = plan.generate_day(9, &mut rng);
     assert!(
         busy.len() > 2 * quiet.len(),
         "quiet {} busy {}",
