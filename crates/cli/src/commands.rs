@@ -537,6 +537,20 @@ impl<W: Write> EngineSink for CsvObservationSink<W> {
     }
 }
 
+/// `base` with `--n-bs`, `--days`, `--seed` and `--scale` overriding its
+/// sizing, validated.
+fn scenario_from_flags(flags: &Flags, base: ScenarioConfig) -> Result<ScenarioConfig, String> {
+    let scenario = ScenarioConfig {
+        n_bs: flags.num_or("n-bs", base.n_bs)?,
+        days: flags.num_or("days", base.days)?,
+        seed: flags.num_or("seed", base.seed)?,
+        arrival_scale: flags.num_or("scale", base.arrival_scale)?,
+        ..base
+    };
+    scenario.validate()?;
+    Ok(scenario)
+}
+
 fn simulate(argv: &[String]) -> Result<(), String> {
     let flags = parse_flags(argv, &["n-bs", "days", "seed", "scale", "out"])?;
     let tdest = telemetry_init(&flags, "simulate")?;
@@ -544,14 +558,16 @@ fn simulate(argv: &[String]) -> Result<(), String> {
     // Root profiler frame: keeps the main thread attributed while it
     // merges worker output (a span would drop after the telemetry dump).
     let _root = mtd_telemetry::prof::scope("cli.simulate");
-    let config = ScenarioConfig {
-        n_bs: flags.num_or("n-bs", 30usize)?,
-        days: flags.num_or("days", 3u32)?,
-        seed: flags.num_or("seed", 0xCAFEu64)?,
-        arrival_scale: flags.num_or("scale", 0.1f64)?,
-        ..ScenarioConfig::default()
-    };
-    config.validate()?;
+    let config = scenario_from_flags(
+        &flags,
+        ScenarioConfig {
+            n_bs: 30,
+            days: 3,
+            seed: 0xCAFE,
+            arrival_scale: 0.1,
+            ..ScenarioConfig::default()
+        },
+    )?;
 
     progress!(
         "cli",
@@ -629,14 +645,16 @@ fn fit(argv: &[String]) -> Result<(), String> {
     let registry = match flags.opt("from") {
         Some(path) => fit_from_file(path)?,
         None => {
-            let config = ScenarioConfig {
-                n_bs: flags.num_or("n-bs", 30usize)?,
-                days: flags.num_or("days", 7u32)?,
-                seed: flags.num_or("seed", 0xCAFEu64)?,
-                arrival_scale: flags.num_or("scale", 0.1f64)?,
-                ..ScenarioConfig::default()
-            };
-            config.validate()?;
+            let config = scenario_from_flags(
+                &flags,
+                ScenarioConfig {
+                    n_bs: 30,
+                    days: 7,
+                    seed: 0xCAFE,
+                    arrival_scale: 0.1,
+                    ..ScenarioConfig::default()
+                },
+            )?;
             progress!(
                 "cli",
                 "simulating {} BSs x {} days (seed {}, scale {}) ...",
@@ -686,14 +704,16 @@ fn dataset_export(argv: &[String]) -> Result<(), String> {
         None => Format::Binary,
         Some(s) => Format::parse(s)?,
     };
-    let config = ScenarioConfig {
-        n_bs: flags.num_or("n-bs", 30usize)?,
-        days: flags.num_or("days", 7u32)?,
-        seed: flags.num_or("seed", 0xCAFEu64)?,
-        arrival_scale: flags.num_or("scale", 0.1f64)?,
-        ..ScenarioConfig::default()
-    };
-    config.validate()?;
+    let config = scenario_from_flags(
+        &flags,
+        ScenarioConfig {
+            n_bs: 30,
+            days: 7,
+            seed: 0xCAFE,
+            arrival_scale: 0.1,
+            ..ScenarioConfig::default()
+        },
+    )?;
     progress!(
         "cli",
         "simulating {} BSs x {} days (seed {}, scale {}) ...",
@@ -817,14 +837,7 @@ fn campaign_config_from_flags(
             ..ScenarioConfig::default()
         },
     };
-    let scenario = ScenarioConfig {
-        n_bs: flags.num_or("n-bs", base.n_bs)?,
-        days: flags.num_or("days", base.days)?,
-        seed: flags.num_or("seed", base.seed)?,
-        arrival_scale: flags.num_or("scale", base.arrival_scale)?,
-        ..base
-    };
-    scenario.validate()?;
+    let scenario = scenario_from_flags(flags, base)?;
     let kill_after = match flags.opt("kill-after") {
         None => None,
         Some(_) => Some(flags.num_or("kill-after", 0u64)?),
@@ -978,14 +991,16 @@ fn validate_cmd(argv: &[String]) -> Result<(), String> {
     if flags.is_set("sampling") {
         return validate_sampling(&registry, &flags, tdest);
     }
-    let config = ScenarioConfig {
-        n_bs: flags.num_or("n-bs", 12usize)?,
-        days: flags.num_or("days", 7u32)?,
-        seed: flags.num_or("seed", 7u64)?,
-        arrival_scale: flags.num_or("scale", 0.06f64)?,
-        ..ScenarioConfig::default()
-    };
-    config.validate()?;
+    let config = scenario_from_flags(
+        &flags,
+        ScenarioConfig {
+            n_bs: 12,
+            days: 7,
+            seed: 7,
+            arrival_scale: 0.06,
+            ..ScenarioConfig::default()
+        },
+    )?;
     progress!(
         "cli",
         "simulating a fresh {}-BS x {}-day campaign for validation ...",

@@ -115,33 +115,25 @@ impl ServiceModel {
         (main + peaks) / (1.0 + total_k)
     }
 
-    /// Bulk [`ServiceModel::cdf_log10`] through the SIMD Gaussian-CDF
-    /// kernel, one pass per mixture component. Component contributions are
-    /// accumulated in the scalar summation order, so results differ from
-    /// the scalar path only by the simd module's pinned ULP bound (and are
-    /// bit-identical across tiers and thread counts).
+    /// Bulk [`ServiceModel::cdf_log10`] through the
+    /// [`mtd_math::kernels::gaussian_cdf_compat`] lane: per point, the main
+    /// component, then the k-weighted peaks in order, then the division,
+    /// so results differ from the scalar path only by the lanes' pinned
+    /// ULP bound.
     pub fn cdf_log10_batch(&self, us: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(us.len(), 0.0);
-        mtd_math::simd::gaussian_cdf_into(us, self.mu, self.sigma.max(1e-9), out);
-        if !self.peaks.is_empty() {
-            let mut tmp = vec![0.0; us.len()];
-            let mut peaks = vec![0.0; us.len()];
-            for p in &self.peaks {
-                mtd_math::simd::gaussian_cdf_into(us, p.mu, p.sigma.max(1e-9), &mut tmp);
-                for (acc, &c) in peaks.iter_mut().zip(&tmp) {
-                    *acc += p.k * c;
-                }
-            }
-            for (o, &pk) in out.iter_mut().zip(&peaks) {
-                *o += pk;
-            }
-        }
+        use mtd_math::kernels::gaussian_cdf_compat;
+        let sigma = self.sigma.max(1e-9);
         let total_k: f64 = self.peaks.iter().map(|p| p.k).sum();
         let denom = 1.0 + total_k;
-        for o in out.iter_mut() {
-            *o /= denom;
-        }
+        out.clear();
+        out.extend(us.iter().map(|&u| {
+            let main = gaussian_cdf_compat(u, self.mu, sigma);
+            let mut peaks = 0.0;
+            for p in &self.peaks {
+                peaks += p.k * gaussian_cdf_compat(u, p.mu, p.sigma.max(1e-9));
+            }
+            (main + peaks) / denom
+        }));
     }
 
     /// The effective `log₁₀` support of [`ServiceModel::sample_volume`]:

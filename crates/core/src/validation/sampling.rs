@@ -24,6 +24,7 @@ use mtd_math::distributions::{
 use mtd_math::emd::emd_same_grid;
 use mtd_math::gof::{emd_to_quantile, ks_p_value, ks_statistic_from_cdf, ks_statistic_sorted};
 use mtd_math::histogram::{LogGrid, LogHistogram};
+use mtd_math::kernels::log10_compat;
 use mtd_math::rng::{stream_id, stream_rng};
 use mtd_math::stats::percentile_sorted;
 use mtd_math::{MathError, Result};
@@ -432,8 +433,7 @@ fn service_checks(
         let mut rng = stream_rng(seed, stream_id(&name));
         let mut vs: Vec<f64> = (0..n_svc).map(|_| model.sample_volume(&mut rng)).collect();
         vs.sort_by(f64::total_cmp);
-        let mut us = vec![0.0; vs.len()];
-        mtd_math::simd::log10_into(&vs, &mut us);
+        let us: Vec<f64> = vs.iter().map(|&v| log10_compat(v)).collect();
 
         // The sampler censors at the support: mass beyond either bound
         // collapses onto the clamp value, so the reference CDF carries an
@@ -441,7 +441,7 @@ fn service_checks(
         // (`log10` of a clamp value can round below the support bound),
         // and a run tied at one is measured against the CDF's left limit
         // below it and its value at it. The mixture CDF is evaluated
-        // through the SIMD batch kernel; the slack covers rougher fits.
+        // through the batch lanes; the slack covers rougher fits.
         let (lo, hi) = model.effective_support_log10();
         let (v_lo, v_hi) = model.volume_bounds();
         let (at_lo, below_hi) = (model.cdf_log10(lo), model.cdf_log10(hi));

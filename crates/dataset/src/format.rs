@@ -277,6 +277,7 @@ impl ByteWriter {
     }
 
     /// Overwrites the u32 at byte offset `at`: a count filled in once known.
+    #[inline]
     pub fn set_u32(&mut self, at: usize, v: u32) {
         self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
@@ -289,6 +290,7 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -386,6 +388,7 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> FormatResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(FormatError("payload truncated"));
@@ -403,6 +406,7 @@ impl<'a> ByteReader<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_u32(&mut self) -> FormatResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }

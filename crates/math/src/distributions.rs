@@ -15,6 +15,7 @@
 //! high-accuracy `erf` rational approximation and the normal quantile uses
 //! Acklam's algorithm with one Halley refinement step.
 
+use crate::kernels::gaussian_pdf_compat;
 use crate::{MathError, Result};
 use rand::Rng;
 
@@ -300,15 +301,17 @@ impl LogNormal10 {
     }
 
     /// Bulk [`LogNormal10::pdf_log10`] over a slice of log-axis points,
-    /// written into `out` (cleared and resized). One call per mixture
+    /// written into `out` (cleared and refilled). One call per mixture
     /// component evaluates a whole histogram grid through the
-    /// runtime-dispatched SIMD kernel ([`crate::simd::gaussian_pdf_into`]);
-    /// results match the scalar path within the module's pinned ULP bound
-    /// and are bit-identical across SIMD tiers and thread counts.
+    /// [`crate::kernels::gaussian_pdf_compat`] lane; results match the
+    /// scalar path within the lanes' pinned ULP bound.
     pub fn pdf_log10_batch(&self, us: &[f64], out: &mut Vec<f64>) {
+        let inv_sqrt_tau = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
         out.clear();
-        out.resize(us.len(), 0.0);
-        crate::simd::gaussian_pdf_into(us, self.mu, self.sigma, out);
+        out.extend(
+            us.iter()
+                .map(|&u| gaussian_pdf_compat(u, self.mu, self.sigma, inv_sqrt_tau)),
+        );
     }
 
     /// Median `10^μ`.
@@ -760,14 +763,14 @@ mod tests {
         let mut out = vec![7.0; 4]; // stale contents must be discarded
         ln.pdf_log10_batch(&us, &mut out);
         assert_eq!(out.len(), us.len());
-        // The batch kernel uses exp_compat instead of libm exp; the simd
+        // The batch lane uses exp_compat instead of libm exp; the kernels
         // module pins the deviation at ≤8 ULP (abs floor 1e-300).
         for (&u, &got) in us.iter().zip(&out) {
             let want = ln.pdf_log10(u);
             assert!(
-                crate::simd::ulp_within(got, want, 8, 1e-300),
+                crate::kernels::ulp_within(got, want, 8, 1e-300),
                 "pdf_log10({u}): {got:e} vs scalar {want:e} ({} ulp)",
-                crate::simd::ulp_distance(got, want)
+                crate::kernels::ulp_distance(got, want)
             );
         }
     }

@@ -67,9 +67,6 @@ pub struct LmScratch {
     jac: Option<Matrix>,
     r: Vec<f64>,
     r_pert: Vec<f64>,
-    /// Contiguous staging for one Jacobian column: the SIMD finite-difference
-    /// kernel writes here before the strided copy into `jac`.
-    col: Vec<f64>,
 }
 
 impl LmScratch {
@@ -108,11 +105,8 @@ pub fn lm_fit_with<P: LmProblem>(
     scratch.r.resize(nr, 0.0);
     scratch.r_pert.clear();
     scratch.r_pert.resize(nr, 0.0);
-    scratch.col.clear();
-    scratch.col.resize(nr, 0.0);
     let mut r = &mut scratch.r;
     let mut r_pert = &mut scratch.r_pert;
-    let col = &mut scratch.col;
     problem.residuals(&params, r);
     let mut cost = 0.5 * r.iter().map(|v| v * v).sum::<f64>();
 
@@ -131,11 +125,8 @@ pub fn lm_fit_with<P: LmProblem>(
             params[j] = saved + h;
             problem.residuals(&params, r_pert);
             params[j] = saved;
-            // (r_pert − r)/h through the SIMD kernel (bit-exact), then a
-            // strided scatter into the row-major Jacobian column.
-            crate::simd::sub_div_into(r_pert, r, h, col);
-            for (i, &c) in col.iter().enumerate() {
-                jac[(i, j)] = c;
+            for (i, (a, b)) in r_pert.iter().zip(r.iter()).enumerate() {
+                jac[(i, j)] = (a - b) / h;
             }
         }
 

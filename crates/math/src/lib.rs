@@ -18,6 +18,8 @@
 //!   power-law fits of §5.3.
 //! - [`fit`] — closed-form / iterative fits for all model families.
 //! - [`cluster`] — centroid hierarchical clustering + silhouette score (§4.3).
+//! - [`kernels`] — the scalar `exp`/`ln`/`erf`/Gaussian lanes under the fit,
+//!   with their pinned ULP policy.
 //! - [`regression`], [`stats`], [`linalg`], [`rng`] — supporting utilities.
 //!
 //! Everything is deterministic given an explicit RNG, allocation-light and
@@ -33,12 +35,12 @@ pub mod emd;
 pub mod fit;
 pub mod gof;
 pub mod histogram;
+pub mod kernels;
 pub mod levmar;
 pub mod linalg;
 pub mod regression;
 pub mod rng;
 pub mod savgol;
-pub mod simd;
 pub mod stats;
 pub mod tail;
 

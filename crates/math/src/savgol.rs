@@ -146,16 +146,16 @@ impl SavitzkyGolay {
             }
             out[i] = value / scale;
         }
-        // Interior samples collapse to one sliding dot product; the SIMD
-        // kernel accumulates each output in the scalar summation order, so
-        // the result stays bit-exact on every tier.
-        crate::simd::convolve_scaled_into(
-            ys,
-            &self.projector[deriv],
-            facs[deriv],
-            scale,
-            &mut out[m..n - m],
-        );
+        // Interior samples collapse to one sliding dot product, summed in
+        // ascending k.
+        let coeffs = &self.projector[deriv];
+        for (o, window) in out[m..n - m].iter_mut().zip(ys.windows(coeffs.len())) {
+            let mut acc = 0.0;
+            for (c, y) in coeffs.iter().zip(window) {
+                acc += c * y;
+            }
+            *o = acc * facs[deriv] / scale;
+        }
         Ok(())
     }
 }

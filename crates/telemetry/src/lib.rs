@@ -64,6 +64,7 @@
 //! mtd_telemetry::export::write_ndjson(&snap, &mut ndjson).unwrap();
 //! ```
 
+#[allow(unsafe_code)]
 pub mod alloc;
 pub mod export;
 mod fnv;
